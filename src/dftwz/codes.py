@@ -38,7 +38,7 @@ __all__ = [
 COND_WARN = 1e8
 COND_ERROR = 1e12
 
-# Residual refinement iterations for the systematic solves. Two passes
+# Residual refinement iterations for the systematic solves. Three passes
 # against long-double residuals push the route gap to the rounding floor.
 _REFINE_ITERS = 3
 

@@ -4,7 +4,10 @@ Determinism contract: every trial owns a counter-based RNG seeded by
 (master_seed, ceqnr_index, frame_index, approach_id), frames are
 processed in fixed blocks of BLOCK_FRAMES, and block partial sums are
 reduced in submission order. Identical configuration and seed therefore
-produce byte-identical CSV regardless of the worker count.
+produce byte-identical CSV regardless of the worker count. Within a
+block, frames are decoded as arrays in sub-blocks of at most
+SUB_BLOCK_FRAMES; each frame's MSE is still added to the block sum one at
+a time, in frame order.
 
 CEQNR (channel-error-to-quantization-noise ratio) is
 10 log10(sigma_e^2 / sigma_q^2) where sigma_q^2 = step^2 / 12 of the
@@ -14,22 +17,24 @@ correlation).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .codes import CodeSpec, DftCode, build_code
-from .pgz import ErrorEstimate
+from .pgz import ErrorEstimate, frame_estimate
 from .quantize import QuantizerSpec
-from .sources import ChannelSpec, SourceSpec, apply_channel, gauss_markov
+from .sources import ChannelSpec, SourceSpec, draw_frames
 from .wyner_ziv import (
     DEFAULT_PARITY_RANGE,
     DEFAULT_SYNDROME_RANGE,
-    parity_decode,
-    parity_encode,
-    syndrome_decode,
-    syndrome_encode,
+    DecodedBlock,
+    encode_block,
+    parity_decode_block,
+    syndrome_decode_block,
 )
 
 __all__ = [
@@ -52,6 +57,9 @@ _APPROACH_ID = {"syndrome": 0, "parity": 1}
 # sums are accumulated within a block and blocks are reduced in order,
 # so results are independent of how blocks land on workers.
 BLOCK_FRAMES = 2048
+
+# Frames decoded together as arrays; bounds the memory of one block.
+SUB_BLOCK_FRAMES = 256
 
 CSV_COLUMNS = (
     "ceqnr_db",
@@ -76,7 +84,6 @@ class TrialRecord:
     zero_error: bool
     overloads: int
     tx_samples: int
-    peak: float
     estimate: ErrorEstimate
 
 
@@ -107,6 +114,8 @@ class SweepConfig:
             raise ValueError("duplicate approach")
         if not self.ceqnr_db:
             raise ValueError("CEQNR grid must be nonempty")
+        if not all(db < math.inf for db in self.ceqnr_db):
+            raise ValueError(f"CEQNR values must be finite or -inf, got {self.ceqnr_db}")
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.seed < 0:
@@ -153,6 +162,37 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
 
+def _trials(
+    code: DftCode,
+    approach: str,
+    quantizer: QuantizerSpec,
+    ch: ChannelSpec,
+    rngs: "Iterable[np.random.Generator]",
+    source: SourceSpec,
+    reconstruction: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, DecodedBlock]:
+    """Round trips of a block of frames, one generator per frame:
+    (frame MSEs, localized, zero-error, overloads, decoded block)."""
+    if approach == "syndrome":
+        x, y, hit = draw_frames(source, ch, code.n, rngs)
+        values, overloads = encode_block(code.H, x, quantizer)
+        decoded = syndrome_decode_block(code, values, quantizer, y, reconstruction=reconstruction)
+    elif approach == "parity":
+        x, y, hit = draw_frames(source, ch, code.k, rngs)
+        values, overloads = encode_block(code.P_gen, x, quantizer)
+        decoded = parity_decode_block(code, values, quantizer, y)
+    else:
+        raise ValueError(f"unknown approach {approach!r}")
+    diff = decoded.x_hat - x
+    localized = np.all(decoded.pgz.support[:, : x.shape[1]] == hit, axis=1)
+    zero_error = np.all(decoded.x_hat == x, axis=1)
+    return np.mean(diff * diff, axis=1), localized, zero_error, overloads, decoded
+
+
+def _tx_samples(code: DftCode, approach: str) -> int:
+    return (code.n - code.k) * (2 if approach == "syndrome" else 1)
+
+
 def run_trial(
     code: DftCode,
     approach: str,
@@ -171,34 +211,17 @@ def run_trial(
     ground-truth error positions; zero_error means the reconstruction is
     bitwise equal to the source frame.
     """
-    if approach == "syndrome":
-        x = gauss_markov(source, code.n, rng)
-        y, true_locs, _ = apply_channel(x, ch, rng)
-        msg = syndrome_encode(code, x, quantizer)
-        result = syndrome_decode(
-            code, msg, y,
-            reconstruction=reconstruction, magnitude_method=magnitude_method,
-        )
-        peak = 0.0
-    elif approach == "parity":
-        x = gauss_markov(source, code.k, rng)
-        y, true_locs, _ = apply_channel(x, ch, rng)
-        msg = parity_encode(code, x, quantizer)
-        result = parity_decode(code, msg, y, magnitude_method=magnitude_method)
-        peak = msg.peak
-    else:
-        raise ValueError(f"unknown approach {approach!r}")
-    result.localization_correct = set(result.error_estimate.locations) == set(true_locs)
-    diff = result.x_hat - x
+    mse, localized, zero_error, overloads, decoded = _trials(
+        code, approach, quantizer, ch, [rng], source, reconstruction
+    )
     return TrialRecord(
         approach=approach,
-        frame_mse=float(np.mean(diff * diff)),
-        localization_correct=result.localization_correct,
-        zero_error=bool(np.array_equal(result.x_hat, x)),
-        overloads=msg.overloads,
-        tx_samples=msg.bits_used // quantizer.bits,
-        peak=peak,
-        estimate=result.error_estimate,
+        frame_mse=float(mse[0]),
+        localization_correct=bool(localized[0]),
+        zero_error=bool(zero_error[0]),
+        overloads=overloads,
+        tx_samples=_tx_samples(code, approach),
+        estimate=frame_estimate(code, decoded.syndromes, decoded.pgz, magnitude_method),
     )
 
 
@@ -228,24 +251,25 @@ def _run_block(task: tuple[int, float, str, int, int]) -> tuple[float, int, int,
     ci, ceqnr_db, approach, start, count = task
     cfg: SweepConfig = _CTX["cfg"]
     ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(ceqnr_db))
-    quantizer = _CTX["tx_quant"][approach]
     approach_id = _APPROACH_ID[approach]
     mse_sum = 0.0
-    loc = zero = ovl = tx = 0
-    for frame in range(start, start + count):
-        rng = np.random.default_rng((cfg.seed, ci, frame, approach_id))
-        rec = run_trial(
-            _CTX["code"], approach, quantizer, ch, rng,
-            source=_CTX["source"],
-            reconstruction=cfg.reconstruction,
-            magnitude_method=cfg.magnitude_method,
+    loc = zero = ovl = 0
+    stop = start + count
+    for lo in range(start, stop, SUB_BLOCK_FRAMES):
+        rngs = (  # created one at a time as the frames are drawn
+            np.random.default_rng((cfg.seed, ci, frame, approach_id))
+            for frame in range(lo, min(lo + SUB_BLOCK_FRAMES, stop))
         )
-        mse_sum += rec.frame_mse
-        loc += rec.localization_correct
-        zero += rec.zero_error
-        ovl += rec.overloads
-        tx += rec.tx_samples
-    return mse_sum, loc, zero, ovl, tx
+        mse, localized, zero_error, overloads, _ = _trials(
+            _CTX["code"], approach, _CTX["tx_quant"][approach], ch, rngs,
+            _CTX["source"], cfg.reconstruction,
+        )
+        for frame_mse in mse.tolist():  # one at a time, in frame order
+            mse_sum += frame_mse
+        loc += int(localized.sum())
+        zero += int(zero_error.sum())
+        ovl += overloads
+    return mse_sum, loc, zero, ovl, count * _tx_samples(_CTX["code"], approach)
 
 
 def _make_tasks(cfg: SweepConfig) -> list[tuple[int, float, str, int, int]]:

@@ -10,10 +10,11 @@ be replayed bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["SourceSpec", "ChannelSpec", "gauss_markov", "apply_channel"]
+__all__ = ["SourceSpec", "ChannelSpec", "gauss_markov", "apply_channel", "draw_frames"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,27 @@ class ChannelSpec:
             raise ValueError(f"sigma_e must be >= 0, got {self.sigma_e}")
 
 
+def _ar1(rho: float, w: np.ndarray) -> np.ndarray:
+    """Run the AR(1) recursion along the rows of the innovations w (F, L).
+
+    Each step runs across all F rows at once. A single row, such as a
+    long frame from gauss_markov, runs as a float loop instead, which
+    saves one numpy call per sample; both round rho x_{i-1} + scale w_i
+    the same way, so they agree bit for bit.
+    """
+    scale = np.sqrt(1.0 - rho**2)
+    if len(w) == 1:
+        row, s = w[0].tolist(), float(scale)
+        for i in range(1, len(row)):
+            row[i] = rho * row[i - 1] + s * row[i]
+        return np.array([row])
+    x = np.empty_like(w)
+    x[:, 0] = w[:, 0]
+    for i in range(1, w.shape[1]):
+        x[:, i] = rho * x[:, i - 1] + scale * w[:, i]
+    return x
+
+
 def gauss_markov(spec: SourceSpec, length: int, rng: np.random.Generator) -> np.ndarray:
     """x_0 ~ N(0,1); x_i = rho x_{i-1} + sqrt(1 - rho^2) w_i.
 
@@ -50,13 +72,18 @@ def gauss_markov(spec: SourceSpec, length: int, rng: np.random.Generator) -> np.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    w = rng.standard_normal(length)
-    x = np.empty(length)
-    x[0] = w[0]
-    scale = np.sqrt(1.0 - spec.rho**2)
-    for i in range(1, length):
-        x[i] = spec.rho * x[i - 1] + scale * w[i]
-    return x
+    return _ar1(spec.rho, rng.standard_normal(length)[None])[0]
+
+
+def _draw_errors(
+    ch: ChannelSpec, frame_len: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    if ch.errors_per_frame > frame_len:
+        raise ValueError(
+            f"errors_per_frame = {ch.errors_per_frame} exceeds frame length {frame_len}"
+        )
+    positions = rng.choice(frame_len, size=ch.errors_per_frame, replace=False)
+    return positions, rng.normal(0.0, ch.sigma_e, ch.errors_per_frame)
 
 
 def apply_channel(
@@ -70,13 +97,7 @@ def apply_channel(
     from x".
     """
     x = np.asarray(x, dtype=np.float64)
-    frame_len = len(x)
-    if ch.errors_per_frame > frame_len:
-        raise ValueError(
-            f"errors_per_frame = {ch.errors_per_frame} exceeds frame length {frame_len}"
-        )
-    positions = rng.choice(frame_len, size=ch.errors_per_frame, replace=False)
-    values = rng.normal(0.0, ch.sigma_e, ch.errors_per_frame)
+    positions, values = _draw_errors(ch, len(x), rng)
     y = x.copy()
     y[positions] += values
     hit = values != 0.0
@@ -84,3 +105,31 @@ def apply_channel(
     locations = tuple(int(p) for p in positions[hit][order])
     magnitudes = values[hit][order]
     return y, locations, magnitudes
+
+
+def draw_frames(
+    spec: SourceSpec, ch: ChannelSpec, length: int, rngs: "Iterable[np.random.Generator]"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frame per generator, each drawn as gauss_markov and then
+    apply_channel draw it: returns x and y = x + e, both (F, length), and
+    the (F, length) mask of the positions where y differs from x. The
+    generators are drawn from one at a time, so an iterator need not hold
+    them all at once."""
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    w, positions, values = [], [], []
+    for rng in rngs:
+        w.append(rng.standard_normal(length))
+        p, v = _draw_errors(ch, length, rng)
+        positions.append(p)
+        values.append(v)
+    x = _ar1(spec.rho, np.array(w))
+    shape = (len(w), ch.errors_per_frame)
+    positions = np.array(positions, dtype=np.int64).reshape(shape)
+    values = np.array(values).reshape(shape)
+    y = x.copy()
+    rows = np.arange(len(w))[:, None]
+    y[rows, positions] += values
+    hit = np.zeros(x.shape, dtype=bool)
+    hit[rows, positions] = values != 0.0
+    return x, y, hit

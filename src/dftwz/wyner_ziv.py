@@ -31,6 +31,10 @@ magnitudes on PGZ's support and on every support that swaps one of its
 positions for another candidate, and subtracts the average of those
 corrections weighted by each support's likelihood
 exp(-rss / (2 step^2/12)) / sqrt(det(A^T A)).
+
+``encode_block``, ``syndrome_decode_block`` and ``parity_decode_block``
+run a block of frames as arrays; the per-frame functions run them on a
+block of one.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .codes import DftCode
-from .pgz import ErrorEstimate, pgz_decode
+from .pgz import ErrorEstimate, PgzBlock, decode_block, frame_estimate
 from .quantize import QuantizerSpec, count_overloads, quantize
 
 __all__ = [
@@ -54,6 +59,10 @@ __all__ = [
     "parity_encode",
     "parity_decode",
     "compression_ratio",
+    "encode_block",
+    "syndrome_decode_block",
+    "parity_decode_block",
+    "DecodedBlock",
     "syndrome_noise_floor",
     "parity_noise_floor",
     "DEFAULT_SYNDROME_RANGE",
@@ -87,29 +96,25 @@ class SyndromeMessage:
 
 @dataclass(frozen=True)
 class ParityMessage:
-    """Quantized parity samples (length n - k); ``peak`` records the
-    pre-quantization dynamic range actually hit."""
+    """Quantized parity samples (length n - k)."""
 
     values: np.ndarray
     quantizer: QuantizerSpec
     bits_used: int
     overloads: int
-    peak: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionResult:
     """Decoder output; x_hat has length n (syndrome) or k (parity).
 
     ``error_estimate`` is PGZ's own estimate, the centre of the weighted
     correction that produced ``x_hat``; its magnitudes do not enter
-    ``x_hat``. ``localization_correct`` is filled by the harness when
-    ground truth exists; library callers receive None.
+    ``x_hat``.
     """
 
     x_hat: np.ndarray
     error_estimate: ErrorEstimate
-    localization_correct: "bool | None" = None
 
 
 def syndrome_noise_floor(code: DftCode, quantizer: QuantizerSpec) -> float:
@@ -123,6 +128,16 @@ def parity_noise_floor(code: DftCode, quantizer: QuantizerSpec) -> float:
     n - k entries of magnitude 1/sqrt(n) each scaled by step/2."""
     n, k = code.n, code.k
     return float((n - k) * quantizer.step / (2.0 * np.sqrt(n)) * _FLOOR_MARGIN)
+
+
+def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
+    """``a`` as a float64 (F, length) block of finite frames."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != length:
+        raise ValueError(f"{what} frames have shape {a.shape[1:]}, expected ({length},)")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite samples")
+    return a
 
 
 @functools.lru_cache(maxsize=256)
@@ -158,50 +173,176 @@ def _extension_fits(
     return ops, log_prior
 
 
-def _weighted_error(
-    basis: np.ndarray, residual: np.ndarray, support: tuple[int, ...], noise_var: float
-) -> np.ndarray:
-    """Error estimate averaged over PGZ's support and its single swaps.
+# Frames weighted per batch: bounds the (frames, nu, M, N + rows) stack.
+_WEIGHT_CHUNK = 32
 
-    ``residual`` observes ``basis @ e`` through white noise of variance
-    ``noise_var``; the candidate positions are the columns of ``basis``.
-    The supports are those that keep all but one position of the sorted
-    ``support`` (the core) and add any other column. Each gets
+
+# Products over a block are stacks of per-frame matrix-vector products,
+# never one matrix-matrix product: BLAS rounds a matrix-matrix product
+# differently from a matrix-vector one, and a frame's result must not
+# depend on how many frames are decoded beside it.
+def _mv(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """matrix @ v[f] for each row v[f] of v (matrix may be a stack too)."""
+    return (matrix @ v[..., None])[..., 0]
+
+
+def _vm(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """v[f] @ matrix for each row v[f] of v (matrix may be a stack too)."""
+    return (v[..., None, :] @ matrix)[..., 0, :]
+
+
+def _weighted_group(
+    key: bytes, shape: tuple[int, int], residual: np.ndarray, locs: np.ndarray, noise_var: float
+) -> np.ndarray:
+    """``_weighted_errors`` for frames whose supports ``locs`` (G, nu),
+    sorted along rows, all hold nu positions."""
+    (rows, cols), (frames, nu) = shape, locs.shape
+    m = cols - nu + 1  # supports per core
+    out = np.empty((frames, nu, m, cols + rows))
+    log_prior = np.empty((frames, nu, m))
+    for i in range(nu):
+        cores = np.delete(locs, i, axis=1)
+        keys = cores @ cols ** np.arange(nu - 1)
+        order = np.argsort(keys, kind="stable")
+        for sel in np.split(order, np.diff(keys[order]).nonzero()[0] + 1):
+            ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[sel[0]].tolist()))
+            out[sel, i] = _vm(residual[sel], ops).reshape(len(sel), m, cols + rows)
+            log_prior[sel, i] = prior
+    out = out.reshape(frames, nu * m, cols + rows)
+    logw = log_prior.reshape(frames, nu * m) - _mv(out[..., cols:], residual)
+    # PGZ's support ends up in every core's list, at entry s_i - i of
+    # core i's block; count it once.
+    for i in range(1, nu):
+        logw[np.arange(frames), i * m + locs[:, i] - i] = -np.inf
+    w = np.exp(logw - np.logaddexp.reduce(logw, axis=1, keepdims=True))
+    return _vm(w, out[..., :cols])
+
+
+def _weighted_errors(
+    basis: np.ndarray, residual: np.ndarray, support: np.ndarray, noise_var: float
+) -> np.ndarray:
+    """Error estimates (F, N) averaged over each frame's PGZ support and
+    its single swaps.
+
+    Row f of ``residual`` (F, rows) observes ``basis @ e`` through white
+    noise of variance ``noise_var``; the candidate positions are the N
+    columns of ``basis``, and row f of ``support`` (F, N) marks PGZ's
+    positions. The supports are those that keep all but one of PGZ's
+    positions (the core) and add any other column. Each gets
     least-squares magnitudes and the weight
     exp(-rss / (2 noise_var)) / sqrt(det(A^T A)): the likelihood of the
     residual with the magnitudes integrated out under a flat prior.
     Weights are normalized by log-sum-exp, so a frame that no support
-    explains still gives finite weights.
+    explains still gives finite weights. Frames are grouped by the size
+    of their support and weighted in chunks of ``_WEIGHT_CHUNK``.
     """
-    key, (rows, cols), nu = basis.tobytes(), basis.shape, len(support)
-    fits = [
-        _extension_fits(key, rows, noise_var, support[:i] + support[i + 1 :]) for i in range(nu)
-    ]
-    if nu == 1:
-        ops, log_prior = fits[0]
-    else:
-        ops = np.concatenate([f[0] for f in fits], axis=1)
-        log_prior = np.concatenate([f[1] for f in fits])
-    out = (residual @ ops).reshape(len(log_prior), cols + rows)
-    logw = log_prior - out[:, cols:] @ residual
-    if nu > 1:
-        # ``support`` itself ends up in every core's list, at row s_i - i
-        # of block i; count it once.
-        block = cols - nu + 1
-        logw[[i * block + s - i for i, s in enumerate(support) if i]] = -np.inf
-    return np.exp(logw - np.logaddexp.reduce(logw)) @ out[:, :cols]
+    key = basis.tobytes()
+    out = np.empty((len(residual), basis.shape[1]))
+    sizes = support.sum(axis=1)
+    for nu in np.bincount(sizes).nonzero()[0]:
+        group = (sizes == nu).nonzero()[0]
+        locs = np.nonzero(support[group])[1].reshape(len(group), nu)
+        for lo in range(0, len(group), _WEIGHT_CHUNK):
+            sel = slice(lo, lo + _WEIGHT_CHUNK)
+            out[group[sel]] = _weighted_group(
+                key, basis.shape, residual[group[sel]], locs[sel], noise_var
+            )
+    return out
+
+
+def encode_block(
+    matrix: np.ndarray, x: np.ndarray, quantizer: QuantizerSpec
+) -> tuple[np.ndarray, int]:
+    """Quantize matrix @ x[f] for each row x[f] of x (real and imaginary
+    parts apart when ``matrix`` is complex); returns the levels and the
+    number of clipped samples over the whole block."""
+    v = _mv(matrix, _frames(x, matrix.shape[1], "source"))
+    if np.iscomplexobj(v):
+        values = quantize(quantizer, v.real) + 1j * quantize(quantizer, v.imag)
+        return values, count_overloads(quantizer, v.real) + count_overloads(quantizer, v.imag)
+    return quantize(quantizer, v), count_overloads(quantizer, v)
+
+
+class DecodedBlock(NamedTuple):
+    """Reconstructions (F, frame length), the syndromes PGZ decoded
+    (F, n - k) and its decisions."""
+
+    x_hat: np.ndarray
+    syndromes: np.ndarray
+    pgz: PgzBlock
+
+
+def syndrome_decode_block(
+    code: DftCode,
+    values: np.ndarray,
+    quantizer: QuantizerSpec,
+    y: np.ndarray,
+    *,
+    reconstruction: str = "projection",
+    rel_tol: float = 1e-2,
+    noise_floor: "float | None" = None,
+) -> DecodedBlock:
+    """``syndrome_decode`` for a block: rows of the quantized syndromes
+    ``values`` (F, n - k) against rows of the side information y (F, n)."""
+    y = _frames(y, code.n, "side information")
+    if reconstruction not in ("projection", "subtract"):
+        raise ValueError(f"unknown reconstruction {reconstruction!r}")
+    if noise_floor is None:
+        noise_floor = syndrome_noise_floor(code, quantizer)
+    s_err = _mv(code.H, y) - values
+    pgz = decode_block(code, s_err, rel_tol=rel_tol, noise_floor=noise_floor)
+    x_hat = y.copy()
+    fix = pgz.count.nonzero()[0]
+    if fix.size:
+        t = code.t
+        half = code.H[:t]
+        v = y[fix] - _weighted_errors(
+            np.vstack([half.real, half.imag]),
+            np.concatenate([s_err[fix, :t].real, s_err[fix, :t].imag], axis=1),
+            pgz.support[fix],
+            quantizer.sigma_q_sq,
+        )
+        if reconstruction == "projection":
+            v = v - _mv(code.H.conj().T, _mv(code.H, v) - values[fix]).real
+        x_hat[fix] = v
+    return DecodedBlock(x_hat, s_err, pgz)
+
+
+def parity_decode_block(
+    code: DftCode,
+    values: np.ndarray,
+    quantizer: QuantizerSpec,
+    y: np.ndarray,
+    *,
+    rel_tol: float = 1e-2,
+    noise_floor: "float | None" = None,
+) -> DecodedBlock:
+    """``parity_decode`` for a block: rows of the quantized parities
+    ``values`` (F, n - k) against rows of the side information y (F, k)."""
+    y = _frames(y, code.k, "side information")
+    if noise_floor is None:
+        noise_floor = parity_noise_floor(code, quantizer)
+    syndromes = _mv(code.H, np.concatenate([y, values], axis=1))
+    pgz = decode_block(
+        code, syndromes, range(code.k), rel_tol=rel_tol, noise_floor=noise_floor
+    )
+    x_hat = y.copy()
+    fix = pgz.count.nonzero()[0]
+    if fix.size:
+        x_hat[fix] -= _weighted_errors(
+            code.P_gen,
+            _mv(code.P_gen, y[fix]) - values[fix],
+            pgz.support[fix, : code.k],
+            quantizer.sigma_q_sq,
+        )
+    return DecodedBlock(x_hat, syndromes, pgz)
 
 
 def syndrome_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> SyndromeMessage:
     """Quantize s_x = Hx componentwise on real and imaginary parts."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (code.n,):
-        raise ValueError(f"source frame length {x.shape} does not match n = {code.n}")
-    s_x = code.H @ x
-    values = quantize(quantizer, s_x.real) + 1j * quantize(quantizer, s_x.imag)
-    overloads = count_overloads(quantizer, s_x.real) + count_overloads(quantizer, s_x.imag)
+    values, overloads = encode_block(code.H, np.asarray(x, dtype=np.float64)[None], quantizer)
     return SyndromeMessage(
-        values=values,
+        values=values[0],
         quantizer=quantizer,
         bits_used=2 * (code.n - code.k) * quantizer.bits,
         overloads=overloads,
@@ -234,50 +375,36 @@ def syndrome_decode(
 
     Frames whose syndrome sits entirely below the quantization-noise
     floor are declared clean and returned as y unchanged, preserving
-    exact recovery when source and side information coincide.
+    exact recovery when source and side information coincide. Non-finite
+    side information raises ValueError.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (code.n,):
-        raise ValueError(f"side information length {y.shape} does not match n = {code.n}")
-    if reconstruction not in ("projection", "subtract"):
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
-    if noise_floor is None:
-        noise_floor = syndrome_noise_floor(code, msg.quantizer)
-    s_err = code.H @ y - msg.values
-    estimate = pgz_decode(
+    decoded = syndrome_decode_block(
         code,
-        s_err,
-        candidate_set=None,
+        msg.values[None],
+        msg.quantizer,
+        np.asarray(y, dtype=np.float64)[None],
+        reconstruction=reconstruction,
         rel_tol=rel_tol,
         noise_floor=noise_floor,
-        magnitude_method=magnitude_method,
     )
-    if estimate.count == 0:
-        return ReconstructionResult(x_hat=y.copy(), error_estimate=estimate)
-    half = code.H[: code.t]
-    v = y - _weighted_error(
-        np.vstack([half.real, half.imag]),
-        np.concatenate([s_err[: code.t].real, s_err[: code.t].imag]),
-        estimate.locations,
-        msg.quantizer.sigma_q_sq,
+    return _result(code, decoded, magnitude_method)
+
+
+def _result(code: DftCode, decoded: DecodedBlock, magnitude_method: str) -> ReconstructionResult:
+    return ReconstructionResult(
+        x_hat=decoded.x_hat[0],
+        error_estimate=frame_estimate(code, decoded.syndromes, decoded.pgz, magnitude_method),
     )
-    if reconstruction == "projection":
-        v = v - (code.H.conj().T @ (code.H @ v - msg.values)).real
-    return ReconstructionResult(x_hat=v, error_estimate=estimate)
 
 
 def parity_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> ParityMessage:
     """Quantize the parity samples p = P_gen x of a length-k frame."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (code.k,):
-        raise ValueError(f"source frame length {x.shape} does not match k = {code.k}")
-    p = code.P_gen @ x
+    values, overloads = encode_block(code.P_gen, np.asarray(x, dtype=np.float64)[None], quantizer)
     return ParityMessage(
-        values=np.asarray(quantize(quantizer, p)),
+        values=values[0],
         quantizer=quantizer,
         bits_used=(code.n - code.k) * quantizer.bits,
-        overloads=count_overloads(quantizer, p),
-        peak=float(np.abs(p).max()),
+        overloads=overloads,
     )
 
 
@@ -298,31 +425,18 @@ def parity_decode(
     ``noise_floor``) gives the reported ``error_estimate``; x_hat = y -
     e_hat, where e_hat is the likelihood-weighted average over PGZ's
     support and its single swaps described in the module docstring,
-    fitted on the parity residual P_gen y - p_hat.
+    fitted on the parity residual P_gen y - p_hat. Non-finite side
+    information raises ValueError.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (code.k,):
-        raise ValueError(f"side information length {y.shape} does not match k = {code.k}")
-    if noise_floor is None:
-        noise_floor = parity_noise_floor(code, msg.quantizer)
-    z_tilde = np.concatenate([y, msg.values])
-    estimate = pgz_decode(
+    decoded = parity_decode_block(
         code,
-        code.H @ z_tilde,
-        candidate_set=range(code.k),
+        msg.values[None],
+        msg.quantizer,
+        np.asarray(y, dtype=np.float64)[None],
         rel_tol=rel_tol,
         noise_floor=noise_floor,
-        magnitude_method=magnitude_method,
     )
-    if estimate.count == 0:
-        return ReconstructionResult(x_hat=y.copy(), error_estimate=estimate)
-    x_hat = y - _weighted_error(
-        code.P_gen,
-        code.P_gen @ y - msg.values,
-        estimate.locations,
-        msg.quantizer.sigma_q_sq,
-    )
-    return ReconstructionResult(x_hat=x_hat, error_estimate=estimate)
+    return _result(code, decoded, magnitude_method)
 
 
 def compression_ratio(code: DftCode, approach: str) -> Fraction:

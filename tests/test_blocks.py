@@ -1,0 +1,146 @@
+"""Block decoding: a block of frames decodes exactly as each of its frames
+decodes on its own, and the sweep reproduces the committed golden CSVs."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dftwz.codes import build_code
+from dftwz.harness import SweepConfig, sweep, write_csv
+from dftwz.pgz import compute_syndrome, decode_block, pgz_decode
+from dftwz.quantize import QuantizerSpec
+from dftwz.sources import ChannelSpec, SourceSpec, apply_channel, draw_frames, gauss_markov
+from dftwz.wyner_ziv import (
+    encode_block,
+    parity_decode,
+    parity_decode_block,
+    parity_encode,
+    syndrome_decode,
+    syndrome_decode_block,
+    syndrome_encode,
+)
+
+C75 = build_code(7, 5)
+C159 = build_code(15, 9)
+# (15,9) runs finer syndrome quantization than the default 6 bits, under
+# which PGZ counts the single-error anchor below as 2 or 3 errors.
+Q_SY = {7: QuantizerSpec(6, -1.0, 1.0), 15: QuantizerSpec(12, -1.0, 1.0)}
+Q_PA = {7: QuantizerSpec(6, -4.75, 4.75), 15: QuantizerSpec(12, -300.0, 300.0)}
+
+# Error positions, inside the k systematic positions, that every block
+# carries: a clean frame and, on the syndrome pipeline, frames PGZ counts
+# as 1, 2 and 3 errors.
+ANCHORS = {7: [(), (3,)], 15: [(), (4,), (1, 6), (0, 4, 8)]}
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _block(code, counts, seed):
+    """Frames x, side information y with the ANCHORS' errors and then
+    ``counts[i]`` errors of random size at random positions, in shuffled
+    order."""
+    rng = np.random.default_rng(seed)
+    anchors = ANCHORS[code.n]
+    supports = anchors + [tuple(rng.choice(code.k, size=c, replace=False)) for c in counts]
+    sizes = [2.0] * len(anchors) + list(rng.choice([0.05, 0.5, 3.0], len(counts)))
+    x = np.array([gauss_markov(SourceSpec(0.9), code.n, rng) for _ in supports])
+    y = x.copy()
+    for row, support, size in zip(y, supports, sizes):
+        row[list(support)] += size * rng.choice([-1.0, 1.0], len(support))
+    order = rng.permutation(len(supports))
+    return x[order], y[order]
+
+
+def _assert_same(block, frame, i):
+    assert frame.error_estimate.count == block.pgz.count[i]
+    assert frame.error_estimate.locations == tuple(np.flatnonzero(block.pgz.support[i]))
+    np.testing.assert_allclose(frame.x_hat, block.x_hat[i], rtol=0, atol=1e-12)
+    assert np.all(block.pgz.support[i, len(frame.x_hat) :] == 0)
+
+
+@pytest.mark.parametrize("code", [C75, C159], ids=["7-5", "15-9"])
+@given(
+    counts=st.lists(st.integers(0, 3), max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+    reconstruction=st.sampled_from(("projection", "subtract")),
+)
+def test_block_decodes_as_its_frames(code, counts, seed, reconstruction):
+    counts = [min(c, code.t) for c in counts]
+    x, y = _block(code, counts, seed)
+    q_sy, q_pa = Q_SY[code.n], Q_PA[code.n]
+
+    values, _ = encode_block(code.H, x, q_sy)
+    block = syndrome_decode_block(code, values, q_sy, y, reconstruction=reconstruction)
+    assert set(block.pgz.count.tolist()) >= set(range(code.t + 1))  # gated and every nu-hat
+    for i in range(len(x)):
+        msg = syndrome_encode(code, x[i], q_sy)
+        np.testing.assert_array_equal(msg.values, values[i])
+        _assert_same(block, syndrome_decode(code, msg, y[i], reconstruction=reconstruction), i)
+
+    k = code.k
+    values, _ = encode_block(code.P_gen, x[:, :k], q_pa)
+    block = parity_decode_block(code, values, q_pa, y[:, :k])
+    for i in range(len(x)):
+        msg = parity_encode(code, x[i, :k], q_pa)
+        np.testing.assert_array_equal(msg.values, values[i])
+        _assert_same(block, parity_decode(code, msg, y[i, :k]), i)
+
+
+@given(
+    locations=st.lists(st.sets(st.integers(0, 14), max_size=3), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    rel_tol=st.sampled_from((1e-2, 1e-15)),
+)
+def test_pgz_block_decodes_as_its_syndromes(locations, seed, rel_tol):
+    # The first row is the retry-ladder case of test_pgz: one exact error
+    # plus a tiny perturbation, whose count rel_tol = 1e-15 inflates to t.
+    rng = np.random.default_rng(seed)
+    e = np.zeros((len(locations) + 1, 15))
+    e[0, 6] = 1.0
+    for row, locs in zip(e[1:], locations):
+        row[list(locs)] = rng.choice([-1.0, 1.0], len(locs)) * rng.uniform(0.5, 2.0, len(locs))
+    s = e @ C159.H.T + rng.normal(0.0, 1e-3, (len(e), 6)) * (rel_tol > 1e-3)
+    s[0] = compute_syndrome(C159.H, e[0]).values + 1e-13
+    block = decode_block(C159, s, rel_tol=rel_tol, noise_floor=1e-9)
+    for i, row in enumerate(s):
+        est = pgz_decode(C159, row, rel_tol=rel_tol, noise_floor=1e-9)
+        assert est.count == block.count[i]
+        assert est.locations == tuple(np.flatnonzero(block.support[i]))
+        assert est.diagnostics.retries == block.retries[i]
+    if rel_tol == 1e-15:
+        assert block.count[0] == 1 and block.retries[0] >= 1
+
+
+def test_draw_frames_matches_per_frame_draws():
+    ch = ChannelSpec(2, 0.3)
+    rngs = [np.random.default_rng((5, f)) for f in range(6)]
+    x, y, hit = draw_frames(SourceSpec(0.9), ch, 15, rngs)
+    for f in range(6):
+        rng = np.random.default_rng((5, f))
+        x1 = gauss_markov(SourceSpec(0.9), 15, rng)
+        y1, locs, _ = apply_channel(x1, ch, rng)
+        np.testing.assert_array_equal(x[f], x1)
+        np.testing.assert_array_equal(y[f], y1)
+        assert tuple(np.flatnonzero(hit[f])) == locs
+
+
+# Written by the per-frame decoder that preceded block decoding; the block
+# decoder must reproduce them byte for byte.
+GOLDEN_CONFIGS = {
+    "golden_7_5.csv": dict(ceqnr_db=(-math.inf, 0.0, 30.0), frames=2000),
+    "golden_15_9.csv": dict(
+        n=15, k=9, errors_per_frame=2, ceqnr_db=(20.0, 30.0, 40.0), frames=512
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_sweep_reproduces_golden_csv(tmp_path, name, workers):
+    path = tmp_path / name
+    write_csv(sweep(SweepConfig(**GOLDEN_CONFIGS[name], seed=1, workers=workers)), str(path))
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()

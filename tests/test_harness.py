@@ -59,6 +59,13 @@ def test_config_validation():
         SweepConfig(workers=0)
 
 
+@pytest.mark.parametrize("ceqnr", [float("nan"), float("inf")])
+def test_config_rejects_nan_and_plus_inf_ceqnr(ceqnr):
+    with pytest.raises(ValueError, match="CEQNR"):
+        SweepConfig(ceqnr_db=(0.0, ceqnr))
+    assert SweepConfig(ceqnr_db=(float("-inf"), 0.0)).sigma_e(float("-inf")) == 0.0
+
+
 def test_sigma_e_mapping():
     cfg = SweepConfig()
     s_q2 = cfg.reference_quantizer.sigma_q_sq

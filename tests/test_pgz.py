@@ -250,3 +250,29 @@ def test_pgz_candidate_restriction():
     est = pgz_decode(C75, unit_error_syndrome(C75, 6, 1.0), candidate_set=range(5),
                      rel_tol=1e-10)
     assert all(loc < 5 for loc in est.locations)
+
+
+def test_pgz_reports_the_count_steps_singular_values(rng):
+    # The count step's Hankel SVD is the only one: the diagnostics report
+    # its singular values, and a syndrome the clean gate passes runs none.
+    e = np.zeros(15)
+    e[2], e[9] = 1.0, -0.7
+    noise = 1e-3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    s = compute_syndrome(C159.H, e).values + noise
+    sing = np.linalg.svd(np.array([s[a : a + 3] for a in range(3)]), compute_uv=False)
+    est = pgz_decode(C159, s)
+    np.testing.assert_array_equal(est.diagnostics.singular_values, sing)
+    assert est.count == estimate_error_count(s, 3) == np.sum(sing >= 1e-2 * sing[0])
+    gated = pgz_decode(C159, s, noise_floor=10.0)
+    assert gated.count == 0
+    assert gated.diagnostics.singular_values.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_syndrome_rejected(bad):
+    s = unit_error_syndrome(C75, 3).values.copy()
+    s[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        pgz_decode(C75, s)
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_error_count(s, 1)
