@@ -15,18 +15,13 @@ from .codes import (
     DftCode,
     SigmaPattern,
     build_code,
-    build_generator,
-    build_parity_check,
     build_sigma,
-    build_systematic,
     decode_pseudo_inverse,
     encode,
 )
 from .harness import SweepConfig, SweepResult, read_csv, run_trial, sweep, write_csv
 from .pgz import (
     ErrorEstimate,
-    Syndrome,
-    compute_syndrome,
     estimate_error_count,
     estimate_magnitudes,
     locate_errors,
@@ -53,15 +48,10 @@ __all__ = [
     "DftCode",
     "SigmaPattern",
     "build_code",
-    "build_generator",
-    "build_parity_check",
     "build_sigma",
-    "build_systematic",
     "decode_pseudo_inverse",
     "encode",
-    "Syndrome",
     "ErrorEstimate",
-    "compute_syndrome",
     "estimate_error_count",
     "solve_error_locator",
     "locate_errors",

@@ -104,10 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reconstruction", default="projection", choices=["projection", "subtract"],
         help="syndrome-approach reconstruction variant",
     )
-    parser.add_argument(
-        "--magnitude-method", default="ls", choices=["ls", "exact"],
-        help="magnitude solver of the reported PGZ estimate (not the reconstruction)",
-    )
     parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     parser.add_argument("--config", default=None, help="key=value file with any of the above")
     return parser
@@ -175,7 +171,6 @@ def _config_from_args(args: argparse.Namespace, extra: dict[str, str]) -> SweepC
         errors_per_frame=args.errors_per_frame,
         seed=args.seed,
         reconstruction=args.reconstruction,
-        magnitude_method=args.magnitude_method,
         workers=args.workers,
     )
     if args.syndrome_range is not None:

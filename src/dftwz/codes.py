@@ -8,10 +8,13 @@ of zero spectral components, which is what enables BCH-style decoding
 over the reals. The parity check H collects the rows of W_n at those
 spectral indices, so HG = 0 and H H^H = I.
 
-Matrices are built in extended precision (long double) internally and
-returned as float64/complex128; this keeps the two systematic
-construction routes (via H2^{-1} and via G1^{-1}) in agreement well
-below 1e-8 even for the worst conditioned spec in the supported range.
+Matrices are built in extended precision (long double) and returned as
+float64/complex128. ``DftCode.route_gap`` records how far the two
+systematic construction routes (via H2^{-1} and via G1^{-1}) disagree:
+at most 7.1e-11 for (3,1), (7,5), (15,9) and (31,25), but it grows with
+the code, e.g. 2.8e-6 for (31,15) and 0.68 for (255,249), and some odd
+pairs raise on a singular block. No supported (n, k) range is enforced
+yet.
 """
 
 from __future__ import annotations
@@ -26,13 +29,9 @@ __all__ = [
     "SigmaPattern",
     "DftCode",
     "build_sigma",
-    "build_generator",
-    "build_parity_check",
-    "build_systematic",
     "build_code",
     "encode",
     "decode_pseudo_inverse",
-    "dump_matrices",
 ]
 
 COND_WARN = 1e8
@@ -120,30 +119,26 @@ def build_sigma(spec: CodeSpec) -> SigmaPattern:
     return SigmaPattern(n=n, k=k, nonzero_positions=frozenset(positions), zero_rows=zero_rows)
 
 
-def _dft_unitary(n: int, extended: bool = False) -> np.ndarray:
+def _dft_unitary(n: int) -> np.ndarray:
     """Unitary DFT matrix, entries (1/sqrt(n)) exp(-j 2 pi m l / n)."""
-    dtype = np.longdouble if extended else np.float64
-    m = np.arange(n, dtype=dtype)
-    phase = (-2.0 * np.pi / np.array(n, dtype=dtype)) * np.outer(m, m)
-    out = (np.cos(phase) + 1j * np.sin(phase)) / np.sqrt(np.array(n, dtype=dtype))
-    return out
+    m = np.arange(n, dtype=np.longdouble)
+    phase = (-2.0 * np.pi / np.longdouble(n)) * np.outer(m, m)
+    return (np.cos(phase) + 1j * np.sin(phase)) / np.sqrt(np.longdouble(n))
 
 
-def _sigma_matrix(pattern: SigmaPattern, extended: bool = False) -> np.ndarray:
-    dtype = np.longdouble if extended else np.float64
-    sig = np.zeros((pattern.n, pattern.k), dtype=dtype)
+def _sigma_matrix(pattern: SigmaPattern) -> np.ndarray:
+    sig = np.zeros((pattern.n, pattern.k), dtype=np.longdouble)
     for r, c in pattern.nonzero_positions:
         sig[r, c] = 1.0
     return sig
 
 
-def _build_generator_any(spec: CodeSpec, extended: bool) -> np.ndarray:
+def _build_generator(spec: CodeSpec) -> np.ndarray:
     pattern = build_sigma(spec)
-    dtype = np.longdouble if extended else np.float64
-    wn = _dft_unitary(spec.n, extended)
-    wk = _dft_unitary(spec.k, extended)
-    scale = np.sqrt(np.array(spec.n, dtype=dtype) / np.array(spec.k, dtype=dtype))
-    g = scale * (wn.conj().T @ _sigma_matrix(pattern, extended).astype(wn.dtype) @ wk)
+    wn = _dft_unitary(spec.n)
+    wk = _dft_unitary(spec.k)
+    scale = np.sqrt(np.longdouble(spec.n) / np.longdouble(spec.k))
+    g = scale * (wn.conj().T @ _sigma_matrix(pattern).astype(wn.dtype) @ wk)
     residue = float(np.abs(g.imag).max())
     if residue >= 1e-10:
         raise ValueError(
@@ -151,18 +146,6 @@ def _build_generator_any(spec: CodeSpec, extended: bool) -> np.ndarray:
             f"{residue:.3e} >= 1e-10; construction is unsound"
         )
     return g.real
-
-
-def build_generator(spec: CodeSpec) -> np.ndarray:
-    """Real n x k generator with G^T G = (n/k) I_k."""
-    return np.asarray(_build_generator_any(spec, extended=False), dtype=np.float64)
-
-
-def build_parity_check(spec: CodeSpec) -> np.ndarray:
-    """Complex (n-k) x n parity check: rows of W_n at the zero spectral rows."""
-    pattern = build_sigma(spec)
-    wn = _dft_unitary(spec.n, extended=False)
-    return np.ascontiguousarray(wn[list(pattern.zero_rows), :]).astype(np.complex128)
 
 
 def _solve_refined(a_ext: np.ndarray, b_ext: np.ndarray) -> np.ndarray:
@@ -226,46 +209,6 @@ def _systematic_routes(g_ext: np.ndarray, h_ext: np.ndarray) -> tuple[np.ndarray
     return g_sys_h, p_gen, gap
 
 
-def build_systematic(G: np.ndarray, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Systematic generator G_sys = [I_k ; P_gen] and parity generator P_gen.
-
-    Computed both as [I ; -H2^{-1} H1] and as G G1^{-1}; the returned
-    matrix is the H route. For matrices produced by build_generator /
-    build_parity_check the construction is redone in extended precision,
-    which keeps the two routes within 1e-8 of each other across the whole
-    supported range. Arbitrary full-rank inputs fall back to double
-    precision with iterative refinement; agreement then degrades with the
-    conditioning of G1.
-    """
-    G = np.asarray(G)
-    H = np.asarray(H)
-    if G.ndim != 2 or H.ndim != 2 or H.shape[1] != G.shape[0]:
-        raise ValueError(f"incompatible shapes G {G.shape}, H {H.shape}")
-    n, k = G.shape
-    if H.shape[0] != n - k:
-        raise ValueError(f"H must be (n-k) x n, got {H.shape} for G {G.shape}")
-
-    g_ext, h_ext = G, H
-    if n % 2 == 1 and k % 2 == 1 and k >= 1:
-        try:
-            spec = CodeSpec(n, k)
-            g_canon = _build_generator_any(spec, extended=True)
-            pattern = build_sigma(spec)
-            h_canon = _dft_unitary(n, extended=True)[list(pattern.zero_rows), :]
-            if (
-                np.abs(G - g_canon.astype(np.float64)).max() < 1e-9
-                and np.abs(H - h_canon.astype(np.complex128)).max() < 1e-9
-            ):
-                g_ext, h_ext = g_canon, h_canon
-        except ValueError:
-            pass
-
-    g_sys, p_gen, _gap = _systematic_routes(
-        np.asarray(g_ext, dtype=g_ext.dtype), np.asarray(h_ext, dtype=h_ext.dtype)
-    )
-    return np.asarray(g_sys, dtype=np.float64), np.asarray(p_gen, dtype=np.float64)
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -275,8 +218,8 @@ def build_code(n: int, k: int) -> DftCode:
     """Construct every matrix of the (n, k) code in one pass."""
     spec = CodeSpec(n, k)
     pattern = build_sigma(spec)
-    g_ext = _build_generator_any(spec, extended=True)
-    h_ext = _dft_unitary(n, extended=True)[list(pattern.zero_rows), :]
+    g_ext = _build_generator(spec)
+    h_ext = _dft_unitary(n)[list(pattern.zero_rows), :]
     g_sys_ext, p_gen_ext, gap = _systematic_routes(g_ext, h_ext)
     return DftCode(
         spec=spec,
@@ -309,22 +252,3 @@ def decode_pseudo_inverse(G: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
     if y_hat.shape != (n,):
         raise ValueError(f"received vector length {y_hat.shape} does not match n = {n}")
     return (k / n) * (G.T @ y_hat)
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:+.12e}{z.imag:+.12e}j"
-
-
-def dump_matrices(code: DftCode) -> str:
-    """Plain-text dump of all code matrices for cross-implementation diffs.
-
-    Row-major; every entry rendered as "re+imj" with fixed precision so
-    two dumps can be compared with ordinary text tools.
-    """
-    lines = [f"code n={code.n} k={code.k} t={code.t}",
-             "zero_rows " + " ".join(str(r) for r in code.zero_rows)]
-    for name, mat in (("G", code.G), ("H", code.H), ("G_sys", code.G_sys), ("P_gen", code.P_gen)):
-        lines.append(f"{name} {mat.shape[0]}x{mat.shape[1]}")
-        for row in np.atleast_2d(mat):
-            lines.append(" ".join(_fmt_complex(complex(v)) for v in row))
-    return "\n".join(lines) + "\n"

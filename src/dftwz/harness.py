@@ -19,19 +19,17 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, fields
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
 from .codes import CodeSpec, DftCode, build_code
-from .pgz import ErrorEstimate, frame_estimate
 from .quantize import QuantizerSpec
 from .sources import ChannelSpec, SourceSpec, draw_frames
 from .wyner_ziv import (
     DEFAULT_PARITY_RANGE,
     DEFAULT_SYNDROME_RANGE,
-    DecodedBlock,
     encode_block,
     parity_decode_block,
     syndrome_decode_block,
@@ -61,19 +59,6 @@ BLOCK_FRAMES = 2048
 # Frames decoded together as arrays; bounds the memory of one block.
 SUB_BLOCK_FRAMES = 256
 
-CSV_COLUMNS = (
-    "ceqnr_db",
-    "mse_syndrome",
-    "mse_parity",
-    "sigma_q_sq",
-    "loc_freq_syndrome",
-    "loc_freq_parity",
-    "zero_error_frac",
-    "overload_rate",
-    "frames",
-)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one encode/corrupt/decode round trip."""
@@ -84,7 +69,6 @@ class TrialRecord:
     zero_error: bool
     overloads: int
     tx_samples: int
-    estimate: ErrorEstimate
 
 
 @dataclass(frozen=True)
@@ -104,7 +88,6 @@ class SweepConfig:
     seed: int = 1
     rho: float = 0.9
     reconstruction: str = "projection"
-    magnitude_method: str = "ls"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -114,8 +97,15 @@ class SweepConfig:
             raise ValueError("duplicate approach")
         if not self.ceqnr_db:
             raise ValueError("CEQNR grid must be nonempty")
-        if not all(db < math.inf for db in self.ceqnr_db):
-            raise ValueError(f"CEQNR values must be finite or -inf, got {self.ceqnr_db}")
+        for db in self.ceqnr_db:  # -inf gives sigma_e = 0
+            try:
+                finite = math.isfinite(self.sigma_e(db))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(
+                    f"CEQNR values must be -inf or finite with a finite sigma_e, got {db}"
+                )
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.seed < 0:
@@ -124,8 +114,6 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.reconstruction not in ("projection", "subtract"):
             raise ValueError(f"unknown reconstruction {self.reconstruction!r}")
-        if self.magnitude_method not in ("ls", "exact"):
-            raise ValueError(f"unknown magnitude method {self.magnitude_method!r}")
         t = (self.n - self.k) // 2
         if self.errors_per_frame > t:
             raise ValueError(
@@ -157,6 +145,11 @@ class SweepPoint:
     frames: int
 
 
+# The CSV schema is SweepPoint's fields, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(SweepPoint))
+_CELL_TYPES = get_type_hints(SweepPoint)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     points: tuple[SweepPoint, ...]
@@ -170,9 +163,9 @@ def _trials(
     rngs: "Iterable[np.random.Generator]",
     source: SourceSpec,
     reconstruction: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, DecodedBlock]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Round trips of a block of frames, one generator per frame:
-    (frame MSEs, localized, zero-error, overloads, decoded block)."""
+    (frame MSEs, localized, zero-error, overloads)."""
     if approach == "syndrome":
         x, y, hit = draw_frames(source, ch, code.n, rngs)
         values, overloads = encode_block(code.H, x, quantizer)
@@ -186,7 +179,7 @@ def _trials(
     diff = decoded.x_hat - x
     localized = np.all(decoded.pgz.support[:, : x.shape[1]] == hit, axis=1)
     zero_error = np.all(decoded.x_hat == x, axis=1)
-    return np.mean(diff * diff, axis=1), localized, zero_error, overloads, decoded
+    return np.mean(diff * diff, axis=1), localized, zero_error, overloads
 
 
 def _tx_samples(code: DftCode, approach: str) -> int:
@@ -202,7 +195,6 @@ def run_trial(
     *,
     source: SourceSpec = SourceSpec(),
     reconstruction: str = "projection",
-    magnitude_method: str = "ls",
 ) -> TrialRecord:
     """One frame end to end: draw source, corrupt, encode, decode, score.
 
@@ -211,7 +203,7 @@ def run_trial(
     ground-truth error positions; zero_error means the reconstruction is
     bitwise equal to the source frame.
     """
-    mse, localized, zero_error, overloads, decoded = _trials(
+    mse, localized, zero_error, overloads = _trials(
         code, approach, quantizer, ch, [rng], source, reconstruction
     )
     return TrialRecord(
@@ -221,7 +213,6 @@ def run_trial(
         zero_error=bool(zero_error[0]),
         overloads=overloads,
         tx_samples=_tx_samples(code, approach),
-        estimate=frame_estimate(code, decoded.syndromes, decoded.pgz, magnitude_method),
     )
 
 
@@ -260,7 +251,7 @@ def _run_block(task: tuple[int, float, str, int, int]) -> tuple[float, int, int,
             np.random.default_rng((cfg.seed, ci, frame, approach_id))
             for frame in range(lo, min(lo + SUB_BLOCK_FRAMES, stop))
         )
-        mse, localized, zero_error, overloads, _ = _trials(
+        mse, localized, zero_error, overloads = _trials(
             _CTX["code"], approach, _CTX["tx_quant"][approach], ch, rngs,
             _CTX["source"], cfg.reconstruction,
         )
@@ -336,8 +327,8 @@ def sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(points=tuple(points))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+def _fmt(column: str, value: "float | int") -> str:
+    return f"{value:.9g}" if _CELL_TYPES[column] is float else str(value)
 
 
 def write_csv(result: SweepResult, path: str) -> None:
@@ -347,18 +338,7 @@ def write_csv(result: SweepResult, path: str) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for p in result.points:
-                row = [
-                    _fmt(p.ceqnr_db),
-                    _fmt(p.mse_syndrome),
-                    _fmt(p.mse_parity),
-                    _fmt(p.sigma_q_sq),
-                    _fmt(p.loc_freq_syndrome),
-                    _fmt(p.loc_freq_parity),
-                    _fmt(p.zero_error_frac),
-                    _fmt(p.overload_rate),
-                    str(p.frames),
-                ]
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join(_fmt(c, getattr(p, c)) for c in CSV_COLUMNS) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {path!r}: {exc}") from exc
 
@@ -377,17 +357,5 @@ def read_csv(path: str) -> SweepResult:
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ValueError(f"malformed sweep row: {ln!r}")
-        points.append(
-            SweepPoint(
-                ceqnr_db=float(cells[0]),
-                mse_syndrome=float(cells[1]),
-                mse_parity=float(cells[2]),
-                sigma_q_sq=float(cells[3]),
-                loc_freq_syndrome=float(cells[4]),
-                loc_freq_parity=float(cells[5]),
-                zero_error_frac=float(cells[6]),
-                overload_rate=float(cells[7]),
-                frames=int(cells[8]),
-            )
-        )
+        points.append(SweepPoint(*(_CELL_TYPES[c](v) for c, v in zip(CSV_COLUMNS, cells))))
     return SweepResult(points=tuple(points))

@@ -29,11 +29,9 @@ import numpy as np
 from .codes import DftCode
 
 __all__ = [
-    "Syndrome",
     "ErrorEstimate",
     "PgzDiagnostics",
     "PgzBlock",
-    "compute_syndrome",
     "estimate_error_count",
     "solve_error_locator",
     "locate_errors",
@@ -49,16 +47,6 @@ DEFAULT_REL_TOL = 1e-2
 
 # Relative floor under which the locator system counts as singular.
 _LOCATOR_SINGULAR_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    """Complex syndrome vector of length n - k = 2t, in zero_rows order."""
-
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -106,21 +94,13 @@ class PgzBlock(NamedTuple):
     support: np.ndarray
 
 
-def _syndrome_values(s: Syndrome | np.ndarray) -> np.ndarray:
-    values = np.asarray(getattr(s, "values", s), dtype=np.complex128)
+def _syndrome_values(s: np.ndarray) -> np.ndarray:
+    values = np.asarray(s, dtype=np.complex128)
     if values.ndim != 1:
         raise ValueError(f"syndrome must be a vector, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("syndrome has non-finite components")
     return values
-
-
-def compute_syndrome(H: np.ndarray, r: np.ndarray) -> Syndrome:
-    """s = H r. For r = codeword + e the syndrome depends only on e."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (H.shape[1],):
-        raise ValueError(f"received vector length {r.shape} does not match n = {H.shape[1]}")
-    return Syndrome(values=H @ r)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -161,7 +141,7 @@ def _count(
 
 
 def estimate_error_count(
-    s: Syndrome | np.ndarray,
+    s: np.ndarray,
     t: int,
     rel_tol: float = DEFAULT_REL_TOL,
     noise_floor: float = 0.0,
@@ -204,7 +184,7 @@ def _solve_locators(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray
     return (ub @ vh.conj())[:, 0], full
 
 
-def solve_error_locator(s: Syndrome | np.ndarray, nu: int) -> np.ndarray:
+def solve_error_locator(s: np.ndarray, nu: int) -> np.ndarray:
     """Coefficients Lambda_1..Lambda_nu of Lambda(x) = 1 - sum Lambda_j x^j.
 
     The syndrome recurrence s[m + nu] = sum_j Lambda_j s[m + nu - j]
@@ -284,7 +264,7 @@ def _magnitudes(code: DftCode, values: np.ndarray, locs: np.ndarray, method: str
 
 def estimate_magnitudes(
     code: DftCode,
-    s: Syndrome | np.ndarray,
+    s: np.ndarray,
     locations: "list[int] | tuple[int, ...]",
     method: str = "ls",
 ) -> np.ndarray:
@@ -349,13 +329,11 @@ def decode_block(
     return PgzBlock(gated, sing, count, retries, locator, support)
 
 
-def frame_estimate(
-    code: DftCode, syndromes: np.ndarray, block: PgzBlock, magnitude_method: str = "ls"
-) -> ErrorEstimate:
+def frame_estimate(code: DftCode, syndromes: np.ndarray, block: PgzBlock) -> ErrorEstimate:
     """The ErrorEstimate of a one-frame block: ``block``'s decisions plus
-    magnitudes by ``magnitude_method`` and the residual diagnostics."""
+    least-squares magnitudes and the residual diagnostics."""
     nu, locs, values = int(block.count[0]), block.support[0].nonzero()[0], syndromes[0]
-    mags = _magnitudes(code, values, locs, magnitude_method)
+    mags = _magnitudes(code, values, locs, "ls")
     coeffs = block.locator[0, :nu]
     loc_residual = mag_residual = 0.0
     if nu:
@@ -378,16 +356,15 @@ def frame_estimate(
 
 def pgz_decode(
     code: DftCode,
-    s: Syndrome | np.ndarray,
+    s: np.ndarray,
     candidate_set: "list[int] | tuple[int, ...] | np.ndarray | None" = None,
     *,
     rel_tol: float = DEFAULT_REL_TOL,
     noise_floor: float = 0.0,
-    magnitude_method: str = "ls",
 ) -> ErrorEstimate:
     """Full PGZ chain with a retry ladder: ``decode_block`` on a block of
-    one, then magnitudes by ``magnitude_method``. Raises ValueError for a
-    non-finite syndrome; never raises for numerical reasons."""
+    one, then least-squares magnitudes. Raises ValueError for a non-finite
+    syndrome; never raises for numerical reasons."""
     values = _syndrome_values(s)[None]
     block = decode_block(code, values, candidate_set, rel_tol=rel_tol, noise_floor=noise_floor)
-    return frame_estimate(code, values, block, magnitude_method)
+    return frame_estimate(code, values, block)

@@ -279,18 +279,14 @@ def syndrome_decode_block(
     y: np.ndarray,
     *,
     reconstruction: str = "projection",
-    rel_tol: float = 1e-2,
-    noise_floor: "float | None" = None,
 ) -> DecodedBlock:
     """``syndrome_decode`` for a block: rows of the quantized syndromes
     ``values`` (F, n - k) against rows of the side information y (F, n)."""
     y = _frames(y, code.n, "side information")
     if reconstruction not in ("projection", "subtract"):
         raise ValueError(f"unknown reconstruction {reconstruction!r}")
-    if noise_floor is None:
-        noise_floor = syndrome_noise_floor(code, quantizer)
     s_err = _mv(code.H, y) - values
-    pgz = decode_block(code, s_err, rel_tol=rel_tol, noise_floor=noise_floor)
+    pgz = decode_block(code, s_err, noise_floor=syndrome_noise_floor(code, quantizer))
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
@@ -313,19 +309,13 @@ def parity_decode_block(
     values: np.ndarray,
     quantizer: QuantizerSpec,
     y: np.ndarray,
-    *,
-    rel_tol: float = 1e-2,
-    noise_floor: "float | None" = None,
 ) -> DecodedBlock:
     """``parity_decode`` for a block: rows of the quantized parities
     ``values`` (F, n - k) against rows of the side information y (F, k)."""
     y = _frames(y, code.k, "side information")
-    if noise_floor is None:
-        noise_floor = parity_noise_floor(code, quantizer)
     syndromes = _mv(code.H, np.concatenate([y, values], axis=1))
-    pgz = decode_block(
-        code, syndromes, range(code.k), rel_tol=rel_tol, noise_floor=noise_floor
-    )
+    noise_floor = parity_noise_floor(code, quantizer)
+    pgz = decode_block(code, syndromes, range(code.k), noise_floor=noise_floor)
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
@@ -355,14 +345,10 @@ def syndrome_decode(
     y: np.ndarray,
     *,
     reconstruction: str = "projection",
-    magnitude_method: str = "ls",
-    rel_tol: float = 1e-2,
-    noise_floor: "float | None" = None,
 ) -> ReconstructionResult:
     """Estimate the channel error from s_e_tilde = Hy - s_x_hat and undo it.
 
-    PGZ (with ``magnitude_method``, ``rel_tol`` and ``noise_floor``)
-    gives the reported ``error_estimate``; the error subtracted from y is
+    PGZ gives the reported ``error_estimate``; the error subtracted from y is
     the likelihood-weighted average over PGZ's support and its single
     swaps described in the module docstring, fitted on the real and
     imaginary parts of the first (n-k)/2 components of s_e_tilde.
@@ -384,16 +370,14 @@ def syndrome_decode(
         msg.quantizer,
         np.asarray(y, dtype=np.float64)[None],
         reconstruction=reconstruction,
-        rel_tol=rel_tol,
-        noise_floor=noise_floor,
     )
-    return _result(code, decoded, magnitude_method)
+    return _result(code, decoded)
 
 
-def _result(code: DftCode, decoded: DecodedBlock, magnitude_method: str) -> ReconstructionResult:
+def _result(code: DftCode, decoded: DecodedBlock) -> ReconstructionResult:
     return ReconstructionResult(
         x_hat=decoded.x_hat[0],
-        error_estimate=frame_estimate(code, decoded.syndromes, decoded.pgz, magnitude_method),
+        error_estimate=frame_estimate(code, decoded.syndromes, decoded.pgz),
     )
 
 
@@ -408,35 +392,21 @@ def parity_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> Par
     )
 
 
-def parity_decode(
-    code: DftCode,
-    msg: ParityMessage,
-    y: np.ndarray,
-    *,
-    magnitude_method: str = "ls",
-    rel_tol: float = 1e-2,
-    noise_floor: "float | None" = None,
-) -> ReconstructionResult:
+def parity_decode(code: DftCode, msg: ParityMessage, y: np.ndarray) -> ReconstructionResult:
     """Decode z_tilde = [y; p_hat] and return the corrected systematic part.
 
     Candidate locations are restricted to the k systematic positions:
     the parity half of z_tilde carries only quantization noise, which the
-    noise floor absorbs. PGZ (with ``magnitude_method``, ``rel_tol`` and
-    ``noise_floor``) gives the reported ``error_estimate``; x_hat = y -
-    e_hat, where e_hat is the likelihood-weighted average over PGZ's
-    support and its single swaps described in the module docstring,
+    noise floor absorbs. PGZ gives the reported ``error_estimate``;
+    x_hat = y - e_hat, where e_hat is the likelihood-weighted average over
+    PGZ's support and its single swaps described in the module docstring,
     fitted on the parity residual P_gen y - p_hat. Non-finite side
     information raises ValueError.
     """
     decoded = parity_decode_block(
-        code,
-        msg.values[None],
-        msg.quantizer,
-        np.asarray(y, dtype=np.float64)[None],
-        rel_tol=rel_tol,
-        noise_floor=noise_floor,
+        code, msg.values[None], msg.quantizer, np.asarray(y, dtype=np.float64)[None]
     )
-    return _result(code, decoded, magnitude_method)
+    return _result(code, decoded)
 
 
 def compression_ratio(code: DftCode, approach: str) -> Fraction:

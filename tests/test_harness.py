@@ -54,12 +54,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(reconstruction="wishful")
     with pytest.raises(ValueError):
-        SweepConfig(magnitude_method="magic")
-    with pytest.raises(ValueError):
         SweepConfig(workers=0)
 
 
-@pytest.mark.parametrize("ceqnr", [float("nan"), float("inf")])
+@pytest.mark.parametrize("ceqnr", [float("nan"), float("inf"), 4000.0])
 def test_config_rejects_nan_and_plus_inf_ceqnr(ceqnr):
     with pytest.raises(ValueError, match="CEQNR"):
         SweepConfig(ceqnr_db=(0.0, ceqnr))
@@ -100,8 +98,7 @@ def test_run_trial_replay_bit_identical():
     ch = ChannelSpec(1, 0.3)
     a = run_trial(C75, "syndrome", Q_SY, ch, np.random.default_rng((3, 0, 7, 0)))
     b = run_trial(C75, "syndrome", Q_SY, ch, np.random.default_rng((3, 0, 7, 0)))
-    assert a.frame_mse == b.frame_mse
-    assert a.estimate.locations == b.estimate.locations
+    assert a == b
 
 
 def test_sweep_deterministic_same_seed():
