@@ -10,11 +10,19 @@ spectral indices, so HG = 0 and H H^H = I.
 
 Matrices are built in extended precision (long double) and returned as
 float64/complex128. ``DftCode.route_gap`` records how far the two
-systematic construction routes (via H2^{-1} and via G1^{-1}) disagree:
-at most 7.1e-11 for (3,1), (7,5), (15,9) and (31,25), but it grows with
-the code, e.g. 2.8e-6 for (31,15) and 0.68 for (255,249), and some odd
-pairs raise on a singular block. No supported (n, k) range is enforced
-yet.
+systematic construction routes (via H2^{-1} and via G1^{-1}) disagree,
+and build_code raises ValueError when it exceeds ROUTE_GAP_MAX = 1e-5.
+The gap grows with n and, faster, with n - k: at most 7.1e-11 for (3,1),
+(7,5), (15,9) and (31,25), 7.2e-6 for (35,17), 4.4e-7 for (63,57),
+1.8e-5 for (101,95), 7.6e-4 for (127,121) and 0.68 for (255,249).
+
+Supported range: every odd pair with n <= 35. Past that, a code builds
+while its gap stays within the tolerance: for n - k <= 4 up to at least
+n = 131, for n - k = 6 up to n = 83 (so (63,57) builds and (101,95),
+(127,121) and (255,249) raise), for n - k = 8 up to n = 49 and for
+n - k = 10 up to n = 41. In order of n and then k, the first pair
+rejected is (37,13). Some larger pairs raise LinAlgError on a singular
+block instead.
 """
 
 from __future__ import annotations
@@ -36,6 +44,15 @@ __all__ = [
 
 COND_WARN = 1e8
 COND_ERROR = 1e12
+
+# Largest route gap build_code accepts. The gap estimates the entrywise
+# error g of P_gen, which moves a parity sample by about g sum|x_i|, i.e.
+# 0.8 g k for a unit-variance frame. At g = 1e-5 that is at most 2.6e-4
+# for k <= 33 (every n <= 35) and 1.0e-3 for k = 129, under 1% and 2.5%
+# of sigma_q = 0.043 of the default parity quantizer (6 bits over
+# [-4.75, 4.75], step 0.148), so it is small beside the quantization
+# noise the decoder already absorbs.
+ROUTE_GAP_MAX = 1e-5
 
 # Residual refinement iterations for the systematic solves. Three passes
 # against long-double residuals push the route gap to the rounding floor.
@@ -215,12 +232,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def build_code(n: int, k: int) -> DftCode:
-    """Construct every matrix of the (n, k) code in one pass."""
+    """Construct every matrix of the (n, k) code in one pass; raises
+    ValueError for a pair outside the supported range (see the module
+    docstring)."""
     spec = CodeSpec(n, k)
     pattern = build_sigma(spec)
     g_ext = _build_generator(spec)
     h_ext = _dft_unitary(n)[list(pattern.zero_rows), :]
     g_sys_ext, p_gen_ext, gap = _systematic_routes(g_ext, h_ext)
+    if gap > ROUTE_GAP_MAX:
+        raise ValueError(
+            f"(n, k) = ({n}, {k}) is outside the supported range: its systematic "
+            f"construction routes disagree by {gap:.3e} > {ROUTE_GAP_MAX:.0e}"
+        )
     return DftCode(
         spec=spec,
         G=_freeze(np.asarray(g_ext, dtype=np.float64)),

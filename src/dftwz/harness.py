@@ -1,13 +1,15 @@
 """Monte-Carlo experiment engine: CEQNR sweeps, metrics, CSV output.
 
-Determinism contract: every trial owns a counter-based RNG seeded by
-(master_seed, ceqnr_index, frame_index, approach_id), frames are
-processed in fixed blocks of BLOCK_FRAMES, and block partial sums are
-reduced in submission order. Identical configuration and seed therefore
-produce byte-identical CSV regardless of the worker count. Within a
-block, frames are decoded as arrays in sub-blocks of at most
-SUB_BLOCK_FRAMES; each frame's MSE is still added to the block sum one at
-a time, in frame order.
+Determinism contract: frames are processed in fixed blocks of
+BLOCK_FRAMES, split into sub-blocks of at most SUB_BLOCK_FRAMES that are
+drawn, encoded and decoded as arrays. A sub-block draws its innovations,
+error-position keys and error magnitudes, in that order, from one
+default_rng((master_seed, ceqnr_index, approach_id, lo)), lo being the
+index of its first frame (sources.draw_frames). Blocks and sub-blocks
+start at multiples of these two constants, so both are part of the
+contract. Each frame's MSE is added to its block's sum in frame order,
+and block partial sums are reduced in submission order, so identical
+configuration and seed produce byte-identical CSV for any worker count.
 
 CEQNR (channel-error-to-quantization-noise ratio) is
 10 log10(sigma_e^2 / sigma_q^2) where sigma_q^2 = step^2 / 12 of the
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, fields
-from typing import Iterable, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -56,7 +58,9 @@ _APPROACH_ID = {"syndrome": 0, "parity": 1}
 # so results are independent of how blocks land on workers.
 BLOCK_FRAMES = 2048
 
-# Frames decoded together as arrays; bounds the memory of one block.
+# Frames drawn from one generator and decoded together as arrays; bounds
+# the memory of one block. Part of the byte-determinism contract too: it
+# fixes which generator draws which frame.
 SUB_BLOCK_FRAMES = 256
 
 @dataclass(frozen=True)
@@ -160,18 +164,19 @@ def _trials(
     approach: str,
     quantizer: QuantizerSpec,
     ch: ChannelSpec,
-    rngs: "Iterable[np.random.Generator]",
+    rng: np.random.Generator,
+    frames: int,
     source: SourceSpec,
     reconstruction: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Round trips of a block of frames, one generator per frame:
+    """Round trips of a block of frames drawn from one generator:
     (frame MSEs, localized, zero-error, overloads)."""
     if approach == "syndrome":
-        x, y, hit = draw_frames(source, ch, code.n, rngs)
+        x, y, hit = draw_frames(source, ch, code.n, rng, frames)
         values, overloads = encode_block(code.H, x, quantizer)
         decoded = syndrome_decode_block(code, values, quantizer, y, reconstruction=reconstruction)
     elif approach == "parity":
-        x, y, hit = draw_frames(source, ch, code.k, rngs)
+        x, y, hit = draw_frames(source, ch, code.k, rng, frames)
         values, overloads = encode_block(code.P_gen, x, quantizer)
         decoded = parity_decode_block(code, values, quantizer, y)
     else:
@@ -204,7 +209,7 @@ def run_trial(
     bitwise equal to the source frame.
     """
     mse, localized, zero_error, overloads = _trials(
-        code, approach, quantizer, ch, [rng], source, reconstruction
+        code, approach, quantizer, ch, rng, 1, source, reconstruction
     )
     return TrialRecord(
         approach=approach,
@@ -237,8 +242,20 @@ def _init_worker(cfg: SweepConfig) -> None:
     )
 
 
+def _init_pool_worker(cfg: SweepConfig) -> None:
+    # A pool restarts a worker whose initializer raises, forever. So the
+    # error (say, a code build_code rejects) is kept for the worker's
+    # first task to raise, which hands it to the caller.
+    try:
+        _init_worker(cfg)
+    except ValueError as exc:
+        _CTX["error"] = exc
+
+
 def _run_block(task: tuple[int, float, str, int, int]) -> tuple[float, int, int, int, int]:
     """Partial sums over one block of frames: (mse_sum, loc, zero, ovl, tx)."""
+    if "error" in _CTX:
+        raise _CTX["error"]
     ci, ceqnr_db, approach, start, count = task
     cfg: SweepConfig = _CTX["cfg"]
     ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(ceqnr_db))
@@ -247,13 +264,10 @@ def _run_block(task: tuple[int, float, str, int, int]) -> tuple[float, int, int,
     loc = zero = ovl = 0
     stop = start + count
     for lo in range(start, stop, SUB_BLOCK_FRAMES):
-        rngs = (  # created one at a time as the frames are drawn
-            np.random.default_rng((cfg.seed, ci, frame, approach_id))
-            for frame in range(lo, min(lo + SUB_BLOCK_FRAMES, stop))
-        )
         mse, localized, zero_error, overloads = _trials(
-            _CTX["code"], approach, _CTX["tx_quant"][approach], ch, rngs,
-            _CTX["source"], cfg.reconstruction,
+            _CTX["code"], approach, _CTX["tx_quant"][approach], ch,
+            np.random.default_rng((cfg.seed, ci, approach_id, lo)),
+            min(SUB_BLOCK_FRAMES, stop - lo), _CTX["source"], cfg.reconstruction,
         )
         for frame_mse in mse.tolist():  # one at a time, in frame order
             mse_sum += frame_mse
@@ -284,7 +298,7 @@ def sweep(config: SweepConfig) -> SweepResult:
     tasks = _make_tasks(config)
     if config.workers > 1:
         with multiprocessing.Pool(
-            processes=config.workers, initializer=_init_worker, initargs=(config,)
+            processes=config.workers, initializer=_init_pool_worker, initargs=(config,)
         ) as pool:
             partials = list(pool.imap(_run_block, tasks, chunksize=1))
     else:

@@ -10,7 +10,6 @@ be replayed bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -76,14 +75,18 @@ def gauss_markov(spec: SourceSpec, length: int, rng: np.random.Generator) -> np.
 
 
 def _draw_errors(
-    ch: ChannelSpec, frame_len: int, rng: np.random.Generator
+    ch: ChannelSpec, length: int, rng: np.random.Generator, frames: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    if ch.errors_per_frame > frame_len:
+    """Error positions and magnitudes of ``frames`` frames, both (F, E):
+    the first E entries of each row's stable argsort of uniform keys,
+    which rank in uniformly random order, then the magnitudes."""
+    if ch.errors_per_frame > length:
         raise ValueError(
-            f"errors_per_frame = {ch.errors_per_frame} exceeds frame length {frame_len}"
+            f"errors_per_frame = {ch.errors_per_frame} exceeds frame length {length}"
         )
-    positions = rng.choice(frame_len, size=ch.errors_per_frame, replace=False)
-    return positions, rng.normal(0.0, ch.sigma_e, ch.errors_per_frame)
+    keys = rng.random((frames, length))
+    positions = np.argsort(keys, axis=1, kind="stable")[:, : ch.errors_per_frame]
+    return positions, rng.normal(0.0, ch.sigma_e, (frames, ch.errors_per_frame))
 
 
 def apply_channel(
@@ -97,7 +100,7 @@ def apply_channel(
     from x".
     """
     x = np.asarray(x, dtype=np.float64)
-    positions, values = _draw_errors(ch, len(x), rng)
+    (positions,), (values,) = _draw_errors(ch, len(x), rng, 1)
     y = x.copy()
     y[positions] += values
     hit = values != 0.0
@@ -108,27 +111,25 @@ def apply_channel(
 
 
 def draw_frames(
-    spec: SourceSpec, ch: ChannelSpec, length: int, rngs: "Iterable[np.random.Generator]"
+    spec: SourceSpec, ch: ChannelSpec, length: int, rng: np.random.Generator, frames: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One frame per generator, each drawn as gauss_markov and then
-    apply_channel draw it: returns x and y = x + e, both (F, length), and
-    the (F, length) mask of the positions where y differs from x. The
-    generators are drawn from one at a time, so an iterator need not hold
-    them all at once."""
+    """``frames`` frames drawn from one generator as arrays: returns x and
+    y = x + e, both (F, length), and the (F, length) mask of the
+    positions where y differs from x.
+
+    The draws come in a fixed order, each for all F frames at once:
+    ``standard_normal((F, length))`` innovations, then ``random((F,
+    length))`` keys whose rows' first E stable-argsort entries are the
+    error positions, then ``normal(0, sigma_e, (F, E))`` magnitudes. A
+    single frame is therefore gauss_markov followed by apply_channel on
+    the same generator.
+    """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    w, positions, values = [], [], []
-    for rng in rngs:
-        w.append(rng.standard_normal(length))
-        p, v = _draw_errors(ch, length, rng)
-        positions.append(p)
-        values.append(v)
-    x = _ar1(spec.rho, np.array(w))
-    shape = (len(w), ch.errors_per_frame)
-    positions = np.array(positions, dtype=np.int64).reshape(shape)
-    values = np.array(values).reshape(shape)
+    x = _ar1(spec.rho, rng.standard_normal((frames, length)))
+    positions, values = _draw_errors(ch, length, rng, frames)
     y = x.copy()
-    rows = np.arange(len(w))[:, None]
+    rows = np.arange(frames)[:, None]
     y[rows, positions] += values
     hit = np.zeros(x.shape, dtype=bool)
     hit[rows, positions] = values != 0.0

@@ -140,7 +140,13 @@ def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=256)
+# One cache entry per (basis, noise variance, core). A code correcting
+# t = 3 errors has 1 + N + N(N-1)/2 cores of at most two positions over
+# its N candidate columns: 497 for the (31,25) syndrome basis (N = 31)
+# and 326 for its parity basis (N = 25). The bound holds both, so a sweep
+# of such a code builds each core's fits once; it is not unbounded,
+# because (63,57) would need ~2,000 entries of ~200 KB each.
+@functools.lru_cache(maxsize=1024)
 def _extension_fits(
     basis: bytes, rows: int, noise_var: float, core: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
-"""Block decoding: a block of frames decodes exactly as each of its frames
-decodes on its own, and the sweep reproduces the committed golden CSVs."""
+"""Block drawing and decoding: a sub-block's frames drawn from one
+generator have the source's and the channel's statistics, a block of
+frames decodes exactly as each of its frames decodes on its own, and the
+sweep reproduces the committed golden CSVs."""
 
 import math
 from pathlib import Path
@@ -115,21 +117,51 @@ def test_pgz_block_decodes_as_its_syndromes(locations, seed, rel_tol):
         assert block.count[0] == 1 and block.retries[0] >= 1
 
 
-def test_draw_frames_matches_per_frame_draws():
+# 0.999 quantiles of the chi-square law with 14 and 104 degrees of freedom.
+CHI2_999 = {14: 36.123, 104: 154.314}
+
+
+def test_draw_frames_block_statistics():
+    frames, length, errors, sigma_e, rho = 20_000, 15, 2, 0.7, 0.9
+    ch = ChannelSpec(errors, sigma_e)
+    x, y, hit = draw_frames(SourceSpec(rho), ch, length, np.random.default_rng(11), frames)
+    again = draw_frames(SourceSpec(rho), ch, length, np.random.default_rng(11), frames)
+    for a, b in zip((x, y, hit), again):
+        np.testing.assert_array_equal(a, b)
+
+    np.testing.assert_array_equal(hit, y != x)
+    assert np.all(hit.sum(axis=1) == errors)
+    # Each position, and each pair of positions, is hit equally often.
+    counts = hit.sum(axis=0)
+    expected = frames * errors / length
+    assert np.sum((counts - expected) ** 2 / expected) < CHI2_999[length - 1]
+    i, j = np.triu_indices(length, 1)
+    pairs = (hit[:, i] & hit[:, j]).sum(axis=0)
+    expected = frames / len(i)
+    assert np.sum((pairs - expected) ** 2 / expected) < CHI2_999[len(i) - 1]
+
+    mags = (y - x)[hit]
+    assert abs(mags.mean()) < 4 * sigma_e / np.sqrt(mags.size)
+    assert mags.var() == pytest.approx(sigma_e**2, rel=0.03)
+
+    assert np.var(x, axis=0) == pytest.approx(np.ones(length), abs=0.05)
+    lag1 = np.corrcoef(x[:, :-1].ravel(), x[:, 1:].ravel())[0, 1]
+    assert lag1 == pytest.approx(rho, abs=0.005)
+
+
+def test_one_drawn_frame_is_a_source_frame_through_the_channel():
     ch = ChannelSpec(2, 0.3)
-    rngs = [np.random.default_rng((5, f)) for f in range(6)]
-    x, y, hit = draw_frames(SourceSpec(0.9), ch, 15, rngs)
-    for f in range(6):
-        rng = np.random.default_rng((5, f))
-        x1 = gauss_markov(SourceSpec(0.9), 15, rng)
-        y1, locs, _ = apply_channel(x1, ch, rng)
-        np.testing.assert_array_equal(x[f], x1)
-        np.testing.assert_array_equal(y[f], y1)
-        assert tuple(np.flatnonzero(hit[f])) == locs
+    x, y, hit = draw_frames(SourceSpec(0.9), ch, 15, np.random.default_rng(5), 1)
+    rng = np.random.default_rng(5)
+    x1 = gauss_markov(SourceSpec(0.9), 15, rng)
+    y1, locs, _ = apply_channel(x1, ch, rng)
+    np.testing.assert_array_equal(x[0], x1)
+    np.testing.assert_array_equal(y[0], y1)
+    assert tuple(np.flatnonzero(hit[0])) == locs
 
 
-# Written by the per-frame decoder that preceded block decoding; the block
-# decoder must reproduce them byte for byte.
+# Written by this package with one generator per sub-block; a sweep must
+# reproduce them byte for byte with any worker count.
 GOLDEN_CONFIGS = {
     "golden_7_5.csv": dict(ceqnr_db=(-math.inf, 0.0, 30.0), frames=2000),
     "golden_15_9.csv": dict(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dftwz.codes import (
+    ROUTE_GAP_MAX,
     CodeSpec,
     _systematic_routes,
     build_code,
@@ -73,6 +74,26 @@ def test_systematic_identity_block_and_route_gap(n, k):
     np.testing.assert_array_equal(code.G_sys[:k, :], np.eye(k))
     np.testing.assert_array_equal(code.G_sys[k:, :], code.P_gen)
     assert code.route_gap < 1e-8
+
+
+# The supported range past n = 35: the largest n each n - k builds up to.
+RANGE_PAST_35 = {6: 83, 8: 49, 10: 41}
+
+
+def test_supported_range_builds_and_the_first_pair_past_it_raises():
+    for n in range(3, 36, 2):
+        for k in range(1, n, 2):
+            assert build_code(n, k).route_gap <= ROUTE_GAP_MAX
+    for r, n_max in RANGE_PAST_35.items():
+        for n in range(37, n_max + 1, 2):
+            assert build_code(n, n - r).route_gap <= ROUTE_GAP_MAX
+    # n - k <= 4 builds up to at least n = 131; its largest pairs:
+    for n, k in [(131, 129), (131, 127)]:
+        assert build_code(n, k).route_gap <= ROUTE_GAP_MAX
+    past = [(37, 13), (85, 79), (51, 43), (43, 33), (101, 95), (127, 121)]
+    for n, k in past:
+        with pytest.raises(ValueError, match="outside the supported range"):
+            build_code(n, k)
 
 
 def test_parity_check_7_5_closed_form():

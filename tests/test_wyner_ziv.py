@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from dftwz.codes import build_code
+from dftwz.harness import SweepConfig, sweep
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import SourceSpec, gauss_markov
 from dftwz.wyner_ziv import (
+    _extension_fits,
     compression_ratio,
     encode_block,
     parity_decode,
@@ -366,3 +368,14 @@ def test_reconstruction_result_is_frozen():
     res = syndrome_decode(C75, syndrome_encode(C75, np.zeros(7), Q_SY), np.zeros(7))
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.x_hat = np.ones(7)
+
+
+def test_extension_fits_hold_every_core_of_a_t3_code():
+    # A (31,25) 3-error sweep meets hundreds of cores; each one's fits are
+    # built once, so no entry is evicted and rebuilt.
+    _extension_fits.cache_clear()
+    sweep(SweepConfig(n=31, k=25, errors_per_frame=3, ceqnr_db=(30.0,), frames=512,
+                      approaches=("syndrome",), seed=2))
+    info = _extension_fits.cache_info()
+    assert info.currsize > 256
+    assert info.misses == info.currsize
