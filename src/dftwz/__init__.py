@@ -13,9 +13,7 @@ Library layout:
 from .codes import (
     CodeSpec,
     DftCode,
-    SigmaPattern,
     build_code,
-    build_sigma,
     decode_pseudo_inverse,
     encode,
 )
@@ -46,9 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CodeSpec",
     "DftCode",
-    "SigmaPattern",
     "build_code",
-    "build_sigma",
     "decode_pseudo_inverse",
     "encode",
     "ErrorEstimate",

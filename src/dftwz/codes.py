@@ -2,61 +2,44 @@
 
 A code is defined by an odd pair (n, k), n > k. The generator is
 G = sqrt(n/k) * W_n^H @ Sigma @ W_k with W_m the unitary DFT matrix and
-Sigma an n x k selection pattern whose n - k empty rows sit in one
+Sigma an n x k selection matrix with nonzeros (0, 0), (i, i) and
+(n - i, k - i) for i = 1..(k-1)/2, so its n - k empty rows sit in one
 cyclically contiguous block. Codewords therefore have a contiguous block
 of zero spectral components, which is what enables BCH-style decoding
 over the reals. The parity check H collects the rows of W_n at those
 spectral indices, so HG = 0 and H H^H = I.
 
-Matrices are built in extended precision (long double) and returned as
-float64/complex128. ``DftCode.route_gap`` records how far the two
-systematic construction routes (via H2^{-1} and via G1^{-1}) disagree,
-and build_code raises ValueError when it exceeds ROUTE_GAP_MAX = 1e-5.
-The gap grows with n and, faster, with n - k: at most 7.1e-11 for (3,1),
-(7,5), (15,9) and (31,25), 7.2e-6 for (35,17), 4.4e-7 for (63,57),
-1.8e-5 for (101,95), 7.6e-4 for (127,121) and 0.68 for (255,249).
-
-Supported range: every odd pair with n <= 35. Past that, a code builds
-while its gap stays within the tolerance: for n - k <= 4 up to at least
-n = 131, for n - k = 6 up to n = 83 (so (63,57) builds and (101,95),
-(127,121) and (255,249) raise), for n - k = 8 up to n = 49 and for
-n - k = 10 up to n = 41. In order of n and then k, the first pair
-rejected is (37,13). Some larger pairs raise LinAlgError on a singular
-block instead.
+The systematic form puts the n - k parity samples at the positions
+floor(i n / (n - k)), i = 0..n-k-1, spread evenly around the cycle, and
+the k message samples at the others, in order. With H_S and H_P the
+columns of H at the systematic and parity positions, P_gen = -H_P^{-1} H_S
+maps a message to its parity. Evenly spread positions keep H_P well
+conditioned (Vaezi and Labeau, "Systematic DFT frames: principle,
+eigenvalues structure, and applications", IEEE Trans. Signal Process.,
+2013): cond(H_P) is 1.25 for (7,5), 1.38 for (15,9), 2.21 for (37,13)
+and 1.02 for (255,249), at most 11.4 over every odd pair with n <= 129,
+and max |P_gen| is 1 up to rounding. So every matrix is built in one
+float64 pass, and every odd pair with n <= 129 builds, as do (255,249),
+(511,501) and (1023,1013).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CodeSpec",
-    "SigmaPattern",
     "DftCode",
-    "build_sigma",
     "build_code",
     "encode",
     "decode_pseudo_inverse",
 ]
 
-COND_WARN = 1e8
-COND_ERROR = 1e12
-
-# Largest route gap build_code accepts. The gap estimates the entrywise
-# error g of P_gen, which moves a parity sample by about g sum|x_i|, i.e.
-# 0.8 g k for a unit-variance frame. At g = 1e-5 that is at most 2.6e-4
-# for k <= 33 (every n <= 35) and 1.0e-3 for k = 129, under 1% and 2.5%
-# of sigma_q = 0.043 of the default parity quantizer (6 bits over
-# [-4.75, 4.75], step 0.148), so it is small beside the quantization
-# noise the decoder already absorbs.
-ROUTE_GAP_MAX = 1e-5
-
-# Residual refinement iterations for the systematic solves. Three passes
-# against long-double residuals push the route gap to the rounding floor.
-_REFINE_ITERS = 3
+# Largest imaginary residue of a matrix that is real in exact arithmetic,
+# and largest |H G_sys| build_code accepts.
+_REAL_TOL = 1e-10
 
 
 def _validate_odd_pair(n: int, k: int) -> None:
@@ -84,22 +67,14 @@ class CodeSpec:
 
 
 @dataclass(frozen=True)
-class SigmaPattern:
-    """Nonzero layout of the n x k spectral selection matrix."""
-
-    n: int
-    k: int
-    nonzero_positions: frozenset[tuple[int, int]]
-    zero_rows: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DftCode:
-    """A constructed code: all derived matrices plus build diagnostics.
+    """A constructed code: all derived matrices and the systematic layout.
 
     Arrays are read-only; instances are safe to share across workers.
-    ``route_gap`` is the max entrywise disagreement between the two
-    systematic construction routes, kept as a construction health metric.
+    ``systematic`` (k,) and ``parity`` (n - k,) are the ascending codeword
+    positions of the message and parity samples: ``G_sys`` holds the
+    identity at the rows ``systematic`` and ``P_gen`` at the rows
+    ``parity``.
     """
 
     spec: CodeSpec
@@ -108,7 +83,8 @@ class DftCode:
     G_sys: np.ndarray
     P_gen: np.ndarray
     zero_rows: tuple[int, ...]
-    route_gap: float = field(default=0.0, compare=False)
+    systematic: np.ndarray
+    parity: np.ndarray
 
     @property
     def n(self) -> int:
@@ -123,107 +99,28 @@ class DftCode:
         return self.spec.t
 
 
-def build_sigma(spec: CodeSpec) -> SigmaPattern:
-    """Nonzeros {(0,0)} | {(i,i), (n-i, k-i) : i = 1..(k-1)/2}; the k
-    occupied rows leave one cyclically contiguous empty block."""
-    n, k = spec.n, spec.k
-    positions = {(0, 0)}
-    for i in range(1, (k - 1) // 2 + 1):
-        positions.add((i, i))
-        positions.add((n - i, k - i))
-    occupied = {r for r, _ in positions}
-    zero_rows = tuple(r for r in range(n) if r not in occupied)
-    return SigmaPattern(n=n, k=k, nonzero_positions=frozenset(positions), zero_rows=zero_rows)
+def _dft_rows(n: int, rows) -> np.ndarray:
+    """Rows of the unitary DFT matrix, entries (1/sqrt(n)) exp(-j 2 pi m l / n);
+    m l is reduced mod n in integers first, so a large n costs no phase
+    accuracy."""
+    ml = np.outer(rows, np.arange(n)) % n
+    return np.exp(-2j * np.pi * ml / n) / np.sqrt(n)
 
 
-def _dft_unitary(n: int) -> np.ndarray:
-    """Unitary DFT matrix, entries (1/sqrt(n)) exp(-j 2 pi m l / n)."""
-    m = np.arange(n, dtype=np.longdouble)
-    phase = (-2.0 * np.pi / np.longdouble(n)) * np.outer(m, m)
-    return (np.cos(phase) + 1j * np.sin(phase)) / np.sqrt(np.longdouble(n))
-
-
-def _sigma_matrix(pattern: SigmaPattern) -> np.ndarray:
-    sig = np.zeros((pattern.n, pattern.k), dtype=np.longdouble)
-    for r, c in pattern.nonzero_positions:
-        sig[r, c] = 1.0
-    return sig
-
-
-def _build_generator(spec: CodeSpec) -> np.ndarray:
-    pattern = build_sigma(spec)
-    wn = _dft_unitary(spec.n)
-    wk = _dft_unitary(spec.k)
-    scale = np.sqrt(np.longdouble(spec.n) / np.longdouble(spec.k))
-    g = scale * (wn.conj().T @ _sigma_matrix(pattern).astype(wn.dtype) @ wk)
-    residue = float(np.abs(g.imag).max())
-    if residue >= 1e-10:
+def _real(name: str, matrix: np.ndarray) -> np.ndarray:
+    """The real part of a matrix that is real in exact arithmetic."""
+    residue = float(np.abs(matrix.imag).max())
+    if residue >= _REAL_TOL:
         raise ValueError(
-            f"generator for (n, k) = ({spec.n}, {spec.k}) has imaginary residue "
-            f"{residue:.3e} >= 1e-10; construction is unsound"
+            f"{name} has imaginary residue {residue:.3e} >= {_REAL_TOL:.0e}; "
+            "construction is unsound"
         )
-    return g.real
+    return np.ascontiguousarray(matrix.real)
 
 
-def _solve_refined(a_ext: np.ndarray, b_ext: np.ndarray) -> np.ndarray:
-    """Solve a x = b where a, b carry extended-precision data.
-
-    LAPACK only accepts double, so factor in double and run iterative
-    refinement with residuals accumulated in extended precision.
-    """
-    a_dbl = a_ext.astype(np.complex128 if np.iscomplexobj(a_ext) else np.float64)
-    b_dbl = b_ext.astype(a_dbl.dtype)
-    x = np.linalg.solve(a_dbl, b_dbl)
-    for _ in range(_REFINE_ITERS):
-        r = b_ext - a_ext @ x.astype(a_ext.dtype)
-        x = x + np.linalg.solve(a_dbl, r.astype(a_dbl.dtype))
-    return x
-
-
-def _check_conditioning(name: str, matrix: np.ndarray) -> float:
-    cond = float(np.linalg.cond(matrix.astype(np.complex128 if np.iscomplexobj(matrix) else np.float64)))
-    if cond > COND_ERROR:
-        raise np.linalg.LinAlgError(
-            f"{name} is numerically singular (condition number {cond:.3e} > {COND_ERROR:.0e})"
-        )
-    if cond > COND_WARN:
-        warnings.warn(
-            f"{name} is ill conditioned (condition number {cond:.3e}); "
-            "systematic matrices may lose accuracy",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return cond
-
-
-def _systematic_routes(g_ext: np.ndarray, h_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Both systematic constructions; returns (G_sys, P_gen, route_gap)."""
-    n = h_ext.shape[1]
-    k = n - h_ext.shape[0]
-    h1, h2 = h_ext[:, :k], h_ext[:, k:]
-    _check_conditioning("H2 (parity block of H)", h2)
-    p = _solve_refined(h2, h1)
-    residue = float(np.abs(p.imag).max())
-    # P is real in exact arithmetic; its computed imaginary part is pure
-    # rounding noise, whose floor scales with how large P itself is (the
-    # refinement floor is cond * eps_longdouble * |P|). A genuinely
-    # complex result would show an imaginary part comparable to |P|.
-    scale = max(1.0, float(np.abs(p.real).max()))
-    if residue >= max(1e-10, 1e-9 * scale):
-        raise ValueError(
-            f"systematic parity block has imaginary residue {residue:.3e} "
-            f"(relative to |P| = {scale:.3e})"
-        )
-    p_gen = -np.asarray(p.real, dtype=np.longdouble)
-    g_sys_h = np.vstack([np.eye(k, dtype=np.longdouble), p_gen])
-
-    g1 = g_ext[:k, :]
-    _check_conditioning("G1 (top block of G)", g1)
-    # G_sys = G @ G1^{-1}, computed as a transposed solve to reuse refinement.
-    g_sys_g = _solve_refined(g1.T, g_ext.T).T
-
-    gap = float(np.abs(np.asarray(g_sys_h - g_sys_g, dtype=np.float64)).max())
-    return g_sys_h, p_gen, gap
+def _parity_generator(h: np.ndarray, systematic: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """P_gen = -H_P^{-1} H_S; a singular H_P raises LinAlgError."""
+    return _real("P_gen", -np.linalg.solve(h[:, parity], h[:, systematic]))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -232,27 +129,39 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def build_code(n: int, k: int) -> DftCode:
-    """Construct every matrix of the (n, k) code in one pass; raises
-    ValueError for a pair outside the supported range (see the module
-    docstring)."""
+    """Construct every matrix of the (n, k) code in one float64 pass.
+
+    Raises ValueError for an invalid pair, for a G or P_gen that comes
+    out complex, or when max |H G_sys| exceeds 1e-10.
+    """
     spec = CodeSpec(n, k)
-    pattern = build_sigma(spec)
-    g_ext = _build_generator(spec)
-    h_ext = _dft_unitary(n)[list(pattern.zero_rows), :]
-    g_sys_ext, p_gen_ext, gap = _systematic_routes(g_ext, h_ext)
-    if gap > ROUTE_GAP_MAX:
+    half = (k - 1) // 2
+    occupied = [*range(half + 1), *range(n - half, n)]  # Sigma's nonzero rows, by column
+    zero_rows = tuple(range(half + 1, n - half))
+    g = np.sqrt(n / k) * (_dft_rows(n, occupied).conj().T @ _dft_rows(k, range(k)))
+    g = _real(f"generator of (n, k) = ({n}, {k})", g)
+    h = _dft_rows(n, zero_rows)
+    parity = np.arange(n - k) * n // (n - k)
+    systematic = np.delete(np.arange(n), parity)
+    p_gen = _parity_generator(h, systematic, parity)
+    g_sys = np.empty((n, k))
+    g_sys[systematic] = np.eye(k)
+    g_sys[parity] = p_gen
+    residue = float(np.abs(h @ g_sys).max())
+    if residue > _REAL_TOL:
         raise ValueError(
-            f"(n, k) = ({n}, {k}) is outside the supported range: its systematic "
-            f"construction routes disagree by {gap:.3e} > {ROUTE_GAP_MAX:.0e}"
+            f"(n, k) = ({n}, {k}): systematic generator misses the code, "
+            f"max |H G_sys| = {residue:.3e} > {_REAL_TOL:.0e}"
         )
     return DftCode(
         spec=spec,
-        G=_freeze(np.asarray(g_ext, dtype=np.float64)),
-        H=_freeze(np.asarray(h_ext, dtype=np.complex128)),
-        G_sys=_freeze(np.asarray(g_sys_ext, dtype=np.float64)),
-        P_gen=_freeze(np.asarray(p_gen_ext, dtype=np.float64)),
-        zero_rows=pattern.zero_rows,
-        route_gap=gap,
+        G=_freeze(g),
+        H=_freeze(h),
+        G_sys=_freeze(g_sys),
+        P_gen=_freeze(p_gen),
+        zero_rows=zero_rows,
+        systematic=_freeze(systematic),
+        parity=_freeze(parity),
     )
 
 

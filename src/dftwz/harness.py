@@ -182,7 +182,7 @@ def _trials(
     else:
         raise ValueError(f"unknown approach {approach!r}")
     diff = decoded.x_hat - x
-    localized = np.all(decoded.pgz.support[:, : x.shape[1]] == hit, axis=1)
+    localized = np.all(decoded.support == hit, axis=1)
     zero_error = np.all(decoded.x_hat == x, axis=1)
     return np.mean(diff * diff, axis=1), localized, zero_error, overloads
 
@@ -222,40 +222,24 @@ def run_trial(
 
 
 # ---------------------------------------------------------------------------
-# Block execution. A module-level context keeps the constructed code and
-# quantizers alive per worker process; tasks reference it by field name.
+# Block execution. A module-level context keeps the code, built once by
+# the caller, and the quantizers alive per worker process; tasks
+# reference it by field name.
 
 _CTX: dict = {}
 
 
-def _init_worker(cfg: SweepConfig) -> None:
+def _init_worker(cfg: SweepConfig, code: DftCode) -> None:
     tx_quant = {
         "syndrome": QuantizerSpec(cfg.bits, *cfg.syndrome_range),
         "parity": QuantizerSpec(cfg.bits, *cfg.parity_range),
     }
     _CTX.clear()
-    _CTX.update(
-        cfg=cfg,
-        code=build_code(cfg.n, cfg.k),
-        tx_quant=tx_quant,
-        source=SourceSpec(cfg.rho),
-    )
-
-
-def _init_pool_worker(cfg: SweepConfig) -> None:
-    # A pool restarts a worker whose initializer raises, forever. So the
-    # error (say, a code build_code rejects) is kept for the worker's
-    # first task to raise, which hands it to the caller.
-    try:
-        _init_worker(cfg)
-    except ValueError as exc:
-        _CTX["error"] = exc
+    _CTX.update(cfg=cfg, code=code, tx_quant=tx_quant, source=SourceSpec(cfg.rho))
 
 
 def _run_block(task: tuple[int, float, str, int, int]) -> tuple[float, int, int, int, int]:
     """Partial sums over one block of frames: (mse_sum, loc, zero, ovl, tx)."""
-    if "error" in _CTX:
-        raise _CTX["error"]
     ci, ceqnr_db, approach, start, count = task
     cfg: SweepConfig = _CTX["cfg"]
     ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(ceqnr_db))
@@ -296,13 +280,14 @@ def sweep(config: SweepConfig) -> SweepResult:
     list, never by worker scheduling.
     """
     tasks = _make_tasks(config)
+    code = build_code(config.n, config.k)
     if config.workers > 1:
         with multiprocessing.Pool(
-            processes=config.workers, initializer=_init_pool_worker, initargs=(config,)
+            processes=config.workers, initializer=_init_worker, initargs=(config, code)
         ) as pool:
             partials = list(pool.imap(_run_block, tasks, chunksize=1))
     else:
-        _init_worker(config)
+        _init_worker(config, code)
         partials = [_run_block(t) for t in tasks]
 
     acc: dict[tuple[int, str], list[float]] = {}

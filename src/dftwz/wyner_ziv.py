@@ -8,11 +8,14 @@ subtracted and the quantized syndrome re-imposed by an orthogonal
 projection.
 
 Parity approach: the encoder sends the quantized parity p = P_gen x of a
-length-k source frame (n-k real numbers). The decoder stacks
-z_tilde = [y; p_hat], a noisy codeword, and runs PGZ with candidates
-restricted to the k systematic positions (parity samples never carry
-channel errors); the reconstruction is y minus the weighted error
-estimate.
+length-k source frame (n-k real numbers). The decoder places y at the
+code's systematic positions and p_hat at its parity positions to form a
+noisy codeword z_tilde, and runs PGZ with candidates restricted to the
+systematic positions (parity samples never carry channel errors); the
+reconstruction is y minus the weighted error estimate. This module owns
+the mapping: message index i is codeword position ``code.systematic[i]``,
+and every support or location it returns for a parity frame is a
+message index.
 
 Both pipelines declare a frame clean when every syndrome component sits
 below a worst-case quantization-noise bound, and then return the side
@@ -40,7 +43,7 @@ block of one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,10 +74,12 @@ __all__ = [
 
 # Default transmitted-sample quantizer ranges. Syndrome components of a
 # unit-variance source stay within a fraction of 1 (unitary H rows), so a
-# tight range buys a small step and precise localization. Parity samples
-# of the (7,5) code on a rho = 0.9 source have a std near 1.33; their
-# range trades clip floors (pushing wider) against localization noise
-# (pushing narrower).
+# tight range buys a small step and precise localization. The parity
+# samples of the (7,5) code on a rho = 0.9 source have stds 0.97 and
+# 1.07; their range trades clip floors (pushing wider) against
+# localization noise (pushing narrower). It was set for stds of 1.34,
+# before the parity positions were spread, and is kept on purpose:
+# retuning it moves every parity cell and is a decision of its own.
 DEFAULT_SYNDROME_RANGE = (-1.0, 1.0)
 DEFAULT_PARITY_RANGE = (-4.75, 4.75)
 
@@ -161,8 +166,8 @@ def _extension_fits(
     rss / (2 noise_var). The (M,) log-priors are -log(det(A^T A)) / 2. In both
     decoders' bases every support of at most t positions has full column
     rank (the syndrome basis holds t Vandermonde rows, and
-    P_gen = -H2^{-1} H1 inherits the independence of any n - k columns
-    of H), so A^T A is invertible.
+    P_gen = -H_P^{-1} H_S maps independent columns of H through the
+    invertible H_P^{-1}), so A^T A is invertible.
     """
     a_all = np.frombuffer(basis).reshape(rows, -1)
     cols = a_all.shape[1]
@@ -271,11 +276,14 @@ def encode_block(
 
 class DecodedBlock(NamedTuple):
     """Reconstructions (F, frame length), the syndromes PGZ decoded
-    (F, n - k) and its decisions."""
+    (F, n - k), its decisions, and its support (F, frame length) over the
+    frame's own indices: codeword positions for the syndrome approach,
+    message indices for the parity approach."""
 
     x_hat: np.ndarray
     syndromes: np.ndarray
     pgz: PgzBlock
+    support: np.ndarray
 
 
 def syndrome_decode_block(
@@ -307,7 +315,7 @@ def syndrome_decode_block(
         if reconstruction == "projection":
             v = v - _mv(code.H.conj().T, _mv(code.H, v) - values[fix]).real
         x_hat[fix] = v
-    return DecodedBlock(x_hat, s_err, pgz)
+    return DecodedBlock(x_hat, s_err, pgz, pgz.support)
 
 
 def parity_decode_block(
@@ -319,19 +327,23 @@ def parity_decode_block(
     """``parity_decode`` for a block: rows of the quantized parities
     ``values`` (F, n - k) against rows of the side information y (F, k)."""
     y = _frames(y, code.k, "side information")
-    syndromes = _mv(code.H, np.concatenate([y, values], axis=1))
+    z = np.empty((len(y), code.n))
+    z[:, code.systematic] = y
+    z[:, code.parity] = values
+    syndromes = _mv(code.H, z)
     noise_floor = parity_noise_floor(code, quantizer)
-    pgz = decode_block(code, syndromes, range(code.k), noise_floor=noise_floor)
+    pgz = decode_block(code, syndromes, code.systematic, noise_floor=noise_floor)
+    support = pgz.support[:, code.systematic]
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
         x_hat[fix] -= _weighted_errors(
             code.P_gen,
             _mv(code.P_gen, y[fix]) - values[fix],
-            pgz.support[fix, : code.k],
+            support[fix],
             quantizer.sigma_q_sq,
         )
-    return DecodedBlock(x_hat, syndromes, pgz)
+    return DecodedBlock(x_hat, syndromes, pgz, support)
 
 
 def syndrome_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> SyndromeMessage:
@@ -381,9 +393,10 @@ def syndrome_decode(
 
 
 def _result(code: DftCode, decoded: DecodedBlock) -> ReconstructionResult:
+    estimate = frame_estimate(code, decoded.syndromes, decoded.pgz)
+    locations = tuple(np.flatnonzero(decoded.support[0]).tolist())
     return ReconstructionResult(
-        x_hat=decoded.x_hat[0],
-        error_estimate=frame_estimate(code, decoded.syndromes, decoded.pgz),
+        x_hat=decoded.x_hat[0], error_estimate=replace(estimate, locations=locations)
     )
 
 
@@ -399,11 +412,13 @@ def parity_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> Par
 
 
 def parity_decode(code: DftCode, msg: ParityMessage, y: np.ndarray) -> ReconstructionResult:
-    """Decode z_tilde = [y; p_hat] and return the corrected systematic part.
+    """Decode the noisy codeword z_tilde, y at ``code.systematic`` and
+    p_hat at ``code.parity``, and return the corrected message.
 
     Candidate locations are restricted to the k systematic positions:
-    the parity half of z_tilde carries only quantization noise, which the
-    noise floor absorbs. PGZ gives the reported ``error_estimate``;
+    the parity samples of z_tilde carry only quantization noise, which the
+    noise floor absorbs. PGZ gives the reported ``error_estimate``, whose
+    locations are message indices 0..k-1;
     x_hat = y - e_hat, where e_hat is the likelihood-weighted average over
     PGZ's support and its single swaps described in the module docstring,
     fitted on the parity residual P_gen y - p_hat. Non-finite side

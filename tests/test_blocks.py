@@ -33,9 +33,9 @@ C159 = build_code(15, 9)
 Q_SY = {7: QuantizerSpec(6, -1.0, 1.0), 15: QuantizerSpec(12, -1.0, 1.0)}
 Q_PA = {7: QuantizerSpec(6, -4.75, 4.75), 15: QuantizerSpec(12, -300.0, 300.0)}
 
-# Error positions, inside the k systematic positions, that every block
-# carries: a clean frame and, on the syndrome pipeline, frames PGZ counts
-# as 1, 2 and 3 errors.
+# Error positions that every block carries, all below k so that they are
+# message indices of the parity frames too: a clean frame and, on the
+# syndrome pipeline, frames PGZ counts as 1, 2 and 3 errors.
 ANCHORS = {7: [(), (3,)], 15: [(), (4,), (1, 6), (0, 4, 8)]}
 
 GOLDEN = Path(__file__).parent / "data"
@@ -57,11 +57,11 @@ def _block(code, counts, seed):
     return x[order], y[order]
 
 
-def _assert_same(block, frame, i):
+def _assert_same(block, frame, i, parity=()):
     assert frame.error_estimate.count == block.pgz.count[i]
-    assert frame.error_estimate.locations == tuple(np.flatnonzero(block.pgz.support[i]))
+    assert frame.error_estimate.locations == tuple(np.flatnonzero(block.support[i]))
     np.testing.assert_allclose(frame.x_hat, block.x_hat[i], rtol=0, atol=1e-12)
-    assert np.all(block.pgz.support[i, len(frame.x_hat) :] == 0)
+    assert np.all(block.pgz.support[i, list(parity)] == 0)
 
 
 @pytest.mark.parametrize("code", [C75, C159], ids=["7-5", "15-9"])
@@ -89,7 +89,7 @@ def test_block_decodes_as_its_frames(code, counts, seed, reconstruction):
     for i in range(len(x)):
         msg = parity_encode(code, x[i, :k], q_pa)
         np.testing.assert_array_equal(msg.values, values[i])
-        _assert_same(block, parity_decode(code, msg, y[i, :k]), i)
+        _assert_same(block, parity_decode(code, msg, y[i, :k]), i, code.parity)
 
 
 @given(

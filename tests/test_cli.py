@@ -136,16 +136,6 @@ def test_main_invalid_code_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_main_code_outside_supported_range_exits_2(capsys, tmp_path):
-    # With two workers too: the pool hands its workers' build error to the caller.
-    code, err = run_main(
-        capsys, "--code", "101,95", "--frames", "10", "--workers", "2",
-        "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-    assert err.startswith("dftwz: (n, k) = (101, 95) is outside the supported range")
-
-
 def test_main_unwritable_output_exits_2(capsys, tmp_path):
     code, err = run_main(
         capsys,

@@ -1,20 +1,31 @@
 """Code-construction oracles: frozen patterns, algebraic identities,
-systematic-route agreement, pseudo-inverse decoding."""
+the systematic layout, pseudo-inverse decoding."""
 
 import numpy as np
 import pytest
 
 from dftwz.codes import (
-    ROUTE_GAP_MAX,
     CodeSpec,
-    _systematic_routes,
+    _parity_generator,
     build_code,
-    build_sigma,
     decode_pseudo_inverse,
     encode,
 )
 
 STANDARD_SPECS = [(3, 1), (7, 5), (15, 9), (31, 25)]
+# Pairs whose parity block was singular or ill conditioned when the
+# parity sat at the last n - k positions.
+LARGE_SPECS = [(37, 13), (101, 95), (255, 249)]
+
+
+def sigma_pattern(n, k):
+    """Nonzero (row, column) entries of Sigma = sqrt(k/n) W_n G W_k^H,
+    read off the spectrum of G's columns."""
+    spectrum = np.fft.fft(build_code(n, k).G, axis=0) / np.sqrt(n)  # W_n G
+    w_k = np.fft.fft(np.eye(k)) / np.sqrt(k)
+    sigma = np.sqrt(k / n) * spectrum @ w_k.conj().T
+    np.testing.assert_allclose(np.abs(sigma), np.abs(sigma).round(), atol=1e-10)
+    return frozenset(map(tuple, np.argwhere(np.abs(sigma) > 0.5).tolist()))
 
 
 @pytest.mark.parametrize("n,k", [(6, 4), (7, 4), (8, 5), (5, 5), (3, 5), (7, 0), (7, -1)])
@@ -30,27 +41,24 @@ def test_spec_t():
 
 
 def test_sigma_pattern_7_5_frozen():
-    pat = build_sigma(CodeSpec(7, 5))
-    assert pat.nonzero_positions == frozenset({(0, 0), (1, 1), (2, 2), (6, 4), (5, 3)})
-    assert pat.zero_rows == (3, 4)
+    assert sigma_pattern(7, 5) == frozenset({(0, 0), (1, 1), (2, 2), (6, 4), (5, 3)})
+    assert build_code(7, 5).zero_rows == (3, 4)
 
 
 def test_sigma_pattern_3_1_frozen():
-    pat = build_sigma(CodeSpec(3, 1))
-    assert pat.nonzero_positions == frozenset({(0, 0)})
-    assert pat.zero_rows == (1, 2)
+    assert sigma_pattern(3, 1) == frozenset({(0, 0)})
+    assert build_code(3, 1).zero_rows == (1, 2)
 
 
 def test_sigma_pattern_15_9_frozen():
-    pat = build_sigma(CodeSpec(15, 9))
-    assert len(pat.nonzero_positions) == 9
-    assert pat.zero_rows == (5, 6, 7, 8, 9, 10)
+    assert len(sigma_pattern(15, 9)) == 9
+    assert build_code(15, 9).zero_rows == (5, 6, 7, 8, 9, 10)
 
 
 def test_sigma_rows_single_nonzero():
-    pat = build_sigma(CodeSpec(15, 9))
-    rows = [r for r, _ in pat.nonzero_positions]
+    rows = [r for r, _ in sigma_pattern(15, 9)]
     assert len(rows) == len(set(rows))
+    assert set(rows).isdisjoint(build_code(15, 9).zero_rows)
 
 
 def test_generator_3_1_is_ones_column():
@@ -58,7 +66,7 @@ def test_generator_3_1_is_ones_column():
     np.testing.assert_allclose(g, np.ones((3, 1)), atol=1e-12)
 
 
-@pytest.mark.parametrize("n,k", STANDARD_SPECS)
+@pytest.mark.parametrize("n,k", STANDARD_SPECS + LARGE_SPECS)
 def test_algebraic_identities(n, k):
     code = build_code(n, k)
     assert np.abs(code.H @ code.G).max() < 1e-10
@@ -70,30 +78,13 @@ def test_algebraic_identities(n, k):
 
 @pytest.mark.parametrize("n,k", STANDARD_SPECS)
 def test_systematic_identity_block_and_route_gap(n, k):
+    # The systematic layout, and build_code's own check of it.
     code = build_code(n, k)
-    np.testing.assert_array_equal(code.G_sys[:k, :], np.eye(k))
-    np.testing.assert_array_equal(code.G_sys[k:, :], code.P_gen)
-    assert code.route_gap < 1e-8
-
-
-# The supported range past n = 35: the largest n each n - k builds up to.
-RANGE_PAST_35 = {6: 83, 8: 49, 10: 41}
-
-
-def test_supported_range_builds_and_the_first_pair_past_it_raises():
-    for n in range(3, 36, 2):
-        for k in range(1, n, 2):
-            assert build_code(n, k).route_gap <= ROUTE_GAP_MAX
-    for r, n_max in RANGE_PAST_35.items():
-        for n in range(37, n_max + 1, 2):
-            assert build_code(n, n - r).route_gap <= ROUTE_GAP_MAX
-    # n - k <= 4 builds up to at least n = 131; its largest pairs:
-    for n, k in [(131, 129), (131, 127)]:
-        assert build_code(n, k).route_gap <= ROUTE_GAP_MAX
-    past = [(37, 13), (85, 79), (51, 43), (43, 33), (101, 95), (127, 121)]
-    for n, k in past:
-        with pytest.raises(ValueError, match="outside the supported range"):
-            build_code(n, k)
+    np.testing.assert_array_equal(code.parity, np.arange(n - k) * n // (n - k))
+    np.testing.assert_array_equal(np.sort(np.r_[code.systematic, code.parity]), np.arange(n))
+    np.testing.assert_array_equal(code.G_sys[code.systematic], np.eye(k))
+    np.testing.assert_array_equal(code.G_sys[code.parity], code.P_gen)
+    assert np.abs(code.H @ code.G_sys).max() <= 1e-10
 
 
 def test_parity_check_7_5_closed_form():
@@ -118,19 +109,18 @@ def test_spectral_zeros_random_messages(rng):
 
 def test_zero_rows_cyclically_contiguous():
     for n, k in STANDARD_SPECS + [(31, 15), (9, 5), (21, 11)]:
-        zr = build_sigma(CodeSpec(n, k)).zero_rows
+        zr = build_code(n, k).zero_rows
         gaps = [(zr[(i + 1) % len(zr)] - zr[i]) % n for i in range(len(zr))]
         assert sorted(gaps) == [1] * (len(zr) - 1) + [n - len(zr) + 1]
 
 
 def test_build_systematic_singular_h2_raises():
-    # Degenerate handcrafted input: H2 block has rank 1.
-    g = np.vstack([np.eye(5), np.zeros((2, 5))])
+    # Degenerate handcrafted input: the parity block of H has rank 1.
     h = np.zeros((2, 7), dtype=complex)
     h[:, 5] = 1.0
     h[:, 6] = 1.0
     with pytest.raises(np.linalg.LinAlgError):
-        _systematic_routes(g, h)
+        _parity_generator(h, np.arange(5), np.array([5, 6]))
 
 
 def test_generator_imaginary_residue_guard():
@@ -183,6 +173,6 @@ def test_decode_pseudo_inverse_dimension_mismatch():
 
 def test_arrays_are_readonly():
     code = build_code(7, 5)
-    for arr in (code.G, code.H, code.G_sys, code.P_gen):
+    for arr in (code.G, code.H, code.G_sys, code.P_gen, code.systematic, code.parity):
         with pytest.raises(ValueError):
-            arr[0, 0] = 99.0
+            arr[(0,) * arr.ndim] = 99.0

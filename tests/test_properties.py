@@ -1,4 +1,4 @@
-"""Property-based checks over the whole supported parameter range."""
+"""Property-based checks over odd code pairs and random inputs."""
 
 import numpy as np
 import pytest
@@ -38,7 +38,10 @@ def test_algebraic_invariants_for_any_odd_pair(pair):
     assert np.max(np.abs(code.H @ code.G)) < 1e-10
     assert np.max(np.abs(code.G.T @ code.G - (n / k) * np.eye(k))) < 1e-10
     assert np.max(np.abs(code.H @ code.H.conj().T - np.eye(n - k))) < 1e-10
-    assert np.max(np.abs(code.G_sys[:k] - np.eye(k))) < 1e-9
+    assert np.max(np.abs(code.G_sys[code.systematic] - np.eye(k))) < 1e-9
+    # Evenly spread parity positions keep the parity block well conditioned.
+    assert np.linalg.cond(code.H[:, code.parity]) <= 20
+    assert np.max(np.abs(code.P_gen)) <= 1 + 1e-9
 
 
 @given(pair=odd_pairs(), seed=st.integers(0, 2**32 - 1))

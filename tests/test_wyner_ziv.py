@@ -63,8 +63,9 @@ def test_parity_of_zero_frame_quantizes_near_zero():
 
 def test_stacked_parity_is_codeword(rng):
     x = rng.standard_normal(5)
-    p = C75.P_gen @ x
-    assert np.abs(C75.H @ np.concatenate([x, p])).max() < 1e-10
+    z = np.empty(7)
+    z[C75.systematic], z[C75.parity] = x, C75.P_gen @ x
+    assert np.abs(C75.H @ z).max() < 1e-10
 
 
 def test_dimension_validation(rng):
@@ -167,13 +168,16 @@ def test_error_estimate_is_pgz_output(rng):
 
         pmsg = parity_encode(C75, x[:5], Q_PA)
         got = parity_decode(C75, pmsg, y[:5]).error_estimate
+        z = np.empty(7)
+        z[C75.systematic], z[C75.parity] = y[:5], pmsg.values
         want = pgz_decode(
             C75,
-            C75.H @ np.concatenate([y[:5], pmsg.values]),
-            candidate_set=range(5),
+            C75.H @ z,
+            candidate_set=C75.systematic,
             noise_floor=parity_noise_floor(C75, Q_PA),
         )
-        assert got.locations == want.locations
+        # parity_decode reports message indices, PGZ codeword positions
+        assert tuple(C75.systematic[list(got.locations)]) == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
         np.testing.assert_array_equal(got.locator_coeffs, want.locator_coeffs)
 
