@@ -2,7 +2,7 @@
 
 Library layout:
     codes      code construction (generator, parity check, systematic form)
-    pgz        real-field Peterson-Gorenstein-Zierler decoding
+    pgz        real-field Peterson-Gorenstein-Zierler decoding (pgz_decode)
     wyner_ziv  syndrome- and parity-based compression pipelines
     quantize   uniform midrise scalar quantizer
     sources    Gauss-Markov source and Bernoulli-Gaussian channel
@@ -18,14 +18,7 @@ from .codes import (
     encode,
 )
 from .harness import SweepConfig, SweepResult, read_csv, run_trial, sweep, write_csv
-from .pgz import (
-    ErrorEstimate,
-    estimate_error_count,
-    estimate_magnitudes,
-    locate_errors,
-    pgz_decode,
-    solve_error_locator,
-)
+from .pgz import ErrorEstimate, pgz_decode
 from .quantize import QuantizerSpec, quantize
 from .sources import ChannelSpec, SourceSpec, apply_channel, gauss_markov
 from .wyner_ziv import (
@@ -48,10 +41,6 @@ __all__ = [
     "decode_pseudo_inverse",
     "encode",
     "ErrorEstimate",
-    "estimate_error_count",
-    "solve_error_locator",
-    "locate_errors",
-    "estimate_magnitudes",
     "pgz_decode",
     "QuantizerSpec",
     "quantize",

@@ -12,6 +12,7 @@ validation or I/O failure with a one-line diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .harness import SweepConfig, sweep, write_csv
@@ -36,13 +37,16 @@ def parse_code(text: str) -> tuple[int, int]:
 def parse_ceqnr_grid(text: str) -> tuple[float, ...]:
     """Either START:STEP:STOP (inclusive) or a comma-separated list.
 
-    -inf is accepted as a point and requests sigma_e = 0.
+    -inf is accepted as a point and requests sigma_e = 0; the colon form
+    takes finite START, STEP and STOP only.
     """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid must be START:STEP:STOP, got {text!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ValueError(f"grid START, STEP and STOP must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
         values = []

@@ -70,7 +70,8 @@ class CodeSpec:
 class DftCode:
     """A constructed code: all derived matrices and the systematic layout.
 
-    Arrays are read-only; instances are safe to share across workers.
+    Arrays are read-only, also after pickling (which rebuilds the code);
+    instances are safe to share across workers.
     ``systematic`` (k,) and ``parity`` (n - k,) are the ascending codeword
     positions of the message and parity samples: ``G_sys`` holds the
     identity at the rows ``systematic`` and ``P_gen`` at the rows
@@ -97,6 +98,10 @@ class DftCode:
     @property
     def t(self) -> int:
         return self.spec.t
+
+    def __reduce__(self):
+        # Unpickled arrays would come back writable: rebuild the code instead.
+        return build_code, (self.n, self.k)
 
 
 def _dft_rows(n: int, rows) -> np.ndarray:

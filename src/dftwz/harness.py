@@ -281,9 +281,10 @@ def sweep(config: SweepConfig) -> SweepResult:
     """
     tasks = _make_tasks(config)
     code = build_code(config.n, config.k)
-    if config.workers > 1:
+    workers = min(config.workers, len(tasks))  # an idle worker only costs its start
+    if workers > 1:
         with multiprocessing.Pool(
-            processes=config.workers, initializer=_init_worker, initargs=(config, code)
+            processes=workers, initializer=_init_worker, initargs=(config, code)
         ) as pool:
             partials = list(pool.imap(_run_block, tasks, chunksize=1))
     else:

@@ -12,10 +12,11 @@ All steps tolerate an additive perturbation on the syndrome (here:
 quantization noise) via a relative rank tolerance, an absolute noise
 floor, and least-squares fits over all 2t syndrome components.
 
-The count, locator and location steps work on a block of F syndromes at
-once (``decode_block``); the per-syndrome functions below run the same
-code on a block of one. Magnitudes only enter the reported estimate of a
-single frame (``frame_estimate``), never a reconstruction.
+``decode_block`` runs the count, locator and location steps on a block
+of F syndromes at once and is the one way into the chain; ``pgz_decode``
+is the same code on a block of one, plus the magnitudes. Magnitudes only
+enter the reported estimate of a single frame (``frame_estimate``), never
+a reconstruction.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ __all__ = [
     "ErrorEstimate",
     "PgzDiagnostics",
     "PgzBlock",
-    "estimate_error_count",
-    "solve_error_locator",
-    "locate_errors",
-    "estimate_magnitudes",
     "pgz_decode",
     "decode_block",
     "frame_estimate",
@@ -61,9 +58,6 @@ class PgzDiagnostics:
     retries: int
 
 
-_EMPTY_DIAG = PgzDiagnostics(np.zeros(0), 0.0, 0.0, 0)
-
-
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Decoder output: nu errors at ``locations`` with ``magnitudes``."""
@@ -72,7 +66,7 @@ class ErrorEstimate:
     locations: tuple[int, ...]
     magnitudes: np.ndarray
     locator_coeffs: np.ndarray
-    diagnostics: PgzDiagnostics = field(default=_EMPTY_DIAG, compare=False)
+    diagnostics: PgzDiagnostics = field(compare=False)
 
 
 class PgzBlock(NamedTuple):
@@ -92,15 +86,6 @@ class PgzBlock(NamedTuple):
     retries: np.ndarray
     locator: np.ndarray
     support: np.ndarray
-
-
-def _syndrome_values(s: np.ndarray) -> np.ndarray:
-    values = np.asarray(s, dtype=np.complex128)
-    if values.ndim != 1:
-        raise ValueError(f"syndrome must be a vector, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("syndrome has non-finite components")
-    return values
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -140,25 +125,6 @@ def _count(
     return gated, sing, count
 
 
-def estimate_error_count(
-    s: np.ndarray,
-    t: int,
-    rel_tol: float = DEFAULT_REL_TOL,
-    noise_floor: float = 0.0,
-) -> int:
-    """Number of errors nu via the rank of the t x t Hankel matrix
-    S[a, b] = s[a + b].
-
-    A syndrome whose components all sit below ``noise_floor`` is declared
-    clean (nu = 0) before any rank logic runs; the floor is the caller's
-    bound on syndrome-domain quantization noise.
-    """
-    values = _syndrome_values(s)
-    if len(values) != 2 * t:
-        raise ValueError(f"syndrome length {len(values)} does not match 2t = {2 * t}")
-    return int(_count(values[None], t, rel_tol, noise_floor)[2][0])
-
-
 @functools.lru_cache(maxsize=None)
 def _locator_index(two_t: int, nu: int) -> np.ndarray:
     """(2t - nu, nu) indices m + nu - j of the key-equation matrix."""
@@ -182,27 +148,6 @@ def _solve_locators(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray
     full = (sing[:, 0] > 0.0) & (sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0])
     ub = (b[:, None, :] @ u.conj()) / np.where(full[:, None, None], sing[:, None, :], 1.0)
     return (ub @ vh.conj())[:, 0], full
-
-
-def solve_error_locator(s: np.ndarray, nu: int) -> np.ndarray:
-    """Coefficients Lambda_1..Lambda_nu of Lambda(x) = 1 - sum Lambda_j x^j.
-
-    The syndrome recurrence s[m + nu] = sum_j Lambda_j s[m + nu - j]
-    yields 2t - nu equations; they are solved in the least-squares sense
-    so every syndrome component contributes. A rank-deficient system
-    signals an over-estimated nu and raises LinAlgError for the caller's
-    retry ladder.
-    """
-    values = _syndrome_values(s)
-    two_t = len(values)
-    if not 1 <= nu <= two_t // 2:
-        raise ValueError(f"nu must be in 1..t = {two_t // 2}, got {nu}")
-    coeffs, full = _solve_locators(values[None], nu)
-    if not full[0]:
-        raise np.linalg.LinAlgError(
-            f"locator system is rank deficient for nu = {nu}; retry with fewer errors"
-        )
-    return coeffs[0]
 
 
 def _candidates(candidate_set, n: int) -> np.ndarray:
@@ -229,58 +174,13 @@ def _grid(coeffs: np.ndarray, count: np.ndarray, cands: np.ndarray, n: int) -> n
     return np.argsort(order, axis=1) < count[:, None]  # rank of each candidate < count
 
 
-def locate_errors(
-    locator_coeffs: np.ndarray,
-    n: int,
-    nu: int,
-    candidate_set: "list[int] | tuple[int, ...] | np.ndarray | None" = None,
-) -> tuple[int, ...]:
-    """The nu candidate indices minimizing |Lambda(alpha^{-i})|.
-
-    Grid evaluation over the candidate set replaces polynomial root
-    extraction: exact when the syndrome is exact, and under noise it
-    degrades gracefully by picking the nearest grid cells. Ties break
-    toward the smaller index.
-    """
-    cands = _candidates(candidate_set, n)
-    if len(cands) < nu:
-        raise ValueError(f"need at least nu = {nu} candidates, got {len(cands)}")
-    coeffs = np.asarray(locator_coeffs, dtype=np.complex128)[None]
-    chosen = _grid(coeffs, np.array([nu]), cands, n)[0]
-    return tuple(cands[chosen].tolist())
-
-
-def _magnitudes(code: DftCode, values: np.ndarray, locs: np.ndarray, method: str) -> np.ndarray:
+def _magnitudes(code: DftCode, values: np.ndarray, locs: np.ndarray) -> np.ndarray:
+    """Real magnitudes at ``locs`` solving s_m = sum_l e_l H[m, l]: real and
+    imaginary parts of all 2t equations in one least-squares fit."""
     a = code.H[:, locs]
-    if method == "exact":
-        nu = len(locs)
-        return np.asarray(np.linalg.solve(a[:nu, :], values[:nu]).real, dtype=np.float64)
-    if method != "ls":
-        raise ValueError(f"unknown magnitude method {method!r}")
     a_real = np.concatenate([a.real, a.imag])
     b_real = np.concatenate([values.real, values.imag])
     return np.linalg.lstsq(a_real, b_real, rcond=None)[0]
-
-
-def estimate_magnitudes(
-    code: DftCode,
-    s: np.ndarray,
-    locations: "list[int] | tuple[int, ...]",
-    method: str = "ls",
-) -> np.ndarray:
-    """Real error magnitudes at the given locations.
-
-    Solves s_m = sum_l e_l (1/sqrt(n)) alpha^{zero_rows[m] i_l}.
-    method="ls" (default) stacks real and imaginary parts of all 2t
-    equations into one real least-squares fit; method="exact" solves the
-    square complex subsystem of the first nu equations and keeps the real
-    part.
-    """
-    values = _syndrome_values(s)
-    locs = list(locations)
-    if len(set(locs)) != len(locs):
-        raise np.linalg.LinAlgError(f"repeated error locations {locations}")
-    return _magnitudes(code, values, np.array(locs, dtype=np.int64), method)
 
 
 def decode_block(
@@ -333,7 +233,7 @@ def frame_estimate(code: DftCode, syndromes: np.ndarray, block: PgzBlock) -> Err
     """The ErrorEstimate of a one-frame block: ``block``'s decisions plus
     least-squares magnitudes and the residual diagnostics."""
     nu, locs, values = int(block.count[0]), block.support[0].nonzero()[0], syndromes[0]
-    mags = _magnitudes(code, values, locs, "ls")
+    mags = _magnitudes(code, values, locs)
     coeffs = block.locator[0, :nu]
     loc_residual = mag_residual = 0.0
     if nu:
@@ -365,6 +265,6 @@ def pgz_decode(
     """Full PGZ chain with a retry ladder: ``decode_block`` on a block of
     one, then least-squares magnitudes. Raises ValueError for a non-finite
     syndrome; never raises for numerical reasons."""
-    values = _syndrome_values(s)[None]
+    values = np.asarray(s, dtype=np.complex128)[None]  # decode_block checks it
     block = decode_block(code, values, candidate_set, rel_tol=rel_tol, noise_floor=noise_floor)
     return frame_estimate(code, values, block)

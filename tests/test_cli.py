@@ -43,9 +43,17 @@ def test_parse_ceqnr_grid_list_form():
 
 
 def test_parse_ceqnr_grid_rejects_malformed():
-    for bad in ("1:5", "1:5:10:20", "0:-5:40", "0:0:40", "a:b:c", "1,zz"):
+    for bad in ("1:5", "1:5:10:20", "0:-5:40", "0:0:40", "a:b:c", "1,zz",
+                "-inf:5:40", "0:5:inf", "0:inf:40", "0:nan:40", "nan:5:40"):
         with pytest.raises(ValueError):
             parse_ceqnr_grid(bad)
+
+
+def test_main_non_finite_grid_bound_exits_2(capsys, tmp_path):
+    code, err = run_main(
+        capsys, "--ceqnr", "-inf:5:40", "--frames", "10", "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2 and "finite" in err
 
 
 def test_load_config_file(tmp_path):

@@ -1,6 +1,8 @@
 """Code-construction oracles: frozen patterns, algebraic identities,
 the systematic layout, pseudo-inverse decoding."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,16 @@ def test_arrays_are_readonly():
     for arr in (code.G, code.H, code.G_sys, code.P_gen, code.systematic, code.parity):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 99.0
+
+
+@pytest.mark.parametrize("n,k", [(7, 5), (15, 9)])
+def test_pickled_code_stays_readonly_and_equal(n, k):
+    # A spawned pool worker receives the sweep's code pickled.
+    code = build_code(n, k)
+    copy = pickle.loads(pickle.dumps(code))
+    assert (copy.spec, copy.zero_rows) == (code.spec, code.zero_rows)
+    for name in ("G", "H", "G_sys", "P_gen", "systematic", "parity"):
+        arr = getattr(copy, name)
+        np.testing.assert_array_equal(arr, getattr(code, name))
+        assert arr.dtype == getattr(code, name).dtype
+        assert not arr.flags.writeable, name

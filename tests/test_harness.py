@@ -1,8 +1,12 @@
 """Harness: trial records, sweep aggregation, determinism, CSV contract."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from dftwz import harness
 from dftwz.codes import build_code
 from dftwz.harness import (
     BLOCK_FRAMES,
@@ -115,6 +119,41 @@ def test_sweep_worker_count_invariance(tmp_path):
     write_csv(sweep(cfg1), str(p1))
     write_csv(sweep(cfg3), str(p3))
     assert p1.read_bytes() == p3.read_bytes()
+
+
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records the pool size asked for
+    and runs the tasks in this process, starting none."""
+
+    def __init__(self, processes, initializer, initargs, started):
+        started.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "frames, workers, pools",
+    [(300, 8, []), (2 * BLOCK_FRAMES + 17, 8, [3]), (2 * BLOCK_FRAMES + 17, 2, [2])],
+)
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, frames, workers, pools):
+    # One CEQNR point and one approach: ceil(frames / BLOCK_FRAMES) tasks.
+    started = []
+    monkeypatch.setattr(harness, "multiprocessing", SimpleNamespace(
+        Pool=lambda **kw: _InlinePool(**kw, started=started)))
+    cfg = small_config(ceqnr_db=(30.0,), approaches=("syndrome",), frames=frames)
+    pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+    write_csv(sweep(replace(cfg, workers=workers)), str(pooled))
+    assert started == pools
+    write_csv(sweep(cfg), str(serial))
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_sweep_single_approach_columns():

@@ -23,7 +23,3 @@ def test_reproduce_experiment_writes_csv(tmp_path, capsys):
     assert len(lines) == 12  # header plus the 11 default CEQNR points
     assert "CSV written to" in capsys.readouterr().out
 
-
-def test_magnitude_methods_compare_runs(capsys):
-    assert _load("magnitude_methods_compare").main(["--trials", "50"]) == 0
-    assert "ls/exact RMS ratio" in capsys.readouterr().out
