@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reconstruction", default="projection", choices=["projection", "subtract"],
         help="syndrome-approach reconstruction variant",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    parser.add_argument("--workers", type=int, default=1, help="at most W parallel worker processes")
     parser.add_argument("--config", default=None, help="key=value file with any of the above")
     return parser
 

@@ -277,11 +277,14 @@ def sweep(config: SweepConfig) -> SweepResult:
     zero_error_frac and overload_rate pool over every approach that ran
     (the CSV has one column each); per-approach values are obtained by
     sweeping a single approach. Reduction order is fixed by the task
-    list, never by worker scheduling.
+    list, never by worker scheduling. ``config.workers`` caps the pool,
+    which starts one worker per task holding a full BLOCK_FRAMES block at
+    most and none when that is one or fewer.
     """
     tasks = _make_tasks(config)
     code = build_code(config.n, config.k)
-    workers = min(config.workers, len(tasks))  # an idle worker only costs its start
+    # Starting a worker costs more than a part block's work saves.
+    workers = min(config.workers, sum(task[-1] == BLOCK_FRAMES for task in tasks))
     if workers > 1:
         with multiprocessing.Pool(
             processes=workers, initializer=_init_worker, initargs=(config, code)

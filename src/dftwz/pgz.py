@@ -12,6 +12,13 @@ All steps tolerate an additive perturbation on the syndrome (here:
 quantization noise) via a relative rank tolerance, an absolute noise
 floor, and least-squares fits over all 2t syndrome components.
 
+The solver follows the shape of the problem. A t = 1 code's Hankel
+matrix is 1x1, with singular value |s_0|, and a one-unknown locator
+(nu = 1, any t) is the scalar least-squares fit a^H b / a^H a, formed
+on a scaled copy so that its decisions do not depend on the syndrome's
+scale. Every larger count and locator system runs an SVD; a Gram matrix
+would square its condition number.
+
 ``decode_block`` runs the count, locator and location steps on a block
 of F syndromes at once and is the one way into the chain; ``pgz_decode``
 is the same code on a block of one, plus the magnitudes. Magnitudes only
@@ -114,11 +121,15 @@ def _count(
     values: np.ndarray, t: int, rel_tol: float, noise_floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Clean gate and Hankel rank of each row of ``values`` (F, 2t):
-    (gated, singular values, count). Gated rows run no SVD."""
-    gated = np.abs(values).max(axis=1, initial=0.0) <= noise_floor
+    (gated, singular values, count). Gated rows run no SVD, and neither
+    does t = 1, whose 1x1 Hankel matrix [s_0] has singular value |s_0|."""
+    mag = np.abs(values)
+    gated = mag.max(axis=1, initial=0.0) <= noise_floor
     sing = np.full((len(values), t), np.nan)
     live = (~gated).nonzero()[0]
-    if live.size:
+    if t == 1:
+        sing[live] = mag[live, :1]
+    elif live.size:
         sing[live] = np.linalg.svd(values[live[:, None, None], _hankel_index(t)], compute_uv=False)
     # NaN rows count 0, and so does an all-zero Hankel matrix
     count = (sing >= rel_tol * sing[:, :1]).sum(axis=1) * (sing[:, 0] > 0.0)
@@ -142,8 +153,21 @@ def _solve_locators(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray
     """Least-squares locator coefficients (F, nu) of each row of
     ``values``, and whether its system has full rank. One SVD per row
     serves both the rank test and the solve, x = V diag(1/sing) U^H b;
-    the coefficients of a rank-deficient row are meaningless."""
+    the coefficients of a rank-deficient row are meaningless.
+
+    One unknown (nu = 1) needs no SVD: its one column a = s_0..s_{2t-2}
+    has full rank when a != 0, and Lambda_1 = a^H b / a^H a. Both are
+    formed from a and b divided by max |a|, so that a^H a lies in
+    [1, 2t - 1] and the solve does not under- or overflow at any scale of
+    the syndrome."""
     a, b = _locator_system(values, nu)
+    if nu == 1:
+        scale = np.abs(a[:, :, 0]).max(axis=1)
+        full = scale > 0.0
+        scale[~full] = 1.0
+        a, b = a[:, :, 0] / scale[:, None], b / scale[:, None]
+        aa = (a.real * a.real + a.imag * a.imag).sum(axis=1)
+        return ((a.conj() * b).sum(axis=1) / np.where(full, aa, 1.0))[:, None], full
     u, sing, vh = np.linalg.svd(a, full_matrices=False)
     full = (sing[:, 0] > 0.0) & (sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0])
     ub = (b[:, None, :] @ u.conj()) / np.where(full[:, None, None], sing[:, None, :], 1.0)

@@ -212,12 +212,17 @@ def _weighted_group(
     out = np.empty((frames, nu, m, cols + rows))
     log_prior = np.empty((frames, nu, m))
     for i in range(nu):
-        cores = np.delete(locs, i, axis=1)
-        keys = cores @ cols ** np.arange(nu - 1)
-        order = np.argsort(keys, kind="stable")
-        for sel in np.split(order, np.diff(keys[order]).nonzero()[0] + 1):
-            ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[sel[0]].tolist()))
-            out[sel, i] = _vm(residual[sel], ops).reshape(len(sel), m, cols + rows)
+        if nu == 1:  # the core is empty: one operator serves every frame
+            groups = [((), slice(None))]
+        else:
+            cores = np.delete(locs, i, axis=1)
+            keys = cores @ cols ** np.arange(nu - 1)
+            order = np.argsort(keys, kind="stable")
+            splits = np.split(order, np.diff(keys[order]).nonzero()[0] + 1)
+            groups = [(tuple(cores[sel[0]].tolist()), sel) for sel in splits]
+        for core, sel in groups:
+            ops, prior = _extension_fits(key, rows, noise_var, core)
+            out[sel, i] = _vm(residual[sel], ops).reshape(-1, m, cols + rows)
             log_prior[sel, i] = prior
     out = out.reshape(frames, nu * m, cols + rows)
     logw = log_prior.reshape(frames, nu * m) - _mv(out[..., cols:], residual)

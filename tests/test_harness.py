@@ -139,21 +139,35 @@ class _InlinePool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize(
-    "frames, workers, pools",
-    [(300, 8, []), (2 * BLOCK_FRAMES + 17, 8, [3]), (2 * BLOCK_FRAMES + 17, 2, [2])],
-)
-def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, frames, workers, pools):
-    # One CEQNR point and one approach: ceil(frames / BLOCK_FRAMES) tasks.
+def _pool_sizes(monkeypatch, tmp_path, cfg):
+    """Pool sizes that ``sweep(cfg)`` asks for, after checking that its
+    CSV matches the serial sweep's."""
     started = []
     monkeypatch.setattr(harness, "multiprocessing", SimpleNamespace(
         Pool=lambda **kw: _InlinePool(**kw, started=started)))
-    cfg = small_config(ceqnr_db=(30.0,), approaches=("syndrome",), frames=frames)
     pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
-    write_csv(sweep(replace(cfg, workers=workers)), str(pooled))
-    assert started == pools
-    write_csv(sweep(cfg), str(serial))
+    write_csv(sweep(cfg), str(pooled))
+    write_csv(sweep(replace(cfg, workers=1)), str(serial))
     assert pooled.read_bytes() == serial.read_bytes()
+    return started
+
+
+@pytest.mark.parametrize(
+    "frames, workers, pools",
+    [(300, 8, []), (2 * BLOCK_FRAMES + 17, 8, [2]), (2 * BLOCK_FRAMES + 17, 2, [2])],
+)
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, frames, workers, pools):
+    # One CEQNR point and one approach: ceil(frames / BLOCK_FRAMES) tasks,
+    # of which floor(frames / BLOCK_FRAMES) hold a full block; the pool
+    # starts one worker per full block at most.
+    cfg = small_config(ceqnr_db=(30.0,), approaches=("syndrome",), frames=frames, workers=workers)
+    assert _pool_sizes(monkeypatch, tmp_path, cfg) == pools
+
+
+def test_sweep_starts_no_pool_without_two_full_blocks(monkeypatch, tmp_path):
+    # Eight tasks of 300 frames: none holds a full block, so none pools.
+    cfg = small_config(ceqnr_db=(0.0, 10.0, 20.0, 30.0), frames=300, workers=8)
+    assert _pool_sizes(monkeypatch, tmp_path, cfg) == []
 
 
 def test_sweep_single_approach_columns():

@@ -1,12 +1,13 @@
 """PGZ decoder oracles: closed-form syndromes, Hankel count, locator
-algebra, grid location, least-squares magnitudes, retry ladder, and
-noiseless exactness, all read off ``pgz_decode``."""
+algebra, grid location, least-squares magnitudes, retry ladder,
+noiseless exactness and scale invariance, all read off ``pgz_decode``,
+and the closed-form one-unknown solves against LAPACK."""
 
 import numpy as np
 import pytest
 
 from dftwz.codes import build_code
-from dftwz.pgz import _grid, decode_block, pgz_decode
+from dftwz.pgz import _grid, _locator_system, decode_block, pgz_decode
 
 C75 = build_code(7, 5)
 C159 = build_code(15, 9)
@@ -239,3 +240,50 @@ def test_non_finite_syndrome_rejected(bad):
         pgz_decode(C75, s)
     with pytest.raises(ValueError, match="non-finite"):
         decode_block(C75, s[None])
+
+
+@pytest.mark.parametrize("exponent", [-300, -160, 0, 160, 300])
+@pytest.mark.parametrize(
+    "code, errors", [(C75, {3: 1.3}), (C159, {5: -0.8}), (C159, {2: 1.0, 9: -0.7})],
+    ids=["7-5-one", "15-9-one", "15-9-two"],
+)
+def test_pgz_decisions_do_not_depend_on_the_syndromes_scale(code, errors, exponent):
+    e = np.zeros(code.n)
+    e[list(errors)] = list(errors.values())
+    s = code.H @ e
+    est = pgz_decode(code, s * 10.0**exponent, rel_tol=1e-10)
+    assert (est.count, est.locations, est.diagnostics.retries) == (len(errors), tuple(errors), 0)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _one_error_block(code, frames, rng):
+    """Syndromes of one error of random size and position each, under
+    complex noise of 1e-4, at scales from 1e-3 to 1e3."""
+    e = np.zeros((frames, code.n))
+    e[np.arange(frames), rng.integers(code.n, size=frames)] = rng.normal(size=frames)
+    noise = 1e-4 * _complex_normal(rng, (frames, code.n - code.k))
+    return (e @ code.H.T + noise) * 10.0 ** rng.uniform(-3, 3, (frames, 1))
+
+
+@pytest.mark.parametrize("code", [C75, C159], ids=["7-5", "15-9"])
+def test_one_unknown_solves_match_lapack(code, rng):
+    # t = 1 counts with |s_0| and a one-unknown locator solves
+    # a^H b / a^H a; both must agree with the SVD and least squares they
+    # replace, and pick the same support.
+    syndromes = np.concatenate(
+        [_one_error_block(code, 256, rng), _complex_normal(rng, (256, code.n - code.k))]
+    )
+    block = decode_block(code, syndromes)
+    hankel = syndromes[:, np.add.outer(np.arange(code.t), np.arange(code.t))]
+    np.testing.assert_allclose(
+        block.singular_values, np.linalg.svd(hankel, compute_uv=False), rtol=1e-12, atol=0)
+    rows = (block.count == 1).nonzero()[0]
+    assert rows.size >= 200
+    a, b = _locator_system(syndromes[rows], 1)
+    ref = np.array([np.linalg.lstsq(a_f, b_f, rcond=None)[0] for a_f, b_f in zip(a, b)])
+    np.testing.assert_allclose(block.locator[rows, :1], ref, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(
+        block.support[rows], _grid(ref, block.count[rows], np.arange(code.n), code.n))
