@@ -20,7 +20,7 @@ from .codes import (
 from .harness import SweepConfig, SweepResult, read_csv, run_trial, sweep, write_csv
 from .pgz import ErrorEstimate, pgz_decode
 from .quantize import QuantizerSpec, quantize
-from .sources import ChannelSpec, SourceSpec, apply_channel, gauss_markov
+from .sources import ChannelSpec, SourceSpec
 from .wyner_ziv import (
     ParityMessage,
     ReconstructionResult,
@@ -46,8 +46,6 @@ __all__ = [
     "quantize",
     "SourceSpec",
     "ChannelSpec",
-    "gauss_markov",
-    "apply_channel",
     "SyndromeMessage",
     "ParityMessage",
     "ReconstructionResult",

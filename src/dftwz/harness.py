@@ -59,8 +59,9 @@ _APPROACH_ID = {"syndrome": 0, "parity": 1}
 BLOCK_FRAMES = 2048
 
 # Frames drawn from one generator and decoded together as arrays; bounds
-# the memory of one block. Part of the byte-determinism contract too: it
-# fixes which generator draws which frame.
+# the memory of one block, the decoders' weighting stacks included. Part
+# of the byte-determinism contract too: it fixes which generator draws
+# which frame.
 SUB_BLOCK_FRAMES = 256
 
 @dataclass(frozen=True)

@@ -220,6 +220,8 @@ def decode_block(
     Clean gate and Hankel rank -> nu; locator solves grouped by nu, where
     a rank-deficient system steps nu down by one (the retry ladder) and
     nu = 0 is the empty estimate; grid location over ``candidate_set``.
+    The ladder starts at most at the number of candidates, and the steps
+    that cap takes count as retries.
     Raises ValueError for non-finite syndromes, never for numerical
     reasons: worst cases surface as poor estimates, which the Monte-Carlo
     metrics then record.
@@ -232,7 +234,8 @@ def decode_block(
         raise ValueError("syndrome has non-finite components")
     cands = _candidates(candidate_set, n)
     gated, sing, count = _count(values, t, rel_tol, noise_floor)
-    retries = np.zeros(len(values), dtype=np.int64)
+    retries = np.maximum(count - len(cands), 0)  # no more errors than candidates
+    count -= retries
     locator = np.zeros((len(values), t), dtype=np.complex128)
     for nu in range(count.max(initial=0), 0, -1):  # a frame failing at nu retries at nu - 1
         rows = (count == nu).nonzero()[0]
@@ -244,8 +247,6 @@ def decode_block(
                 locator[failed] = 0.0
                 count[failed] -= 1
                 retries[failed] += 1
-    if len(cands) < t and count.max(initial=0) > len(cands):
-        raise ValueError(f"need at least nu = {count.max()} candidates, got {len(cands)}")
     support = np.zeros((len(values), n), dtype=bool)
     live = count.nonzero()[0]
     if live.size:

@@ -184,10 +184,6 @@ def _extension_fits(
     return ops, log_prior
 
 
-# Frames weighted per batch: bounds the (frames, nu, M, N + rows) stack.
-_WEIGHT_CHUNK = 32
-
-
 # Products over a block are stacks of per-frame matrix-vector products,
 # never one matrix-matrix product: BLAS rounds a matrix-matrix product
 # differently from a matrix-vector one, and a frame's result must not
@@ -200,38 +196,6 @@ def _mv(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _vm(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """v[f] @ matrix for each row v[f] of v (matrix may be a stack too)."""
     return (v[..., None, :] @ matrix)[..., 0, :]
-
-
-def _weighted_group(
-    key: bytes, shape: tuple[int, int], residual: np.ndarray, locs: np.ndarray, noise_var: float
-) -> np.ndarray:
-    """``_weighted_errors`` for frames whose supports ``locs`` (G, nu),
-    sorted along rows, all hold nu positions."""
-    (rows, cols), (frames, nu) = shape, locs.shape
-    m = cols - nu + 1  # supports per core
-    out = np.empty((frames, nu, m, cols + rows))
-    log_prior = np.empty((frames, nu, m))
-    for i in range(nu):
-        if nu == 1:  # the core is empty: one operator serves every frame
-            groups = [((), slice(None))]
-        else:
-            cores = np.delete(locs, i, axis=1)
-            keys = cores @ cols ** np.arange(nu - 1)
-            order = np.argsort(keys, kind="stable")
-            splits = np.split(order, np.diff(keys[order]).nonzero()[0] + 1)
-            groups = [(tuple(cores[sel[0]].tolist()), sel) for sel in splits]
-        for core, sel in groups:
-            ops, prior = _extension_fits(key, rows, noise_var, core)
-            out[sel, i] = _vm(residual[sel], ops).reshape(-1, m, cols + rows)
-            log_prior[sel, i] = prior
-    out = out.reshape(frames, nu * m, cols + rows)
-    logw = log_prior.reshape(frames, nu * m) - _mv(out[..., cols:], residual)
-    # PGZ's support ends up in every core's list, at entry s_i - i of
-    # core i's block; count it once.
-    for i in range(1, nu):
-        logw[np.arange(frames), i * m + locs[:, i] - i] = -np.inf
-    w = np.exp(logw - np.logaddexp.reduce(logw, axis=1, keepdims=True))
-    return _vm(w, out[..., :cols])
 
 
 def _weighted_errors(
@@ -249,21 +213,39 @@ def _weighted_errors(
     exp(-rss / (2 noise_var)) / sqrt(det(A^T A)): the likelihood of the
     residual with the magnitudes integrated out under a flat prior.
     Weights are normalized by log-sum-exp, so a frame that no support
-    explains still gives finite weights. Frames are grouped by the size
-    of their support and weighted in chunks of ``_WEIGHT_CHUNK``.
+    explains still gives finite weights. Frames are weighted together,
+    one support size at a time; the caller's block size bounds the
+    (frames, nu, M, N + rows) stacks.
     """
-    key = basis.tobytes()
-    out = np.empty((len(residual), basis.shape[1]))
+    key, (rows, cols) = basis.tobytes(), basis.shape
+    est = np.empty((len(residual), cols))
     sizes = support.sum(axis=1)
     for nu in np.bincount(sizes).nonzero()[0]:
         group = (sizes == nu).nonzero()[0]
         locs = np.nonzero(support[group])[1].reshape(len(group), nu)
-        for lo in range(0, len(group), _WEIGHT_CHUNK):
-            sel = slice(lo, lo + _WEIGHT_CHUNK)
-            out[group[sel]] = _weighted_group(
-                key, basis.shape, residual[group[sel]], locs[sel], noise_var
-            )
-    return out
+        r, frames = residual[group], len(group)
+        m = cols - nu + 1  # supports per core
+        out = np.empty((frames, nu, m, cols + rows))
+        log_prior = np.empty((frames, nu, m))
+        for i in range(nu):
+            # frames sharing core i (PGZ's support less its i-th position)
+            # share one operator; for nu = 1 every core is empty
+            cores = np.delete(locs, i, axis=1)
+            keys = cores @ cols ** np.arange(nu - 1)
+            order = np.argsort(keys, kind="stable")
+            for sel in np.split(order, np.diff(keys[order]).nonzero()[0] + 1):
+                ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[sel[0]].tolist()))
+                out[sel, i] = _vm(r[sel], ops).reshape(-1, m, cols + rows)
+                log_prior[sel, i] = prior
+        out = out.reshape(frames, nu * m, cols + rows)
+        logw = log_prior.reshape(frames, nu * m) - _mv(out[..., cols:], r)
+        # PGZ's support ends up in every core's list, at entry s_i - i of
+        # core i's block; count it once.
+        for i in range(1, nu):
+            logw[np.arange(frames), i * m + locs[:, i] - i] = -np.inf
+        w = np.exp(logw - np.logaddexp.reduce(logw, axis=1, keepdims=True))
+        est[group] = _vm(w, out[..., :cols])
+    return est
 
 
 def encode_block(

@@ -15,7 +15,7 @@ from dftwz.codes import build_code
 from dftwz.harness import SweepConfig, sweep, write_csv
 from dftwz.pgz import decode_block, pgz_decode
 from dftwz.quantize import QuantizerSpec
-from dftwz.sources import ChannelSpec, SourceSpec, apply_channel, draw_frames, gauss_markov
+from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
     encode_block,
     parity_decode,
@@ -49,7 +49,7 @@ def _block(code, counts, seed):
     anchors = ANCHORS[code.n]
     supports = anchors + [tuple(rng.choice(code.k, size=c, replace=False)) for c in counts]
     sizes = [2.0] * len(anchors) + list(rng.choice([0.05, 0.5, 3.0], len(counts)))
-    x = np.array([gauss_markov(SourceSpec(0.9), code.n, rng) for _ in supports])
+    x = draw_frames(SourceSpec(0.9), ChannelSpec(0), code.n, rng, len(supports))[0]
     y = x.copy()
     for row, support, size in zip(y, supports, sizes):
         row[list(support)] += size * rng.choice([-1.0, 1.0], len(support))
@@ -147,17 +147,6 @@ def test_draw_frames_block_statistics():
     assert np.var(x, axis=0) == pytest.approx(np.ones(length), abs=0.05)
     lag1 = np.corrcoef(x[:, :-1].ravel(), x[:, 1:].ravel())[0, 1]
     assert lag1 == pytest.approx(rho, abs=0.005)
-
-
-def test_one_drawn_frame_is_a_source_frame_through_the_channel():
-    ch = ChannelSpec(2, 0.3)
-    x, y, hit = draw_frames(SourceSpec(0.9), ch, 15, np.random.default_rng(5), 1)
-    rng = np.random.default_rng(5)
-    x1 = gauss_markov(SourceSpec(0.9), 15, rng)
-    y1, locs, _ = apply_channel(x1, ch, rng)
-    np.testing.assert_array_equal(x[0], x1)
-    np.testing.assert_array_equal(y[0], y1)
-    assert tuple(np.flatnonzero(hit[0])) == locs
 
 
 # Written by this package with one generator per sub-block; a sweep must

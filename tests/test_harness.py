@@ -112,13 +112,24 @@ def test_sweep_deterministic_same_seed():
 
 
 def test_sweep_worker_count_invariance(tmp_path):
-    # Fixed-block reduction: byte-identical CSV for any worker count.
-    cfg1 = small_config(frames=2 * BLOCK_FRAMES + 17)
-    cfg3 = small_config(frames=2 * BLOCK_FRAMES + 17, workers=3)
-    p1, p3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-    write_csv(sweep(cfg1), str(p1))
-    write_csv(sweep(cfg3), str(p3))
-    assert p1.read_bytes() == p3.read_bytes()
+    # Fixed-block reduction: byte-identical CSV for any worker count, also
+    # for (15,9) with 2 errors, whose pooled sub-blocks weight supports of
+    # up to 3 positions.
+    for code in (dict(), dict(n=15, k=9, errors_per_frame=2)):
+        cfg1 = small_config(frames=2 * BLOCK_FRAMES + 17, **code)
+        p1, p3 = tmp_path / "w1.csv", tmp_path / "w3.csv"
+        write_csv(sweep(cfg1), str(p1))
+        write_csv(sweep(replace(cfg1, workers=3)), str(p3))
+        assert p1.read_bytes() == p3.read_bytes()
+
+
+def test_parity_sweep_of_a_code_with_fewer_candidates_than_t():
+    # (11,3) counts up to t = 4 errors, but a parity frame has only k = 3
+    # candidate positions; the count is capped at 3 instead of rejected.
+    cfg = small_config(n=11, k=3, approaches=("parity",), ceqnr_db=(0.0, 20.0, 40.0), frames=256)
+    points = sweep(cfg).points
+    assert [p.frames for p in points] == [256] * 3
+    assert all(np.isfinite(p.mse_parity) for p in points)
 
 
 class _InlinePool:

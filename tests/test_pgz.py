@@ -128,10 +128,11 @@ def test_locate_tie_breaks_to_smaller_index():
 def test_locate_validates_candidates():
     with pytest.raises(ValueError):
         pgz_decode(C75, unit_error_syndrome(C75, 1), candidate_set=[7])
+    # Two errors but one candidate: the ladder starts at one unknown.
     e = np.zeros(15)
     e[2], e[9] = 1.0, -0.7
-    with pytest.raises(ValueError, match="candidates"):
-        pgz_decode(C159, C159.H @ e, candidate_set=[1], rel_tol=1e-10)
+    est = pgz_decode(C159, C159.H @ e, candidate_set=[1], rel_tol=1e-10)
+    assert (est.count, est.diagnostics.retries, est.locations) == (1, 1, (1,))
 
 
 def test_magnitudes_unit_error():

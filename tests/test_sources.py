@@ -1,9 +1,20 @@
-"""Source and channel statistics: stationarity, correlation, error model."""
+"""Source and channel statistics of ``draw_frames``: stationarity,
+correlation, error model."""
 
 import numpy as np
 import pytest
 
-from dftwz.sources import ChannelSpec, SourceSpec, apply_channel, gauss_markov
+from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
+
+CLEAN = ChannelSpec(0)
+
+
+def _source(rho, length, rng, frames):
+    return draw_frames(SourceSpec(rho), CLEAN, length, rng, frames)[0]
+
+
+def _lag1(x):
+    return np.corrcoef(x[:, :-1].ravel(), x[:, 1:].ravel())[0, 1]
 
 
 def test_source_spec_validation():
@@ -20,67 +31,53 @@ def test_channel_spec_validation():
         ChannelSpec(sigma_e=-0.1)
 
 
+# 10^6 source samples each, as 1,000 frames of 1,000.
 def test_gauss_markov_iid_when_rho_zero(rng):
-    x = gauss_markov(SourceSpec(0.0), 10**6, rng)
-    lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
-    assert abs(lag1) < 0.02
+    assert abs(_lag1(_source(0.0, 1000, rng, 1000))) < 0.02
 
 
 def test_gauss_markov_lag1_correlation(rng):
-    x = gauss_markov(SourceSpec(0.9), 10**6, rng)
-    lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
-    assert lag1 == pytest.approx(0.9, abs=0.01)
+    assert _lag1(_source(0.9, 1000, rng, 1000)) == pytest.approx(0.9, abs=0.01)
 
 
 def test_gauss_markov_unit_variance(rng):
-    x = gauss_markov(SourceSpec(0.9), 10**6, rng)
+    x = _source(0.9, 1000, rng, 1000)
     assert np.var(x) == pytest.approx(1.0, rel=0.02)
     assert np.mean(x) == pytest.approx(0.0, abs=0.01)
 
 
 def test_gauss_markov_stationary_from_first_sample(rng):
     # Marginal variance of x_0 across frames is already 1.
-    head = np.array([gauss_markov(SourceSpec(0.9), 3, rng)[0] for _ in range(20000)])
+    head = _source(0.9, 3, rng, 20000)[:, 0]
     assert np.var(head) == pytest.approx(1.0, rel=0.05)
 
 
 def test_gauss_markov_length_validation(rng):
     with pytest.raises(ValueError):
-        gauss_markov(SourceSpec(0.9), 0, rng)
+        draw_frames(SourceSpec(0.9), CLEAN, 0, rng, 1)
 
 
 def test_apply_channel_sigma_zero_identity(rng):
-    x = rng.standard_normal(7)
-    y, locs, mags = apply_channel(x, ChannelSpec(1, 0.0), rng)
+    x, y, hit = draw_frames(SourceSpec(0.9), ChannelSpec(1, 0.0), 7, rng, 50)
     np.testing.assert_array_equal(y, x)
-    assert locs == ()
-    assert len(mags) == 0
+    assert not hit.any()
 
 
 def test_apply_channel_one_position_differs(rng):
-    x = rng.standard_normal(7)
-    y, locs, mags = apply_channel(x, ChannelSpec(1, 1.0), rng)
-    differing = np.nonzero(y != x)[0]
-    assert len(differing) == 1
-    assert locs == (int(differing[0]),)
-    assert y[locs[0]] - x[locs[0]] == pytest.approx(mags[0])
+    x, y, hit = draw_frames(SourceSpec(0.9), ChannelSpec(1, 1.0), 7, rng, 200)
+    np.testing.assert_array_equal(y != x, hit)
+    assert np.all(hit.sum(axis=1) == 1)
 
 
 def test_apply_channel_distinct_positions(rng):
-    x = rng.standard_normal(15)
-    for _ in range(200):
-        _, locs, _ = apply_channel(x, ChannelSpec(3, 1.0), rng)
-        assert len(locs) == 3 and len(set(locs)) == 3
-        assert locs == tuple(sorted(locs))
+    _, _, hit = draw_frames(SourceSpec(0.9), ChannelSpec(3, 1.0), 15, rng, 200)
+    assert np.all(hit.sum(axis=1) == 3)
 
 
 def test_apply_channel_error_moments(rng):
-    vals = []
-    x = np.zeros(7)
-    for _ in range(10**5):
-        _, _, mags = apply_channel(x, ChannelSpec(1, 1.0), rng)
-        vals.append(mags[0])
-    vals = np.asarray(vals)
+    x, y, hit = draw_frames(SourceSpec(0.9), ChannelSpec(1, 1.0), 7, rng, 10**5)
+    vals = (y - x)[hit]
+    assert vals.size == 10**5
     assert np.std(vals) == pytest.approx(1.0, rel=0.02)
     skew = np.mean(vals**3) / np.std(vals) ** 3
     exkurt = np.mean(vals**4) / np.var(vals) ** 2 - 3
@@ -90,13 +87,12 @@ def test_apply_channel_error_moments(rng):
 
 def test_apply_channel_too_many_errors(rng):
     with pytest.raises(ValueError):
-        apply_channel(np.zeros(3), ChannelSpec(4, 1.0), rng)
+        draw_frames(SourceSpec(0.9), ChannelSpec(4, 1.0), 3, rng, 1)
 
 
 def test_seeded_replay_bit_identical():
-    x = np.arange(7, dtype=float)
-    y1, l1, m1 = apply_channel(x, ChannelSpec(1, 0.7), np.random.default_rng(42))
-    y2, l2, m2 = apply_channel(x, ChannelSpec(1, 0.7), np.random.default_rng(42))
-    np.testing.assert_array_equal(y1, y2)
-    assert l1 == l2
-    np.testing.assert_array_equal(m1, m2)
+    ch = ChannelSpec(1, 0.7)
+    first = draw_frames(SourceSpec(0.9), ch, 7, np.random.default_rng(42), 3)
+    second = draw_frames(SourceSpec(0.9), ch, 7, np.random.default_rng(42), 3)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)

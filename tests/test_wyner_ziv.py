@@ -11,7 +11,7 @@ from dftwz.codes import build_code
 from dftwz.harness import SweepConfig, sweep
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
-from dftwz.sources import SourceSpec, gauss_markov
+from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
     _extension_fits,
     compression_ratio,
@@ -34,6 +34,11 @@ Q_PA = QuantizerSpec(6, -4.75, 4.75)
 # Effectively transparent quantizers for no-quantization oracles.
 Q_FINE_SY = QuantizerSpec(28, -1.0, 1.0)
 Q_FINE_PA = QuantizerSpec(28, -8.0, 8.0)
+
+
+def _source_frame(length, rng):
+    """One frame of the rho = 0.9 source, drawn without channel errors."""
+    return draw_frames(SourceSpec(0.9), ChannelSpec(0), length, rng, 1)[0][0]
 
 
 def test_syndrome_encode_codeword_near_zero(rng):
@@ -82,10 +87,9 @@ def test_dimension_validation(rng):
 
 
 def test_syndrome_perfect_correlation_exact(rng):
-    src = SourceSpec(0.9)
     exact = 0
     for _ in range(500):
-        x = gauss_markov(src, 7, rng)
+        x = _source_frame(7, rng)
         msg = syndrome_encode(C75, x, Q_SY)
         res = syndrome_decode(C75, msg, x.copy())
         exact += bool(np.array_equal(res.x_hat, x))
@@ -93,10 +97,9 @@ def test_syndrome_perfect_correlation_exact(rng):
 
 
 def test_parity_perfect_correlation_exact(rng):
-    src = SourceSpec(0.9)
     exact = 0
     for _ in range(500):
-        x = gauss_markov(src, 5, rng)
+        x = _source_frame(5, rng)
         msg = parity_encode(C75, x, Q_PA)
         res = parity_decode(C75, msg, x.copy())
         exact += bool(np.array_equal(res.x_hat, x))
@@ -105,7 +108,7 @@ def test_parity_perfect_correlation_exact(rng):
 
 def test_syndrome_single_error_no_quantization_exact(rng):
     for _ in range(100):
-        x = gauss_markov(SourceSpec(0.9), 7, rng)
+        x = _source_frame(7, rng)
         pos = int(rng.integers(7))
         mag = float(rng.normal())
         if abs(mag) < 1e-3:
@@ -120,7 +123,7 @@ def test_syndrome_single_error_no_quantization_exact(rng):
 
 def test_parity_single_error_no_quantization_exact(rng):
     for _ in range(100):
-        x = gauss_markov(SourceSpec(0.9), 5, rng)
+        x = _source_frame(5, rng)
         pos = int(rng.integers(5))
         mag = float(rng.normal())
         if abs(mag) < 1e-3:
@@ -140,7 +143,7 @@ def test_two_errors_15_9_no_quantization_exact(rng):
     for _ in range(50):
         locs = tuple(sorted(int(i) for i in rng.choice(9, size=2, replace=False)))
         mags = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.1, 2.0, size=2)
-        x = gauss_markov(SourceSpec(0.9), 15, rng)
+        x = _source_frame(15, rng)
         y = x.copy()
         y[list(locs)] += mags
         res = syndrome_decode(C159, syndrome_encode(C159, x, q_sy), y)
@@ -154,7 +157,7 @@ def test_two_errors_15_9_no_quantization_exact(rng):
 def test_error_estimate_is_pgz_output(rng):
     # The reported estimate is PGZ's own; only x_hat uses the weighting.
     for _ in range(100):
-        x = gauss_markov(SourceSpec(0.9), 7, rng)
+        x = _source_frame(7, rng)
         y = x.copy()
         y[int(rng.integers(7))] += 0.05 * rng.normal()
         msg = syndrome_encode(C75, x, Q_SY)
@@ -217,7 +220,7 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
     tol = dict(rtol=1e-8, atol=1e-9)
     counts = set()
     for _ in range(60):
-        x = gauss_markov(SourceSpec(0.9), n, rng)
+        x = _source_frame(n, rng)
         y = x.copy()
         y[rng.choice(k, size=errors, replace=False)] += rng.choice([0.5, 10.0]) * rng.normal(
             size=errors
@@ -256,7 +259,7 @@ def test_unexplained_frame_gives_finite_reconstruction(rng):
     # Two large errors on a t = 1 code: no candidate support explains the
     # residual, and every weight exp(-rss / (2 sigma_q^2)) underflows to 0
     # before normalization.
-    x = gauss_markov(SourceSpec(0.9), 7, rng)
+    x = _source_frame(7, rng)
     y = x.copy()
     y[1] += 30.0
     y[3] -= 40.0
@@ -279,7 +282,7 @@ def test_unexplained_frame_gives_finite_reconstruction(rng):
 
 def test_parity_candidates_restricted_to_systematic(rng):
     for _ in range(200):
-        x = gauss_markov(SourceSpec(0.9), 5, rng)
+        x = _source_frame(5, rng)
         y = x.copy()
         y[2] += 2.0
         msg = parity_encode(C75, x, Q_PA)
@@ -291,7 +294,7 @@ def test_syndrome_projection_tightens_syndrome_match(rng):
     # After projection, H x_hat equals the transmitted syndrome exactly
     # (up to rounding), never worse than the plain subtraction.
     for _ in range(100):
-        x = gauss_markov(SourceSpec(0.9), 7, rng)
+        x = _source_frame(7, rng)
         y = x.copy()
         y[3] += 1.5
         msg = syndrome_encode(C75, x, Q_SY)
@@ -305,7 +308,7 @@ def test_syndrome_projection_tightens_syndrome_match(rng):
 
 
 def test_syndrome_reconstruction_variants_differ_only_off_subspace(rng):
-    x = gauss_markov(SourceSpec(0.9), 7, rng)
+    x = _source_frame(7, rng)
     y = x.copy()
     y[0] += 2.0
     msg = syndrome_encode(C75, x, Q_SY)
