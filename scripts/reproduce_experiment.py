@@ -1,35 +1,31 @@
 #!/usr/bin/env python3
 """Reproduce the headline distributed-coding experiment.
 
-Runs the default sweep ((7,5) code, 6-bit quantizers, 1 error per frame,
+Runs the sweep that the dftwz command would run with the same flags (by
+default the paper's: (7,5) code, 6-bit quantizers, 1 error per frame,
 CEQNR -10..40 dB in 5 dB steps, 20,000 frames per point per approach),
 writes the CSV, and prints MSE normalized by sigma_q^2 plus localization
-frequencies so curve shapes can be eyeballed without plotting.
+frequencies so curve shapes can be eyeballed without plotting. Takes
+every dftwz flag, e.g. --frames, --seed, --workers and --out.
 """
 
-import argparse
 import sys
 import time
 
-from dftwz.harness import SweepConfig, sweep, write_csv
+from dftwz.cli import config_from_argv
+from dftwz.harness import sweep, write_csv
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--frames", type=int, default=20000, help="frames per grid point")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--out", default="sweep.csv", help="output CSV path")
-    args = parser.parse_args(argv)
-
-    config = SweepConfig(frames=args.frames, seed=args.seed, workers=args.workers)
+    config, out = config_from_argv(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
     result = sweep(config)
     elapsed = time.perf_counter() - start
-    write_csv(result, args.out)
+    write_csv(result, out)
 
     s_q2 = config.reference_quantizer.sigma_q_sq
-    print(f"# (7,5) code, {args.frames} frames/point, seed {args.seed}, {elapsed:.0f}s")
+    print(f"# ({config.n},{config.k}) code, {config.frames} frames/point, "
+          f"seed {config.seed}, {elapsed:.0f}s")
     print(f"# sigma_q^2 = {s_q2:.6g}; MSE columns are relative to it")
     header = f"{'CEQNR dB':>9} {'mse_syn':>9} {'mse_par':>9} {'loc_syn':>8} {'loc_par':>8}"
     print(header)
@@ -39,7 +35,7 @@ def main(argv=None) -> int:
             f"{p.mse_parity / s_q2:>9.4f} {p.loc_freq_syndrome:>8.4f} "
             f"{p.loc_freq_parity:>8.4f}"
         )
-    print(f"# CSV written to {args.out}")
+    print(f"# CSV written to {out}")
     return 0
 
 

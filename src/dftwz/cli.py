@@ -4,9 +4,11 @@ Example:
     dftwz --code 7,5 --approach both --ceqnr -10:5:40 --frames 20000 \\
           --seed 1 --out results.csv
 
-Flags may also come from a plain key=value file via --config; explicit
-command-line flags win over file entries. Exits 0 on success, 2 on
-validation or I/O failure with a one-line diagnostic on stderr.
+Each sweep knob is one key of ``_KNOBS``: a --flag (dashes for
+underscores) and a key of the key=value file that --config names, where
+explicit flags win. SweepConfig supplies every default and validates.
+Exits 0 on success, 2 on validation or I/O failure with a one-line
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import argparse
 import math
 import sys
 
-from .harness import SweepConfig, sweep, write_csv
+from .harness import APPROACHES, DEFAULT_CSV_PATH, SweepConfig, sweep, write_csv
 
-__all__ = ["main", "entry", "parse_ceqnr_grid", "parse_pair", "load_config_file"]
+__all__ = ["main", "entry", "config_from_argv", "parse_ceqnr_grid", "parse_pair",
+           "load_config_file"]
 
 
 def parse_pair(text: str) -> tuple[float, float]:
@@ -73,52 +76,51 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+# Key -> (text parser, the SweepConfig fields it sets, help). A parser
+# for more than one field returns one value per field.
+_KNOBS = {
+    "code": (parse_code, ("n", "k"), "code parameters N,K (odd, N > K)"),
+    "approach": (lambda text: APPROACHES if text == "both" else (text,), ("approaches",),
+                 "compression pipeline(s) to simulate: syndrome, parity or both"),
+    "bits": (int, ("bits",), "quantizer bits per sample"),
+    "range": (parse_pair, ("ref_range",), "reference quantizer range LO,HI (defines sigma_q^2)"),
+    "syndrome_range": (parse_pair, ("syndrome_range",), "sent syndrome quantizer range LO,HI"),
+    "parity_range": (parse_pair, ("parity_range",), "sent parity quantizer range LO,HI"),
+    "ceqnr": (parse_ceqnr_grid, ("ceqnr_db",), "CEQNR dB: START:STEP:STOP or list (-inf ok)"),
+    "frames": (int, ("frames",), "frames per grid point"),
+    "errors_per_frame": (int, ("errors_per_frame",), "sparse errors per frame"),
+    "seed": (int, ("seed",), "master seed (nonnegative)"),
+    "rho": (float, ("rho",), "lag-1 correlation of the Gauss-Markov source"),
+    "reconstruction": (str, ("reconstruction",), "syndrome variant: projection or subtract"),
+    "workers": (int, ("workers",), "at most W parallel worker processes"),
+}
+
+
+def _shown(value: object) -> str:
+    """A default as --help shows it: tuples comma-separated, floats in %g."""
+    if isinstance(value, tuple):
+        return ",".join(map(_shown, value))
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dftwz",
-        description="Wyner-Ziv coding simulator with real BCH-DFT codes",
+        prog="dftwz", description="Wyner-Ziv coding simulator with real BCH-DFT codes",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--code", default="7,5", help="code parameters N,K (odd, N > K)")
-    parser.add_argument(
-        "--approach", default="both", choices=["syndrome", "parity", "both"],
-        help="compression pipeline(s) to simulate",
-    )
-    parser.add_argument("--bits", type=int, default=6, help="quantizer bits per sample")
-    parser.add_argument(
-        "--range", dest="ref_range", default="-4,4",
-        help="reference quantizer range LO,HI (defines sigma_q^2)",
-    )
-    parser.add_argument(
-        "--syndrome-range", default=None,
-        help="transmitted syndrome quantizer range LO,HI (default -1,1)",
-    )
-    parser.add_argument(
-        "--parity-range", default=None,
-        help="transmitted parity quantizer range LO,HI (default -4.75,4.75)",
-    )
-    parser.add_argument(
-        "--ceqnr", default="-10:5:40",
-        help="CEQNR grid in dB: START:STEP:STOP or comma list (-inf allowed)",
-    )
-    parser.add_argument("--frames", type=int, default=20000, help="frames per grid point")
-    parser.add_argument("--errors-per-frame", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=1, help="master seed (nonnegative)")
-    parser.add_argument("--out", default="sweep.csv", help="output CSV path")
-    parser.add_argument(
-        "--reconstruction", default="projection", choices=["projection", "subtract"],
-        help="syndrome-approach reconstruction variant",
-    )
-    parser.add_argument("--workers", type=int, default=1, help="at most W parallel worker processes")
-    parser.add_argument("--config", default=None, help="key=value file with any of the above")
+    defaults = SweepConfig()
+    for key, (_parse, fields, text) in _KNOBS.items():
+        shown = _shown(tuple(getattr(defaults, f) for f in fields))
+        parser.add_argument("--" + key.replace("_", "-"), help=f"{text} (default {shown})")
+    parser.add_argument("--out", help=f"output CSV path (default {DEFAULT_CSV_PATH})")
+    parser.add_argument("--config", help="key=value file with any of the keys above")
     return parser
 
 
-_CONFIG_ONLY_KEYS = {"rho"}
-
 # Flags whose values legitimately start with a dash (-10:5:40, -4,4,
-# -inf). argparse treats such tokens as option strings, so the
+# -inf, -1e-3). argparse treats such tokens as option strings, so the
 # space-separated spelling is merged into --flag=value before parsing.
-_DASH_VALUE_FLAGS = ("--range", "--syndrome-range", "--parity-range", "--ceqnr")
+_DASH_VALUE_FLAGS = ("--range", "--syndrome-range", "--parity-range", "--ceqnr", "--rho")
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
@@ -135,67 +137,30 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return merged
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                       argv: list[str]) -> dict[str, str]:
-    extra: dict[str, str] = {}
-    if args.config is None:
-        return extra
-    entries = load_config_file(args.config)
-    defaults = {}
-    for key, value in entries.items():
-        if key in _CONFIG_ONLY_KEYS:
-            extra[key] = value
-            continue
-        if key == "range":
-            key = "ref_range"
-        if not hasattr(args, key):
-            raise ValueError(f"unknown configuration key {key!r} in {args.config}")
-        defaults[key] = value
-    # Re-parse so explicit command-line flags override file entries.
-    parser.set_defaults(**{
-        k: (int(v) if k in ("bits", "frames", "errors_per_frame", "seed", "workers") else v)
-        for k, v in defaults.items()
-    })
-    new_args = parser.parse_args(argv)
-    args.__dict__.update(new_args.__dict__)
-    return extra
-
-
-def _config_from_args(args: argparse.Namespace, extra: dict[str, str]) -> SweepConfig:
-    n, k = parse_code(args.code)
-    approaches = ("syndrome", "parity") if args.approach == "both" else (args.approach,)
-    kwargs = dict(
-        n=n,
-        k=k,
-        approaches=approaches,
-        bits=args.bits,
-        ref_range=parse_pair(args.ref_range),
-        ceqnr_db=parse_ceqnr_grid(args.ceqnr),
-        frames=args.frames,
-        errors_per_frame=args.errors_per_frame,
-        seed=args.seed,
-        reconstruction=args.reconstruction,
-        workers=args.workers,
-    )
-    if args.syndrome_range is not None:
-        kwargs["syndrome_range"] = parse_pair(args.syndrome_range)
-    if args.parity_range is not None:
-        kwargs["parity_range"] = parse_pair(args.parity_range)
-    if "rho" in extra:
-        kwargs["rho"] = float(extra["rho"])
-    return SweepConfig(**kwargs)
+def config_from_argv(argv: list[str]) -> tuple[SweepConfig, str]:
+    """The sweep and the CSV path that ``argv`` asks for; raises ValueError
+    or OSError on a bad value, key or config file."""
+    flags = vars(_build_parser().parse_args(_merge_dash_values(argv)))
+    entries = {**(load_config_file(flags["config"]) if "config" in flags else {}), **flags}
+    entries.pop("config", None)
+    out = entries.pop("out", DEFAULT_CSV_PATH)
+    kwargs = {}
+    for key, text in entries.items():
+        if key not in _KNOBS:  # only a file can name a key argparse does not know
+            raise ValueError(f"unknown configuration key {key!r} in {flags['config']}")
+        parse, fields, _help = _KNOBS[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {text!r}: {exc}") from None
+        kwargs.update(zip(fields, value if len(fields) > 1 else (value,)))
+    return SweepConfig(**kwargs), out
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    argv = _merge_dash_values(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        extra = _apply_config_file(parser, args, argv)
-        config = _config_from_args(args, extra)
-        result = sweep(config)
-        write_csv(result, args.out)
+        config, out = config_from_argv(list(sys.argv[1:]) if argv is None else list(argv))
+        write_csv(sweep(config), out)
     except (ValueError, OSError) as exc:
         print(f"dftwz: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,9 @@ BLOCK_FRAMES = 2048
 # which frame.
 SUB_BLOCK_FRAMES = 256
 
+# Where the CLI writes the sweep CSV unless given a path.
+DEFAULT_CSV_PATH = "sweep.csv"
+
 @dataclass(frozen=True)
 class TrialRecord:
     """Outcome of one encode/corrupt/decode round trip."""
@@ -78,7 +81,10 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Full experiment description; every knob the CLI exposes lives here."""
+    """Full experiment description and the one declaration of every sweep
+    knob: the CLI's flags and config-file keys set these fields, and their
+    defaults are the ones below. Construction validates every knob, so a
+    bad one raises ValueError here, before any block or worker runs."""
 
     n: int = 7
     k: int = 5
@@ -100,6 +106,13 @@ class SweepConfig:
             raise ValueError(f"approaches must be a nonempty subset of {APPROACHES}")
         if len(set(self.approaches)) != len(self.approaches):
             raise ValueError("duplicate approach")
+        # Build what a worker builds, so that a bad bits, range, rho or
+        # errors_per_frame raises here and not in a pool's initializer.
+        self.reference_quantizer
+        for approach in APPROACHES:
+            self.transmit_quantizer(approach)
+        SourceSpec(self.rho)
+        ChannelSpec(self.errors_per_frame)
         if not self.ceqnr_db:
             raise ValueError("CEQNR grid must be nonempty")
         for db in self.ceqnr_db:  # -inf gives sigma_e = 0
@@ -119,17 +132,27 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.reconstruction not in ("projection", "subtract"):
             raise ValueError(f"unknown reconstruction {self.reconstruction!r}")
+        CodeSpec(self.n, self.k)  # validates n, k (odd, n > k)
         t = (self.n - self.k) // 2
         if self.errors_per_frame > t:
             raise ValueError(
                 f"errors_per_frame = {self.errors_per_frame} exceeds t = {t} "
                 f"of the ({self.n}, {self.k}) code"
             )
-        CodeSpec(self.n, self.k)  # validates n, k (odd, n > k)
+        if "parity" in self.approaches and self.errors_per_frame > self.k:
+            raise ValueError(
+                f"errors_per_frame = {self.errors_per_frame} exceeds the k = {self.k} "
+                "samples of a parity frame"
+            )
 
     @property
     def reference_quantizer(self) -> QuantizerSpec:
         return QuantizerSpec(self.bits, *self.ref_range)
+
+    def transmit_quantizer(self, approach: str) -> QuantizerSpec:
+        """Quantizer of the samples ``approach`` transmits."""
+        lo_hi = self.syndrome_range if approach == "syndrome" else self.parity_range
+        return QuantizerSpec(self.bits, *lo_hi)
 
     def sigma_e(self, ceqnr_db: float) -> float:
         return float(np.sqrt(self.reference_quantizer.sigma_q_sq * 10.0 ** (ceqnr_db / 10.0)))
@@ -231,10 +254,7 @@ _CTX: dict = {}
 
 
 def _init_worker(cfg: SweepConfig, code: DftCode) -> None:
-    tx_quant = {
-        "syndrome": QuantizerSpec(cfg.bits, *cfg.syndrome_range),
-        "parity": QuantizerSpec(cfg.bits, *cfg.parity_range),
-    }
+    tx_quant = {approach: cfg.transmit_quantizer(approach) for approach in APPROACHES}
     _CTX.clear()
     _CTX.update(cfg=cfg, code=code, tx_quant=tx_quant, source=SourceSpec(cfg.rho))
 

@@ -57,10 +57,11 @@ _LOCATOR_SINGULAR_RTOL = 1e-10
 class PgzDiagnostics:
     """Per-decode numerical health record. ``singular_values`` are the
     Hankel singular values of the count step, empty for a frame the clean
-    gate passed without an SVD."""
+    gate passed without an SVD; ``magnitude_residual`` is the norm of the
+    syndrome left over by the least-squares magnitudes, 0 for nu = 0;
+    ``retries`` counts the steps down the retry ladder."""
 
     singular_values: np.ndarray
-    locator_residual: float
     magnitude_residual: float
     retries: int
 
@@ -256,24 +257,17 @@ def decode_block(
 
 def frame_estimate(code: DftCode, syndromes: np.ndarray, block: PgzBlock) -> ErrorEstimate:
     """The ErrorEstimate of a one-frame block: ``block``'s decisions plus
-    least-squares magnitudes and the residual diagnostics."""
+    least-squares magnitudes and their residual."""
     nu, locs, values = int(block.count[0]), block.support[0].nonzero()[0], syndromes[0]
     mags = _magnitudes(code, values, locs)
-    coeffs = block.locator[0, :nu]
-    loc_residual = mag_residual = 0.0
-    if nu:
-        a, b = _locator_system(syndromes[:1], nu)
-        loc_residual = _norm(b[0] - a[0] @ coeffs)
-        mag_residual = _norm(code.H[:, locs] @ mags - values)
     return ErrorEstimate(
         count=nu,
         locations=tuple(locs.tolist()),
         magnitudes=mags,
-        locator_coeffs=coeffs,
+        locator_coeffs=block.locator[0, :nu],
         diagnostics=PgzDiagnostics(
             singular_values=np.zeros(0) if block.gated[0] else block.singular_values[0],
-            locator_residual=loc_residual,
-            magnitude_residual=mag_residual,
+            magnitude_residual=_norm(code.H[:, locs] @ mags - values) if nu else 0.0,
             retries=int(block.retries[0]),
         ),
     )

@@ -29,6 +29,15 @@ class QuantizerSpec:
             raise ValueError(f"bits must be a positive integer, got {self.bits!r}")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.hi <= self.lo:
             raise ValueError(f"need finite hi > lo, got [{self.lo}, {self.hi}]")
+        try:
+            sigma_q_sq = self.sigma_q_sq
+        except OverflowError:  # 2**bits or step**2 beyond a float
+            sigma_q_sq = 0.0
+        if not 0.0 < sigma_q_sq < np.inf:
+            raise ValueError(
+                f"{self.bits} bits on [{self.lo}, {self.hi}] give a step whose "
+                "sigma_q^2 = step^2/12 is not a positive finite float"
+            )
 
     @property
     def n_levels(self) -> int:

@@ -1,9 +1,12 @@
 """CLI front end: argument parsing, config files, exit codes, CSV output."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dftwz.cli import (
+    config_from_argv,
     load_config_file,
     main,
     parse_ceqnr_grid,
@@ -184,6 +187,51 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     result = read_csv(str(out))
     assert [p.frames for p in result.points] == [32]
     assert result.points[0].ceqnr_db == 0.0  # file entry still honored
+
+
+def test_config_file_keys_set_every_sweep_config_field(tmp_path):
+    # One key per knob, each away from its default: a SweepConfig field
+    # that no key sets would keep its default and fail here.
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(
+        "code = 15,9\napproach = parity\nbits = 7\nrange = -3,3\n"
+        "syndrome-range = -2,2\nparity-range = -5,5\nceqnr = 0,10\nframes = 64\n"
+        "errors-per-frame = 2\nseed = 3\nrho = 0.5\nreconstruction = subtract\n"
+        "workers = 2\nout = mine.csv\n"
+    )
+    config, out = config_from_argv(["--config", str(cfg)])
+    default = SweepConfig()
+    assert out == "mine.csv"
+    assert [f.name for f in fields(SweepConfig)
+            if getattr(config, f.name) == getattr(default, f.name)] == []
+
+
+def test_rho_flag_overrides_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("frames = 64\nceqnr = 20\nrho = 0.5\n")
+    out = tmp_path / "rho.csv"
+    code, err = run_main(capsys, "--config", str(cfg), "--rho", "0.3", "--out", str(out))
+    assert code == 0 and err == ""
+    lib, default = tmp_path / "lib.csv", tmp_path / "default.csv"
+    write_csv(sweep(SweepConfig(frames=64, ceqnr_db=(20.0,), rho=0.3)), str(lib))
+    write_csv(sweep(SweepConfig(frames=64, ceqnr_db=(20.0,))), str(default))
+    assert out.read_bytes() == lib.read_bytes() != default.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--approach", "--reconstruction"])
+def test_main_unknown_choice_exits_2(capsys, tmp_path, flag):
+    code, err = run_main(capsys, flag, "foo", "--frames", "10", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith("dftwz: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bits", ["600", "1100"])
+def test_main_bits_without_a_float_sigma_q_exit_2(capsys, tmp_path, bits):
+    code, err = run_main(
+        capsys, "--bits", bits, "--frames", "16", "--ceqnr", "20,40",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2 and err.startswith("dftwz: ") and "sigma_q^2" in err
 
 
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):

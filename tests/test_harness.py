@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dftwz import harness
+from dftwz.cli import main
 from dftwz.codes import build_code
 from dftwz.harness import (
     BLOCK_FRAMES,
@@ -59,6 +60,29 @@ def test_config_validation():
         SweepConfig(reconstruction="wishful")
     with pytest.raises(ValueError):
         SweepConfig(workers=0)
+
+
+# Knobs that only a block or a worker's initializer used to reject; in a
+# pool, that initializer failing makes the pool restart workers forever.
+_WORKER_KNOBS = {
+    "reversed_parity_range": dict(parity_range=(1.0, -1.0)),
+    "reversed_syndrome_range": dict(syndrome_range=(1.0, -1.0)),
+    "rho_1.5": dict(rho=1.5),
+    "negative_errors": dict(errors_per_frame=-1),
+    "more_errors_than_k": dict(n=11, k=3, errors_per_frame=4, approaches=("parity",)),
+    "600_bits": dict(bits=600),
+    "1100_bits": dict(bits=1100),
+}
+
+
+@pytest.mark.parametrize("overrides", _WORKER_KNOBS.values(), ids=_WORKER_KNOBS)
+def test_config_rejects_what_a_worker_would(overrides):
+    with pytest.raises(ValueError):
+        SweepConfig(**overrides)
+
+
+def test_config_allows_more_errors_than_k_without_parity():
+    assert SweepConfig(n=11, k=3, errors_per_frame=4, approaches=("syndrome",)).k == 3
 
 
 @pytest.mark.parametrize("ceqnr", [float("nan"), float("inf"), 4000.0])
@@ -179,6 +203,19 @@ def test_sweep_starts_no_pool_without_two_full_blocks(monkeypatch, tmp_path):
     # Eight tasks of 300 frames: none holds a full block, so none pools.
     cfg = small_config(ceqnr_db=(0.0, 10.0, 20.0, 30.0), frames=300, workers=8)
     assert _pool_sizes(monkeypatch, tmp_path, cfg) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--parity-range", "1,-1"), ("--rho", "1.5")])
+def test_cli_rejects_a_bad_knob_before_asking_for_a_pool(monkeypatch, tmp_path, capsys,
+                                                          flag, value):
+    started = []
+    monkeypatch.setattr(harness, "multiprocessing", SimpleNamespace(
+        Pool=lambda **kw: _InlinePool(**kw, started=started)))
+    code = main([flag, value, "--approach", "parity", "--ceqnr", "20",
+                 "--frames", str(2 * BLOCK_FRAMES), "--workers", "2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and capsys.readouterr().err.startswith("dftwz: ")
+    assert started == []
 
 
 def test_sweep_single_approach_columns():

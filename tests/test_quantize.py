@@ -66,6 +66,11 @@ def test_spec_validation():
         QuantizerSpec(6, 2.0, -2.0)
     with pytest.raises(ValueError):
         QuantizerSpec(6, -np.inf, 1.0)
+    # sigma_q^2 = step^2 / 12 must be a positive finite float: 600 bits
+    # underflow it to 0, 1100 bits overflow 2**bits, 1e200 overflows step^2.
+    for bits, lo, hi in ((600, -4.0, 4.0), (1100, -4.0, 4.0), (6, -1e200, 1e200)):
+        with pytest.raises(ValueError, match="sigma_q"):
+            QuantizerSpec(bits, lo, hi)
 
 
 def test_scalar_and_array_shapes():
