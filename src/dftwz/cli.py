@@ -91,7 +91,6 @@ _KNOBS = {
     "errors_per_frame": (int, ("errors_per_frame",), "sparse errors per frame"),
     "seed": (int, ("seed",), "master seed (nonnegative)"),
     "rho": (float, ("rho",), "lag-1 correlation of the Gauss-Markov source"),
-    "reconstruction": (str, ("reconstruction",), "syndrome variant: projection or subtract"),
     "workers": (int, ("workers",), "at most W parallel worker processes"),
 }
 

@@ -98,7 +98,6 @@ class SweepConfig:
     errors_per_frame: int = 1
     seed: int = 1
     rho: float = 0.9
-    reconstruction: str = "projection"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -130,8 +129,6 @@ class SweepConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.reconstruction not in ("projection", "subtract"):
-            raise ValueError(f"unknown reconstruction {self.reconstruction!r}")
         CodeSpec(self.n, self.k)  # validates n, k (odd, n > k)
         t = (self.n - self.k) // 2
         if self.errors_per_frame > t:
@@ -145,14 +142,21 @@ class SweepConfig:
                 "samples of a parity frame"
             )
 
+    def _quantizer(self, name: str) -> QuantizerSpec:
+        """``bits`` on the range field ``name``; an error names the field."""
+        lo_hi = getattr(self, name)
+        try:
+            return QuantizerSpec(self.bits, *lo_hi)
+        except ValueError as exc:
+            raise ValueError(f"{name} = {lo_hi}: {exc}") from None
+
     @property
     def reference_quantizer(self) -> QuantizerSpec:
-        return QuantizerSpec(self.bits, *self.ref_range)
+        return self._quantizer("ref_range")
 
     def transmit_quantizer(self, approach: str) -> QuantizerSpec:
         """Quantizer of the samples ``approach`` transmits."""
-        lo_hi = self.syndrome_range if approach == "syndrome" else self.parity_range
-        return QuantizerSpec(self.bits, *lo_hi)
+        return self._quantizer("syndrome_range" if approach == "syndrome" else "parity_range")
 
     def sigma_e(self, ceqnr_db: float) -> float:
         return float(np.sqrt(self.reference_quantizer.sigma_q_sq * 10.0 ** (ceqnr_db / 10.0)))
@@ -191,14 +195,13 @@ def _trials(
     rng: np.random.Generator,
     frames: int,
     source: SourceSpec,
-    reconstruction: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Round trips of a block of frames drawn from one generator:
     (frame MSEs, localized, zero-error, overloads)."""
     if approach == "syndrome":
         x, y, hit = draw_frames(source, ch, code.n, rng, frames)
         values, overloads = encode_block(code.H, x, quantizer)
-        decoded = syndrome_decode_block(code, values, quantizer, y, reconstruction=reconstruction)
+        decoded = syndrome_decode_block(code, values, quantizer, y)
     elif approach == "parity":
         x, y, hit = draw_frames(source, ch, code.k, rng, frames)
         values, overloads = encode_block(code.P_gen, x, quantizer)
@@ -223,7 +226,6 @@ def run_trial(
     rng: np.random.Generator,
     *,
     source: SourceSpec = SourceSpec(),
-    reconstruction: str = "projection",
 ) -> TrialRecord:
     """One frame end to end: draw source, corrupt, encode, decode, score.
 
@@ -232,9 +234,7 @@ def run_trial(
     ground-truth error positions; zero_error means the reconstruction is
     bitwise equal to the source frame.
     """
-    mse, localized, zero_error, overloads = _trials(
-        code, approach, quantizer, ch, rng, 1, source, reconstruction
-    )
+    mse, localized, zero_error, overloads = _trials(code, approach, quantizer, ch, rng, 1, source)
     return TrialRecord(
         approach=approach,
         frame_mse=float(mse[0]),
@@ -272,7 +272,7 @@ def _run_block(task: tuple[int, float, str, int, int]) -> tuple[float, int, int,
         mse, localized, zero_error, overloads = _trials(
             _CTX["code"], approach, _CTX["tx_quant"][approach], ch,
             np.random.default_rng((cfg.seed, ci, approach_id, lo)),
-            min(SUB_BLOCK_FRAMES, stop - lo), _CTX["source"], cfg.reconstruction,
+            min(SUB_BLOCK_FRAMES, stop - lo), _CTX["source"],
         )
         for frame_mse in mse.tolist():  # one at a time, in frame order
             mse_sum += frame_mse

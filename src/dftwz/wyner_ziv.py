@@ -3,19 +3,16 @@
 Syndrome approach: the encoder sends the quantized complex syndrome
 s_x = Hx of a length-n source frame (2(n-k) real numbers). The decoder
 holds side information y = x + e, forms s_e_tilde = Hy - s_x_hat, and
-runs PGZ over all n positions; the weighted error estimate (below) is
-subtracted and the quantized syndrome re-imposed by an orthogonal
-projection.
+runs PGZ over all n positions.
 
 Parity approach: the encoder sends the quantized parity p = P_gen x of a
 length-k source frame (n-k real numbers). The decoder places y at the
 code's systematic positions and p_hat at its parity positions to form a
 noisy codeword z_tilde, and runs PGZ with candidates restricted to the
-systematic positions (parity samples never carry channel errors); the
-reconstruction is y minus the weighted error estimate. This module owns
-the mapping: message index i is codeword position ``code.systematic[i]``,
-and every support or location it returns for a parity frame is a
-message index.
+systematic positions (parity samples never carry channel errors). This
+module owns the mapping: message index i is codeword position
+``code.systematic[i]``, and every support or location it returns for a
+parity frame is a message index.
 
 Both pipelines declare a frame clean when every syndrome component sits
 below a worst-case quantization-noise bound, and then return the side
@@ -31,9 +28,11 @@ noise is white with variance step^2/12 (parity: P_gen y - p_hat;
 syndrome: real and imaginary parts of the first (n-k)/2 components of
 Hy - s_x_hat, the rest being their conjugates), fits least-squares
 magnitudes on PGZ's support and on every support that swaps one of its
-positions for another candidate, and subtracts the average of those
+positions for another candidate, and takes as e_hat the average of those
 corrections weighted by each support's likelihood
-exp(-rss / (2 step^2/12)) / sqrt(det(A^T A)).
+exp(-rss / (2 step^2/12)) / sqrt(det(A^T A)). Both pipelines reconstruct
+x_hat = y - e_hat; they differ only in the basis and the residual that
+e_hat is fitted on.
 
 ``encode_block``, ``syndrome_decode_block`` and ``parity_decode_block``
 run a block of frames as arrays; the per-frame functions run them on a
@@ -278,14 +277,10 @@ def syndrome_decode_block(
     values: np.ndarray,
     quantizer: QuantizerSpec,
     y: np.ndarray,
-    *,
-    reconstruction: str = "projection",
 ) -> DecodedBlock:
     """``syndrome_decode`` for a block: rows of the quantized syndromes
     ``values`` (F, n - k) against rows of the side information y (F, n)."""
     y = _frames(y, code.n, "side information")
-    if reconstruction not in ("projection", "subtract"):
-        raise ValueError(f"unknown reconstruction {reconstruction!r}")
     s_err = _mv(code.H, y) - values
     pgz = decode_block(code, s_err, noise_floor=syndrome_noise_floor(code, quantizer))
     x_hat = y.copy()
@@ -293,15 +288,12 @@ def syndrome_decode_block(
     if fix.size:
         t = code.t
         half = code.H[:t]
-        v = y[fix] - _weighted_errors(
+        x_hat[fix] -= _weighted_errors(
             np.vstack([half.real, half.imag]),
             np.concatenate([s_err[fix, :t].real, s_err[fix, :t].imag], axis=1),
             pgz.support[fix],
             quantizer.sigma_q_sq,
         )
-        if reconstruction == "projection":
-            v = v - _mv(code.H.conj().T, _mv(code.H, v) - values[fix]).real
-        x_hat[fix] = v
     return DecodedBlock(x_hat, s_err, pgz, pgz.support)
 
 
@@ -344,25 +336,13 @@ def syndrome_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> S
     )
 
 
-def syndrome_decode(
-    code: DftCode,
-    msg: SyndromeMessage,
-    y: np.ndarray,
-    *,
-    reconstruction: str = "projection",
-) -> ReconstructionResult:
+def syndrome_decode(code: DftCode, msg: SyndromeMessage, y: np.ndarray) -> ReconstructionResult:
     """Estimate the channel error from s_e_tilde = Hy - s_x_hat and undo it.
 
-    PGZ gives the reported ``error_estimate``; the error subtracted from y is
-    the likelihood-weighted average over PGZ's support and its single
-    swaps described in the module docstring, fitted on the real and
-    imaginary parts of the first (n-k)/2 components of s_e_tilde.
-
-    reconstruction="projection" (default) additionally replaces the
-    code-orthogonal component of the corrected frame with the transmitted
-    syndrome's lift: x_hat = v - H^H (Hv - s_x_hat), v = y - e_hat. That
-    projection removes side-information noise in the n - k syndrome
-    dimensions. reconstruction="subtract" keeps the plain v.
+    PGZ gives the reported ``error_estimate``; x_hat = y - e_hat, where
+    e_hat is the likelihood-weighted average over PGZ's support and its
+    single swaps described in the module docstring, fitted on the real
+    and imaginary parts of the first (n-k)/2 components of s_e_tilde.
 
     Frames whose syndrome sits entirely below the quantization-noise
     floor are declared clean and returned as y unchanged, preserving
@@ -370,11 +350,7 @@ def syndrome_decode(
     side information raises ValueError.
     """
     decoded = syndrome_decode_block(
-        code,
-        msg.values[None],
-        msg.quantizer,
-        np.asarray(y, dtype=np.float64)[None],
-        reconstruction=reconstruction,
+        code, msg.values[None], msg.quantizer, np.asarray(y, dtype=np.float64)[None]
     )
     return _result(code, decoded)
 

@@ -68,20 +68,19 @@ def _assert_same(block, frame, i, parity=()):
 @given(
     counts=st.lists(st.integers(0, 3), max_size=10),
     seed=st.integers(0, 2**32 - 1),
-    reconstruction=st.sampled_from(("projection", "subtract")),
 )
-def test_block_decodes_as_its_frames(code, counts, seed, reconstruction):
+def test_block_decodes_as_its_frames(code, counts, seed):
     counts = [min(c, code.t) for c in counts]
     x, y = _block(code, counts, seed)
     q_sy, q_pa = Q_SY[code.n], Q_PA[code.n]
 
     values, _ = encode_block(code.H, x, q_sy)
-    block = syndrome_decode_block(code, values, q_sy, y, reconstruction=reconstruction)
+    block = syndrome_decode_block(code, values, q_sy, y)
     assert set(block.pgz.count.tolist()) >= set(range(code.t + 1))  # gated and every nu-hat
     for i in range(len(x)):
         msg = syndrome_encode(code, x[i], q_sy)
         np.testing.assert_array_equal(msg.values, values[i])
-        _assert_same(block, syndrome_decode(code, msg, y[i], reconstruction=reconstruction), i)
+        _assert_same(block, syndrome_decode(code, msg, y[i]), i)
 
     k = code.k
     values, _ = encode_block(code.P_gen, x[:, :k], q_pa)

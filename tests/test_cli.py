@@ -196,8 +196,7 @@ def test_config_file_keys_set_every_sweep_config_field(tmp_path):
     cfg.write_text(
         "code = 15,9\napproach = parity\nbits = 7\nrange = -3,3\n"
         "syndrome-range = -2,2\nparity-range = -5,5\nceqnr = 0,10\nframes = 64\n"
-        "errors-per-frame = 2\nseed = 3\nrho = 0.5\nreconstruction = subtract\n"
-        "workers = 2\nout = mine.csv\n"
+        "errors-per-frame = 2\nseed = 3\nrho = 0.5\nworkers = 2\nout = mine.csv\n"
     )
     config, out = config_from_argv(["--config", str(cfg)])
     default = SweepConfig()
@@ -218,11 +217,29 @@ def test_rho_flag_overrides_config_file(tmp_path, capsys):
     assert out.read_bytes() == lib.read_bytes() != default.read_bytes()
 
 
-@pytest.mark.parametrize("flag", ["--approach", "--reconstruction"])
+@pytest.mark.parametrize("flag", ["--approach"])
 def test_main_unknown_choice_exits_2(capsys, tmp_path, flag):
     code, err = run_main(capsys, flag, "foo", "--frames", "10", "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert err.startswith("dftwz: ") and err.count("\n") == 1
+
+
+def test_config_file_removed_reconstruction_key_exits_2(capsys, tmp_path):
+    # The syndrome decoder has one reconstruction; a file that still picks
+    # one names a key the sweep no longer has.
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("reconstruction = projection\nframes = 10\n")
+    code, err = run_main(capsys, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err == f"dftwz: unknown configuration key 'reconstruction' in {cfg}\n"
+
+
+def test_main_reversed_range_names_its_knob(capsys, tmp_path):
+    code, err = run_main(
+        capsys, "--parity-range", "1,-1", "--frames", "8", "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 2
+    assert err.startswith("dftwz: parity_range = (1.0, -1.0): ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bits", ["600", "1100"])

@@ -1,7 +1,10 @@
-"""The README's quick start runs as documented."""
+"""The README's quick start runs as documented, and its flag table
+lists exactly the CLI's flags."""
 
 import re
 from pathlib import Path
+
+from dftwz import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +13,15 @@ def test_quick_start_prints_the_documented_location(capsys):
     block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "(3,)"
+
+
+def test_flag_table_lists_every_cli_flag():
+    table = re.search(
+        r"^\| flag \| default \| meaning \|\n\|[- |]+\|\n((?:\|.*\n)+)",
+        README.read_text(encoding="utf-8"),
+        re.M,
+    )
+    rows = table.group(1).splitlines()
+    documented = [re.match(r"\| `(--[a-z-]+)", row).group(1) for row in rows]
+    flags = ["--" + key.replace("_", "-") for key in cli._KNOBS] + ["--out", "--config"]
+    assert sorted(documented) == sorted(flags)

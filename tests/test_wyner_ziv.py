@@ -1,5 +1,5 @@
 """Compression pipelines: rate accounting, exact-recovery oracles,
-reconstruction variants, compression ratios."""
+the weighted correction, compression ratios."""
 
 import dataclasses
 from fractions import Fraction
@@ -227,7 +227,7 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
         )
 
         msg = syndrome_encode(code, x, Q_SY)
-        res = syndrome_decode(code, msg, y, reconstruction="subtract")
+        res = syndrome_decode(code, msg, y)
         if res.error_estimate.count:
             s_err = (code.H @ y - msg.values)[:t]
             r = np.concatenate([s_err.real, s_err.imag])
@@ -288,44 +288,6 @@ def test_parity_candidates_restricted_to_systematic(rng):
         msg = parity_encode(C75, x, Q_PA)
         res = parity_decode(C75, msg, y)
         assert all(loc < 5 for loc in res.error_estimate.locations)
-
-
-def test_syndrome_projection_tightens_syndrome_match(rng):
-    # After projection, H x_hat equals the transmitted syndrome exactly
-    # (up to rounding), never worse than the plain subtraction.
-    for _ in range(100):
-        x = _source_frame(7, rng)
-        y = x.copy()
-        y[3] += 1.5
-        msg = syndrome_encode(C75, x, Q_SY)
-        proj = syndrome_decode(C75, msg, y, reconstruction="projection")
-        sub = syndrome_decode(C75, msg, y, reconstruction="subtract")
-        if proj.error_estimate.count == 0:
-            continue
-        gap_proj = np.linalg.norm(C75.H @ proj.x_hat - msg.values)
-        gap_sub = np.linalg.norm(C75.H @ sub.x_hat - msg.values)
-        assert gap_proj <= gap_sub + 1e-12
-
-
-def test_syndrome_reconstruction_variants_differ_only_off_subspace(rng):
-    x = _source_frame(7, rng)
-    y = x.copy()
-    y[0] += 2.0
-    msg = syndrome_encode(C75, x, Q_SY)
-    proj = syndrome_decode(C75, msg, y, reconstruction="projection")
-    sub = syndrome_decode(C75, msg, y, reconstruction="subtract")
-    if proj.error_estimate.count:
-        diff = proj.x_hat - sub.x_hat
-        # The correction lives in the row space of H.
-        assert np.linalg.norm(diff) > 0
-        lifted = C75.H.conj().T @ (C75.H @ diff)
-        np.testing.assert_allclose(lifted.real, diff, atol=1e-10)
-
-
-def test_unknown_reconstruction_rejected(rng):
-    msg = syndrome_encode(C75, np.zeros(7), Q_SY)
-    with pytest.raises(ValueError):
-        syndrome_decode(C75, msg, np.zeros(7), reconstruction="oracle")
 
 
 def test_noise_floor_values_frozen():
