@@ -153,7 +153,14 @@ def config_from_argv(argv: list[str]) -> tuple[SweepConfig, str]:
         except ValueError as exc:
             raise ValueError(f"{key} = {text!r}: {exc}") from None
         kwargs.update(zip(fields, value if len(fields) > 1 else (value,)))
-    return SweepConfig(**kwargs), out
+    try:
+        return SweepConfig(**kwargs), out
+    except ValueError as exc:  # SweepConfig names a field; name the key that set it
+        field, _sep, rest = str(exc).partition(" = ")
+        keys = [key for key, (_p, f, _h) in _KNOBS.items() if f == (field,) and field != key]
+        if not keys:
+            raise
+        raise ValueError(f"{keys[0]} = {rest}") from None
 
 
 def main(argv: "list[str] | None" = None) -> int:

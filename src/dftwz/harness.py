@@ -1,15 +1,18 @@
 """Monte-Carlo experiment engine: CEQNR sweeps, metrics, CSV output.
 
-Determinism contract: frames are processed in fixed blocks of
-BLOCK_FRAMES, split into sub-blocks of at most SUB_BLOCK_FRAMES that are
-drawn, encoded and decoded as arrays. A sub-block draws its innovations,
-error-position keys and error magnitudes, in that order, from one
+Determinism contract: each CEQNR point's frames are processed in fixed
+blocks of BLOCK_FRAMES, split into sub-blocks of at most
+SUB_BLOCK_FRAMES. A sub-block draws its innovations, error-position keys
+and error magnitudes, in that order, from one
 default_rng((master_seed, ceqnr_index, approach_id, lo)), lo being the
 index of its first frame (sources.draw_frames). Blocks and sub-blocks
 start at multiples of these two constants, so both are part of the
-contract. Each frame's MSE is added to its block's sum in frame order,
-and block partial sums are reduced in submission order, so identical
-configuration and seed produce byte-identical CSV for any worker count.
+contract. A task is one block of one approach at every CEQNR point; it
+encodes and decodes its sub-blocks _STACK_SUB_BLOCKS at a time, stacked
+as one array. Each frame's MSE is added to its point's block sum in
+frame order, and block partial sums are reduced in submission order, so
+identical configuration and seed produce byte-identical CSV for any
+worker count.
 
 CEQNR (channel-error-to-quantization-noise ratio) is
 10 log10(sigma_e^2 / sigma_q^2) where sigma_q^2 = step^2 / 12 of the
@@ -53,16 +56,23 @@ __all__ = [
 APPROACHES = ("syndrome", "parity")
 _APPROACH_ID = {"syndrome": 0, "parity": 1}
 
-# Frames per work unit. Part of the byte-determinism contract: partial
-# sums are accumulated within a block and blocks are reduced in order,
-# so results are independent of how blocks land on workers.
+# Frames per grid point in one work unit. Part of the byte-determinism
+# contract: partial sums are accumulated within a block and blocks are
+# reduced in order, so results are independent of how blocks land on
+# workers.
 BLOCK_FRAMES = 2048
 
-# Frames drawn from one generator and decoded together as arrays; bounds
-# the memory of one block, the decoders' weighting stacks included. Part
-# of the byte-determinism contract too: it fixes which generator draws
-# which frame.
+# Frames drawn from one generator. Part of the byte-determinism contract
+# too: it fixes which generator draws which frame.
 SUB_BLOCK_FRAMES = 256
+
+# Sub-blocks encoded and decoded in one call, from any grid points: at
+# most one block's frames. One call per stack pays the decoders' per-call
+# cost once; the cap bounds a call's memory, the weighting stacks
+# included, whatever the frame count and the grid's length. Not part of
+# the contract: every product over a stack is a stack of per-frame
+# products.
+_STACK_SUB_BLOCKS = BLOCK_FRAMES // SUB_BLOCK_FRAMES
 
 # Where the CLI writes the sweep CSV unless given a path.
 DEFAULT_CSV_PATH = "sweep.csv"
@@ -188,22 +198,15 @@ class SweepResult:
 
 
 def _trials(
-    code: DftCode,
-    approach: str,
-    quantizer: QuantizerSpec,
-    ch: ChannelSpec,
-    rng: np.random.Generator,
-    frames: int,
-    source: SourceSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Round trips of a block of frames drawn from one generator:
-    (frame MSEs, localized, zero-error, overloads)."""
+    code: DftCode, approach: str, quantizer: QuantizerSpec,
+    x: np.ndarray, y: np.ndarray, hit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Round trips of frames as ``draw_frames`` returns them: per-frame
+    (MSE, localized, zero-error, overloads)."""
     if approach == "syndrome":
-        x, y, hit = draw_frames(source, ch, code.n, rng, frames)
         values, overloads = encode_block(code.H, x, quantizer)
         decoded = syndrome_decode_block(code, values, quantizer, y)
     elif approach == "parity":
-        x, y, hit = draw_frames(source, ch, code.k, rng, frames)
         values, overloads = encode_block(code.P_gen, x, quantizer)
         decoded = parity_decode_block(code, values, quantizer, y)
     else:
@@ -234,13 +237,14 @@ def run_trial(
     ground-truth error positions; zero_error means the reconstruction is
     bitwise equal to the source frame.
     """
-    mse, localized, zero_error, overloads = _trials(code, approach, quantizer, ch, rng, 1, source)
+    frame = draw_frames(source, ch, code.n if approach == "syndrome" else code.k, rng, 1)
+    mse, localized, zero_error, overloads = _trials(code, approach, quantizer, *frame)
     return TrialRecord(
         approach=approach,
         frame_mse=float(mse[0]),
         localization_correct=bool(localized[0]),
         zero_error=bool(zero_error[0]),
-        overloads=overloads,
+        overloads=int(overloads[0]),
         tx_samples=_tx_samples(code, approach),
     )
 
@@ -259,37 +263,40 @@ def _init_worker(cfg: SweepConfig, code: DftCode) -> None:
     _CTX.update(cfg=cfg, code=code, tx_quant=tx_quant, source=SourceSpec(cfg.rho))
 
 
-def _run_block(task: tuple[int, float, str, int, int]) -> tuple[float, int, int, int, int]:
-    """Partial sums over one block of frames: (mse_sum, loc, zero, ovl, tx)."""
-    ci, ceqnr_db, approach, start, count = task
-    cfg: SweepConfig = _CTX["cfg"]
-    ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(ceqnr_db))
-    approach_id = _APPROACH_ID[approach]
-    mse_sum = 0.0
-    loc = zero = ovl = 0
-    stop = start + count
-    for lo in range(start, stop, SUB_BLOCK_FRAMES):
-        mse, localized, zero_error, overloads = _trials(
-            _CTX["code"], approach, _CTX["tx_quant"][approach], ch,
-            np.random.default_rng((cfg.seed, ci, approach_id, lo)),
-            min(SUB_BLOCK_FRAMES, stop - lo), _CTX["source"],
-        )
-        for frame_mse in mse.tolist():  # one at a time, in frame order
-            mse_sum += frame_mse
-        loc += int(localized.sum())
-        zero += int(zero_error.sum())
-        ovl += overloads
-    return mse_sum, loc, zero, ovl, count * _tx_samples(_CTX["code"], approach)
+def _run_block(task: tuple[str, int, int]) -> list[list]:
+    """Partial sums over one block of frames, [mse_sum, loc, zero, ovl]
+    for each CEQNR point in grid order."""
+    approach, start, count = task
+    cfg, code = _CTX["cfg"], _CTX["code"]
+    length = code.n if approach == "syndrome" else code.k
+    channels = [ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db)) for db in cfg.ceqnr_db]
+    subs = [(ci, lo, min(SUB_BLOCK_FRAMES, start + count - lo))
+            for ci in range(len(channels)) for lo in range(start, start + count, SUB_BLOCK_FRAMES)]
+    sums = [[0.0, 0, 0, 0] for _ in channels]
+    for i in range(0, len(subs), _STACK_SUB_BLOCKS):
+        stack = subs[i:i + _STACK_SUB_BLOCKS]
+        draws = [draw_frames(_CTX["source"], channels[ci], length,
+                             np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], lo)), n)
+                 for ci, lo, n in stack]
+        x, y, hit = (np.concatenate(a) for a in zip(*draws))
+        del draws  # the stacked copies are all the decoder needs
+        per_frame = _trials(code, approach, _CTX["tx_quant"][approach], x, y, hit)
+        edges = np.cumsum([n for _ci, _lo, n in stack[:-1]])
+        for (ci, _lo, _n), mse, loc, zero, ovl in zip(
+                stack, *(np.split(a, edges) for a in per_frame)):
+            slot = sums[ci]
+            for frame_mse in mse.tolist():  # one at a time, in frame order
+                slot[0] += frame_mse
+            slot[1] += int(loc.sum())
+            slot[2] += int(zero.sum())
+            slot[3] += int(ovl.sum())
+    return sums
 
 
-def _make_tasks(cfg: SweepConfig) -> list[tuple[int, float, str, int, int]]:
-    tasks = []
-    for ci, db in enumerate(cfg.ceqnr_db):
-        for approach in cfg.approaches:
-            for start in range(0, cfg.frames, BLOCK_FRAMES):
-                count = min(BLOCK_FRAMES, cfg.frames - start)
-                tasks.append((ci, float(db), approach, start, count))
-    return tasks
+def _make_tasks(cfg: SweepConfig) -> list[tuple[str, int, int]]:
+    """(approach, start, count) for every block of every approach."""
+    return [(approach, start, min(BLOCK_FRAMES, cfg.frames - start))
+            for approach in cfg.approaches for start in range(0, cfg.frames, BLOCK_FRAMES)]
 
 
 def sweep(config: SweepConfig) -> SweepResult:
@@ -297,10 +304,11 @@ def sweep(config: SweepConfig) -> SweepResult:
 
     zero_error_frac and overload_rate pool over every approach that ran
     (the CSV has one column each); per-approach values are obtained by
-    sweeping a single approach. Reduction order is fixed by the task
-    list, never by worker scheduling. ``config.workers`` caps the pool,
-    which starts one worker per task holding a full BLOCK_FRAMES block at
-    most and none when that is one or fewer.
+    sweeping a single approach. A task is one block of one approach at
+    every point, and reduction order is fixed by the task list, never by
+    worker scheduling. ``config.workers`` caps the pool, which starts one
+    worker per task holding a full BLOCK_FRAMES block at most and none
+    when that is one or fewer.
     """
     tasks = _make_tasks(config)
     code = build_code(config.n, config.k)
@@ -316,11 +324,11 @@ def sweep(config: SweepConfig) -> SweepResult:
         partials = [_run_block(t) for t in tasks]
 
     acc: dict[tuple[int, str], list[float]] = {}
-    for task, part in zip(tasks, partials):
-        ci, _db, approach, _start, _count = task
-        slot = acc.setdefault((ci, approach), [0.0, 0, 0, 0, 0])
-        for i, v in enumerate(part):
-            slot[i] += v
+    for (approach, _start, _count), part in zip(tasks, partials):
+        for ci, sums in enumerate(part):
+            slot = acc.setdefault((ci, approach), [0.0, 0, 0, 0])
+            for i, v in enumerate(sums):
+                slot[i] += v
 
     points = []
     sigma_q_sq = config.reference_quantizer.sigma_q_sq
@@ -329,12 +337,12 @@ def sweep(config: SweepConfig) -> SweepResult:
         loc = {"syndrome": float("nan"), "parity": float("nan")}
         zero_total = ovl_total = tx_total = 0
         for approach in config.approaches:
-            mse_sum, loc_cnt, zero_cnt, ovl_cnt, tx_cnt = acc[(ci, approach)]
+            mse_sum, loc_cnt, zero_cnt, ovl_cnt = acc[(ci, approach)]
             mse[approach] = mse_sum / config.frames
             loc[approach] = loc_cnt / config.frames
             zero_total += zero_cnt
             ovl_total += ovl_cnt
-            tx_total += tx_cnt
+            tx_total += config.frames * _tx_samples(code, approach)
         points.append(
             SweepPoint(
                 ceqnr_db=float(db),
@@ -344,7 +352,7 @@ def sweep(config: SweepConfig) -> SweepResult:
                 loc_freq_syndrome=loc["syndrome"],
                 loc_freq_parity=loc["parity"],
                 zero_error_frac=zero_total / (config.frames * len(config.approaches)),
-                overload_rate=ovl_total / tx_total if tx_total else 0.0,
+                overload_rate=ovl_total / tx_total,
                 frames=config.frames,
             )
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuantizerSpec", "quantize", "count_overloads"]
+__all__ = ["QuantizerSpec", "quantize"]
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,3 @@ def quantize(q: QuantizerSpec, v: "float | np.ndarray") -> "float | np.ndarray":
         return float(out)
     return out
 
-
-def count_overloads(q: QuantizerSpec, v: "float | np.ndarray") -> int:
-    """Number of components falling outside [lo, hi] (clip events)."""
-    values = np.asarray(v, dtype=np.float64)
-    return int(np.sum((values < q.lo) | (values > q.hi)))

@@ -50,7 +50,7 @@ import numpy as np
 
 from .codes import DftCode
 from .pgz import ErrorEstimate, PgzBlock, decode_block, frame_estimate
-from .quantize import QuantizerSpec, count_overloads, quantize
+from .quantize import QuantizerSpec, quantize
 
 __all__ = [
     "SyndromeMessage",
@@ -213,8 +213,9 @@ def _weighted_errors(
     residual with the magnitudes integrated out under a flat prior.
     Weights are normalized by log-sum-exp, so a frame that no support
     explains still gives finite weights. Frames are weighted together,
-    one support size at a time; the caller's block size bounds the
-    (frames, nu, M, N + rows) stacks.
+    one support size at a time; the (F, nu, M, N) stack of fits holds
+    every support's correction until the weights are known, so a caller
+    bounds the memory by bounding F.
     """
     key, (rows, cols) = basis.tobytes(), basis.shape
     est = np.empty((len(residual), cols))
@@ -224,8 +225,8 @@ def _weighted_errors(
         locs = np.nonzero(support[group])[1].reshape(len(group), nu)
         r, frames = residual[group], len(group)
         m = cols - nu + 1  # supports per core
-        out = np.empty((frames, nu, m, cols + rows))
-        log_prior = np.empty((frames, nu, m))
+        fits = np.empty((frames, nu, m, cols))
+        logw = np.empty((frames, nu, m))
         for i in range(nu):
             # frames sharing core i (PGZ's support less its i-th position)
             # share one operator; for nu = 1 every core is empty
@@ -234,30 +235,34 @@ def _weighted_errors(
             order = np.argsort(keys, kind="stable")
             for sel in np.split(order, np.diff(keys[order]).nonzero()[0] + 1):
                 ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[sel[0]].tolist()))
-                out[sel, i] = _vm(r[sel], ops).reshape(-1, m, cols + rows)
-                log_prior[sel, i] = prior
-        out = out.reshape(frames, nu * m, cols + rows)
-        logw = log_prior.reshape(frames, nu * m) - _mv(out[..., cols:], r)
+                out = _vm(r[sel], ops).reshape(-1, m, cols + rows)
+                fits[sel, i] = out[..., :cols]
+                logw[sel, i] = prior - _mv(out[..., cols:], r[sel])
+        fits = fits.reshape(frames, nu * m, cols)
+        logw = logw.reshape(frames, nu * m)
         # PGZ's support ends up in every core's list, at entry s_i - i of
         # core i's block; count it once.
         for i in range(1, nu):
             logw[np.arange(frames), i * m + locs[:, i] - i] = -np.inf
         w = np.exp(logw - np.logaddexp.reduce(logw, axis=1, keepdims=True))
-        est[group] = _vm(w, out[..., :cols])
+        est[group] = _vm(w, fits)
+        del fits, out  # before the next support size allocates its own
     return est
 
 
 def encode_block(
     matrix: np.ndarray, x: np.ndarray, quantizer: QuantizerSpec
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Quantize matrix @ x[f] for each row x[f] of x (real and imaginary
-    parts apart when ``matrix`` is complex); returns the levels and the
-    number of clipped samples over the whole block."""
+    parts apart when ``matrix`` is complex); returns the levels and each
+    frame's number of clipped samples, those outside [lo, hi]."""
     v = _mv(matrix, _frames(x, matrix.shape[1], "source"))
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    lo, hi = quantizer.lo, quantizer.hi
+    overloads = sum(np.count_nonzero((p < lo) | (p > hi), axis=1) for p in parts)
     if np.iscomplexobj(v):
-        values = quantize(quantizer, v.real) + 1j * quantize(quantizer, v.imag)
-        return values, count_overloads(quantizer, v.real) + count_overloads(quantizer, v.imag)
-    return quantize(quantizer, v), count_overloads(quantizer, v)
+        return quantize(quantizer, v.real) + 1j * quantize(quantizer, v.imag), overloads
+    return quantize(quantizer, v), overloads
 
 
 class DecodedBlock(NamedTuple):
@@ -332,7 +337,7 @@ def syndrome_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> S
         values=values[0],
         quantizer=quantizer,
         bits_used=2 * (code.n - code.k) * quantizer.bits,
-        overloads=overloads,
+        overloads=int(overloads[0]),
     )
 
 
@@ -370,7 +375,7 @@ def parity_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> Par
         values=values[0],
         quantizer=quantizer,
         bits_used=(code.n - code.k) * quantizer.bits,
-        overloads=overloads,
+        overloads=int(overloads[0]),
     )
 
 

@@ -60,7 +60,9 @@ def _block(code, counts, seed):
 def _assert_same(block, frame, i, parity=()):
     assert frame.error_estimate.count == block.pgz.count[i]
     assert frame.error_estimate.locations == tuple(np.flatnonzero(block.support[i]))
-    np.testing.assert_allclose(frame.x_hat, block.x_hat[i], rtol=0, atol=1e-12)
+    # Bitwise: the sweep decodes frames of many grid points in one call,
+    # so a frame's result must not depend on the frames beside it.
+    np.testing.assert_array_equal(frame.x_hat, block.x_hat[i])
     assert np.all(block.pgz.support[i, list(parity)] == 0)
 
 

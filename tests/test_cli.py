@@ -242,6 +242,17 @@ def test_main_reversed_range_names_its_knob(capsys, tmp_path):
     assert err.startswith("dftwz: parity_range = (1.0, -1.0): ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_main_bad_range_names_the_key_typed(capsys, tmp_path, source):
+    # The key is ``range``; the SweepConfig field it sets is ``ref_range``.
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("range = nan,1\n")
+    given = ["--range", "nan,1"] if source == "flag" else ["--config", str(cfg)]
+    code, err = run_main(capsys, *given, "--frames", "8", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err == "dftwz: range = (nan, 1.0): need finite hi > lo, got [nan, 1.0]\n"
+
+
 @pytest.mark.parametrize("bits", ["600", "1100"])
 def test_main_bits_without_a_float_sigma_q_exit_2(capsys, tmp_path, bits):
     code, err = run_main(

@@ -1,5 +1,6 @@
 """Harness: trial records, sweep aggregation, determinism, CSV contract."""
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from dftwz.codes import build_code
 from dftwz.harness import (
     BLOCK_FRAMES,
     CSV_COLUMNS,
+    SUB_BLOCK_FRAMES,
     SweepConfig,
     SweepPoint,
     SweepResult,
@@ -21,7 +23,7 @@ from dftwz.harness import (
     write_csv,
 )
 from dftwz.quantize import QuantizerSpec
-from dftwz.sources import ChannelSpec
+from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 
 C75 = build_code(7, 5)
 Q_SY = QuantizerSpec(6, -1.0, 1.0)
@@ -199,7 +201,8 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, tmp_path, frames, 
 
 
 def test_sweep_starts_no_pool_without_two_full_blocks(monkeypatch, tmp_path):
-    # Eight tasks of 300 frames: none holds a full block, so none pools.
+    # Two tasks of 300 frames at 4 points: none holds a full block, so
+    # none pools.
     cfg = small_config(ceqnr_db=(0.0, 10.0, 20.0, 30.0), frames=300, workers=8)
     assert _pool_sizes(monkeypatch, tmp_path, cfg) == []
 
@@ -215,6 +218,53 @@ def test_cli_rejects_a_bad_knob_before_asking_for_a_pool(monkeypatch, tmp_path, 
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2 and capsys.readouterr().err.startswith("dftwz: ")
     assert started == []
+
+
+def test_overload_rate_counts_each_points_own_clips():
+    # A narrow parity range clips at every point, a different number of
+    # samples at each. Each point's rate is its own frames' clips, drawn
+    # as the README's determinism contract says; 300 frames per point
+    # make sub-blocks of 256 and 44 frames, and a decode call stacks
+    # sub-blocks of more than one point.
+    cfg = small_config(approaches=("parity",), parity_range=(-1.5, 1.5),
+                       ceqnr_db=(-10.0, 10.0, 30.0), frames=300)
+    tx = cfg.frames * (C75.n - C75.k)
+    clips = []
+    for ci, db in enumerate(cfg.ceqnr_db):
+        ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db))
+        count = 0
+        for lo in range(0, cfg.frames, SUB_BLOCK_FRAMES):
+            rng = np.random.default_rng((cfg.seed, ci, 1, lo))
+            x = draw_frames(SourceSpec(cfg.rho), ch, C75.k, rng,
+                            min(SUB_BLOCK_FRAMES, cfg.frames - lo))[0]
+            count += int(np.sum(np.abs(x @ C75.P_gen.T) > 1.5))
+        clips.append(count)
+    assert len(set(clips)) == len(clips)  # pooled clips would read one rate
+    assert [p.overload_rate for p in sweep(cfg).points] == [c / tx for c in clips]
+
+
+def _sweep_peak(cfg):
+    """tracemalloc's peak over ``sweep(cfg)``, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sweep(cfg)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_grid_or_frames():
+    # A decode call holds a bounded number of frames, so the peak stays put
+    # when the grid has 4x the points or each point 2x the frames. A
+    # first, untraced sweep fills the decoder's operator cache, which a
+    # later sweep reuses.
+    cfg = small_config(n=15, k=9, errors_per_frame=2, approaches=("syndrome",),
+                       ceqnr_db=(30.0, 40.0), frames=BLOCK_FRAMES)
+    sweep(cfg)
+    peak = _sweep_peak(cfg)
+    assert _sweep_peak(replace(cfg, ceqnr_db=cfg.ceqnr_db * 4)) <= 1.1 * peak
+    assert _sweep_peak(replace(cfg, frames=2 * cfg.frames)) <= 1.1 * peak
 
 
 def test_sweep_single_approach_columns():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dftwz.quantize import QuantizerSpec, count_overloads, quantize
+from dftwz.quantize import QuantizerSpec, quantize
+from dftwz.wyner_ziv import encode_block
 
 REF = QuantizerSpec(6, -4.0, 4.0)
 
@@ -21,8 +22,17 @@ def test_quantize_zero_ties_upward():
 def test_quantize_clips_to_edge_level():
     assert quantize(REF, 5.0) == 3.9375
     assert quantize(REF, -123.0) == -3.9375
-    assert count_overloads(REF, 5.0) == 1
-    assert count_overloads(REF, np.array([5.0, 0.0, -4.5])) == 2
+
+
+def test_encode_block_counts_clips_per_frame():
+    # A clip is a sample outside [lo, hi]; the edges themselves are in range.
+    x = np.array([[5.0, 0.0, -4.5], [4.0, -4.0, 0.1], [9.0, 9.0, -9.0]])
+    values, overloads = encode_block(np.eye(3), x, REF)
+    assert overloads.tolist() == [2, 0, 3]
+    np.testing.assert_array_equal(values, quantize(REF, x))
+    # A complex matrix counts the real and the imaginary parts apart.
+    _, overloads = encode_block((1.0 + 1.0j) * np.eye(3), x, REF)
+    assert overloads.tolist() == [4, 0, 6]
 
 
 def test_levels_grid():
