@@ -16,8 +16,9 @@ The solver follows the shape of the problem. A t = 1 code's Hankel
 matrix is 1x1, with singular value |s_0|, and a one-unknown locator
 (nu = 1, any t) is the scalar least-squares fit a^H b / a^H a, formed
 on a scaled copy so that its decisions do not depend on the syndrome's
-scale. Every larger count and locator system runs an SVD; a Gram matrix
-would square its condition number.
+scale. Every larger count and locator system runs an SVD (a Gram matrix
+would square its condition number), except that a nu = t locator reuses
+the count's spectrum and is solved by LU.
 
 ``decode_block`` runs the count, locator and location steps on a block
 of F syndromes at once and is the one way into the chain; ``pgz_decode``
@@ -150,11 +151,17 @@ def _locator_system(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray
     return values[:, _locator_index(values.shape[1], nu)], values[:, nu:]
 
 
-def _solve_locators(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
+def _solve_locators(
+    values: np.ndarray, nu: int, sing: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares locator coefficients (F, nu) of each row of
     ``values``, and whether its system has full rank. One SVD per row
     serves both the rank test and the solve, x = V diag(1/sing) U^H b;
     the coefficients of a rank-deficient row are meaningless.
+
+    For nu = t the caller passes the count's singular values ``sing``:
+    A[m, c] = S[m, t-1-c] is the Hankel matrix with its columns reversed,
+    so they serve the rank test, and LU solves the full-rank rows.
 
     One unknown (nu = 1) needs no SVD: its one column a = s_0..s_{2t-2}
     has full rank when a != 0, and Lambda_1 = a^H b / a^H a. Both are
@@ -169,6 +176,11 @@ def _solve_locators(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray
         a, b = a[:, :, 0] / scale[:, None], b / scale[:, None]
         aa = (a.real * a.real + a.imag * a.imag).sum(axis=1)
         return ((a.conj() * b).sum(axis=1) / np.where(full, aa, 1.0))[:, None], full
+    if sing is not None:  # a count of t > 0 implies sing[:, 0] > 0
+        full = sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0]
+        coeffs = np.zeros(b.shape, dtype=np.complex128)
+        coeffs[full] = np.linalg.solve(a[full], b[full, :, None])[..., 0]
+        return coeffs, full
     u, sing, vh = np.linalg.svd(a, full_matrices=False)
     full = (sing[:, 0] > 0.0) & (sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0])
     ub = (b[:, None, :] @ u.conj()) / np.where(full[:, None, None], sing[:, None, :], 1.0)
@@ -223,10 +235,15 @@ def decode_block(
     nu = 0 is the empty estimate; grid location over ``candidate_set``.
     The ladder starts at most at the number of candidates, and the steps
     that cap takes count as retries.
-    Raises ValueError for non-finite syndromes, never for numerical
+    Raises ValueError for non-finite syndromes, a ``rel_tol`` outside
+    [0, 1) or a negative or NaN ``noise_floor``, never for numerical
     reasons: worst cases surface as poor estimates, which the Monte-Carlo
     metrics then record.
     """
+    if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
+        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol}")
+    if not noise_floor >= 0.0:
+        raise ValueError(f"noise_floor must be >= 0, got {noise_floor}")
     values = np.asarray(syndromes, dtype=np.complex128)
     t, n = code.t, code.n
     if values.ndim != 2 or values.shape[1] != 2 * t:
@@ -241,7 +258,7 @@ def decode_block(
     for nu in range(count.max(initial=0), 0, -1):  # a frame failing at nu retries at nu - 1
         rows = (count == nu).nonzero()[0]
         if rows.size:
-            coeffs, full = _solve_locators(values[rows], nu)
+            coeffs, full = _solve_locators(values[rows], nu, sing[rows] if nu == t else None)
             locator[rows, :nu] = coeffs
             if not full.all():
                 failed = rows[~full]
@@ -283,7 +300,8 @@ def pgz_decode(
 ) -> ErrorEstimate:
     """Full PGZ chain with a retry ladder: ``decode_block`` on a block of
     one, then least-squares magnitudes. Raises ValueError for a non-finite
-    syndrome; never raises for numerical reasons."""
+    syndrome or a bad ``rel_tol`` or ``noise_floor``, as ``decode_block``
+    does; never raises for numerical reasons."""
     values = np.asarray(s, dtype=np.complex128)[None]  # decode_block checks it
     block = decode_block(code, values, candidate_set, rel_tol=rel_tol, noise_floor=noise_floor)
     return frame_estimate(code, values, block)

@@ -157,6 +157,10 @@ GOLDEN_CONFIGS = {
     "golden_15_9.csv": dict(
         n=15, k=9, errors_per_frame=2, ceqnr_db=(20.0, 30.0, 40.0), frames=512
     ),
+    # t = 4: 4x4 locator solves and three-position cores
+    "golden_21_13.csv": dict(
+        n=21, k=13, errors_per_frame=4, ceqnr_db=(20.0, 40.0), frames=256
+    ),
 }
 
 

@@ -1,7 +1,8 @@
 """PGZ decoder oracles: closed-form syndromes, Hankel count, locator
 algebra, grid location, least-squares magnitudes, retry ladder,
 noiseless exactness and scale invariance, all read off ``pgz_decode``,
-and the closed-form one-unknown solves against LAPACK."""
+the closed-form one-unknown solves and the nu = t LU solves against
+LAPACK, and the domain of the tolerances."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dftwz.pgz import _grid, _locator_system, decode_block, pgz_decode
 
 C75 = build_code(7, 5)
 C159 = build_code(15, 9)
+C3125 = build_code(31, 25)
 
 
 def unit_error_syndrome(code, pos, mag=1.0):
@@ -288,3 +290,75 @@ def test_one_unknown_solves_match_lapack(code, rng):
     np.testing.assert_allclose(block.locator[rows, :1], ref, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(
         block.support[rows], _grid(ref, block.count[rows], np.arange(code.n), code.n))
+
+
+def _full_count_block(code, frames, rng):
+    """Syndromes of t errors of random size and position each, under
+    complex noise of 1e-3, then as many complex normal syndromes."""
+    e = np.zeros((frames, code.n))
+    for row in e:
+        row[rng.choice(code.n, size=code.t, replace=False)] = rng.normal(size=code.t)
+    noise = 1e-3 * _complex_normal(rng, (frames, code.n - code.k))
+    return np.concatenate([e @ code.H.T + noise, _complex_normal(rng, (frames, code.n - code.k))])
+
+
+@pytest.mark.parametrize("code", [C159, C3125], ids=["15-9", "31-25"])
+def test_full_count_solves_match_lapack(code, rng):
+    # A count of t solves its square key-equation system by LU, with the
+    # count's singular values as its rank test; it must agree with the
+    # least squares it replaces and pick the same support.
+    syndromes = _full_count_block(code, 256, rng)
+    block = decode_block(code, syndromes)
+    rows = (block.count == code.t).nonzero()[0]
+    assert rows.size >= 256
+    a, b = _locator_system(syndromes[rows], code.t)
+    ref = np.array([np.linalg.lstsq(a_f, b_f, rcond=None)[0] for a_f, b_f in zip(a, b)])
+    np.testing.assert_allclose(block.locator[rows], ref, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(
+        block.support[rows], _grid(ref, block.count[rows], np.arange(code.n), code.n))
+
+
+def test_full_count_block_runs_one_svd(rng, monkeypatch):
+    # The count's Hankel SVD is the only one when every live frame counts
+    # t: the locators reuse its singular values.
+    syndromes = _complex_normal(rng, (64, 6))
+    syndromes[:4] = 0.0  # gated
+    calls, real_svd = [], np.linalg.svd
+
+    def svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    block = decode_block(C159, syndromes)
+    assert block.gated.sum() == 4
+    assert np.all(block.count[~block.gated] == C159.t)
+    assert calls == [(60, 3, 3)]
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, -0.1, 1.0, 2.0])
+def test_bad_rel_tol_rejected(rel_tol):
+    e = np.zeros(15)
+    e[2], e[9] = 1.0, -0.7
+    with pytest.raises(ValueError, match="rel_tol"):
+        pgz_decode(C159, C159.H @ e, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        decode_block(C159, (C159.H @ e)[None], rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("noise_floor", [np.nan, -1e-9, -np.inf])
+def test_bad_noise_floor_rejected(noise_floor):
+    s = unit_error_syndrome(C75, 3)
+    with pytest.raises(ValueError, match="noise_floor"):
+        pgz_decode(C75, s, noise_floor=noise_floor)
+    with pytest.raises(ValueError, match="noise_floor"):
+        decode_block(C75, s[None], noise_floor=noise_floor)
+
+
+def test_tolerance_domain_edges_accepted():
+    # rel_tol = 0 counts every nonzero singular value; an infinite noise
+    # floor gates every frame.
+    e = np.zeros(15)
+    e[2], e[9] = 1.0, -0.7
+    assert pgz_decode(C159, C159.H @ e, rel_tol=0.0).count >= 2
+    assert pgz_decode(C159, C159.H @ e, noise_floor=np.inf).count == 0

@@ -14,6 +14,7 @@ from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
     _extension_fits,
+    _weighted_errors,
     compression_ratio,
     encode_block,
     parity_decode,
@@ -247,6 +248,29 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
             np.testing.assert_allclose(res.x_hat, want, **tol)
             counts.add(res.error_estimate.count)
     assert counts >= {max(t - 1, 1), t}  # supports of t - 1 and t positions ran
+
+
+def test_frames_sharing_a_core_through_different_positions():
+    # {0, 1, 2} dropping 0 and {1, 2, 5} dropping 5 both reach core (1, 2),
+    # so the weighting serves them with one operator; {1, 2, 7} and a
+    # second {0, 1, 2} join that core too, and {1, 2} is a smaller support.
+    t = C159.t
+    basis = np.vstack([C159.H[:t].real, C159.H[:t].imag])
+    supports = [(0, 1, 2), (1, 2, 5), (3, 4, 6), (1, 2, 7), (0, 1, 2), (1, 2)]
+    rng = np.random.default_rng(7)
+    residual = np.empty((len(supports), basis.shape[0]))
+    mask = np.zeros((len(supports), C159.n), dtype=bool)
+    for f, sup in enumerate(supports):
+        mask[f, list(sup)] = True
+        e = np.zeros(C159.n)
+        e[list(sup)] = rng.choice([0.05, 0.5], len(sup)) * rng.normal(size=len(sup))
+        residual[f] = basis @ e + 0.3 * np.sqrt(Q_SY.sigma_q_sq) * rng.normal(size=len(residual[f]))
+    est = _weighted_errors(basis, residual, mask, Q_SY.sigma_q_sq)
+    for f, sup in enumerate(supports):
+        one = _weighted_errors(basis, residual[f : f + 1], mask[f : f + 1], Q_SY.sigma_q_sq)
+        np.testing.assert_array_equal(est[f], one[0])
+        want = _direct_correction(basis, residual[f], sup, Q_SY.sigma_q_sq)
+        np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
 
 
 def _best_single_rss(basis, r):
