@@ -8,9 +8,10 @@ default_rng((master_seed, ceqnr_index, approach_id, lo)), lo being the
 index of its first frame (sources.draw_frames). Blocks and sub-blocks
 start at multiples of these two constants, so both are part of the
 contract. A task is one block of one approach at every CEQNR point; it
-encodes and decodes its sub-blocks _STACK_SUB_BLOCKS at a time, stacked
-as one array. Each frame's MSE is added to its point's block sum in
-frame order, and block partial sums are reduced in submission order, so
+draws (one draw_frames call, a generator per sub-block), encodes and
+decodes its sub-blocks _STACK_SUB_BLOCKS at a time, stacked as one
+array. Each frame's MSE is added to its point's block sum in frame
+order, and block partial sums are reduced in submission order, so
 identical configuration and seed produce byte-identical CSV for any
 worker count.
 
@@ -30,7 +31,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .codes import CodeSpec, DftCode, build_code
-from .quantize import QuantizerSpec
+from .quantize import BitsError, QuantizerSpec
 from .sources import ChannelSpec, SourceSpec, draw_frames
 from .wyner_ziv import (
     DEFAULT_PARITY_RANGE,
@@ -153,10 +154,12 @@ class SweepConfig:
             )
 
     def _quantizer(self, name: str) -> QuantizerSpec:
-        """``bits`` on the range field ``name``; an error names the field."""
+        """``bits`` on the range field ``name``; an error names bits or the field."""
         lo_hi = getattr(self, name)
         try:
             return QuantizerSpec(self.bits, *lo_hi)
+        except BitsError:
+            raise
         except ValueError as exc:
             raise ValueError(f"{name} = {lo_hi}: {exc}") from None
 
@@ -237,7 +240,7 @@ def run_trial(
     ground-truth error positions; zero_error means the reconstruction is
     bitwise equal to the source frame.
     """
-    frame = draw_frames(source, ch, code.n if approach == "syndrome" else code.k, rng, 1)
+    frame = draw_frames(source, code.n if approach == "syndrome" else code.k, [(rng, ch, 1)])
     mse, localized, zero_error, overloads = _trials(code, approach, quantizer, *frame)
     return TrialRecord(
         approach=approach,
@@ -275,20 +278,19 @@ def _run_block(task: tuple[str, int, int]) -> list[list]:
     sums = [[0.0, 0, 0, 0] for _ in channels]
     for i in range(0, len(subs), _STACK_SUB_BLOCKS):
         stack = subs[i:i + _STACK_SUB_BLOCKS]
-        draws = [draw_frames(_CTX["source"], channels[ci], length,
-                             np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], lo)), n)
-                 for ci, lo, n in stack]
-        x, y, hit = (np.concatenate(a) for a in zip(*draws))
-        del draws  # the stacked copies are all the decoder needs
-        per_frame = _trials(code, approach, _CTX["tx_quant"][approach], x, y, hit)
-        edges = np.cumsum([n for _ci, _lo, n in stack[:-1]])
-        for (ci, _lo, _n), mse, loc, zero, ovl in zip(
-                stack, *(np.split(a, edges) for a in per_frame)):
+        frames = draw_frames(_CTX["source"], length, [
+            (np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], lo)), channels[ci], n)
+            for ci, lo, n in stack])
+        per_frame = _trials(code, approach, _CTX["tx_quant"][approach], *frames)
+        at = 0
+        for ci, _lo, n in stack:
+            mse, loc, zero, ovl = (a[at:at + n] for a in per_frame)
+            at += n
             slot = sums[ci]
-            for frame_mse in mse.tolist():  # one at a time, in frame order
-                slot[0] += frame_mse
-            slot[1] += int(loc.sum())
-            slot[2] += int(zero.sum())
+            # one frame at a time, in frame order; np.sum would add pairwise
+            slot[0] = float(np.add.accumulate(np.concatenate(([slot[0]], mse)))[-1])
+            slot[1] += int(np.count_nonzero(loc))
+            slot[2] += int(np.count_nonzero(zero))
             slot[3] += int(ovl.sum())
     return sums
 

@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuantizerSpec", "quantize"]
+__all__ = ["BitsError", "QuantizerSpec", "quantize"]
+
+
+class BitsError(ValueError):
+    """A bits that is not a positive integer; the message names bits."""
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,7 @@ class QuantizerSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.bits, (int, np.integer)) or self.bits < 1:
-            raise ValueError(f"bits must be a positive integer, got {self.bits!r}")
+            raise BitsError(f"bits = {self.bits!r}: must be a positive integer")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.hi <= self.lo:
             raise ValueError(f"need finite hi > lo, got [{self.lo}, {self.hi}]")
         try:

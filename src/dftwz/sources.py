@@ -3,13 +3,14 @@
 The source is a stationary unit-variance Gauss-Markov (AR(1)) chain; the
 correlation channel perturbs a frame at a few random positions with
 Gaussian magnitudes, producing the decoder's side information
-y = x + e. ``draw_frames`` draws a block of frames through both from
-one explicit numpy Generator, so trials can be replayed bit for bit; a
-single frame is a block of one.
+y = x + e. ``draw_frames`` draws a stack of frames through both, each
+part of it from its own numpy Generator, so trials can be replayed bit
+for bit; a single frame is a stack of one part of one frame.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,23 +44,12 @@ class ChannelSpec:
             raise ValueError(f"sigma_e must be >= 0, got {self.sigma_e}")
 
 
-def _ar1(rho: float, w: np.ndarray) -> np.ndarray:
-    """Run the AR(1) recursion along the rows of the innovations w (F, L),
-    each step across all F rows at once."""
-    scale = np.sqrt(1.0 - rho**2)
-    x = np.empty_like(w)
-    x[:, 0] = w[:, 0]
-    for i in range(1, w.shape[1]):
-        x[:, i] = rho * x[:, i - 1] + scale * w[:, i]
-    return x
-
-
 def draw_frames(
-    spec: SourceSpec, ch: ChannelSpec, length: int, rng: np.random.Generator, frames: int
+    spec: SourceSpec, length: int, parts: Sequence[tuple[np.random.Generator, ChannelSpec, int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``frames`` frames drawn from one generator as arrays: returns x and
-    y = x + e, both (F, length), and the (F, length) mask of the
-    positions where y differs from x.
+    """The frames of every (generator, channel, frames) part in order:
+    returns x and y = x + e, both (F, length), and the (F, length) mask
+    of the positions where y differs from x.
 
     Each source frame follows x_0 ~ N(0, 1), x_i = rho x_{i-1} +
     sqrt(1 - rho^2) w_i; the sqrt(1 - rho^2) innovation scaling keeps the
@@ -68,25 +58,37 @@ def draw_frames(
     uniform positions with N(0, sigma_e^2) magnitudes; a magnitude of
     exactly zero (the sigma_e = 0 case) leaves the sample untouched and is
     left out of the mask, which is the ground truth "positions where y
-    differs from x".
+    differs from x". All parts share E.
 
-    The draws come in a fixed order, each for all F frames at once:
-    ``standard_normal((F, length))`` innovations, then ``random((F,
-    length))`` keys whose rows' first E stable-argsort entries are the
-    error positions, then ``normal(0, sigma_e, (F, E))`` magnitudes.
+    Each part's generator draws in a fixed order, each for all its F_p
+    frames at once: ``standard_normal((F_p, length))`` innovations, then
+    ``random((F_p, length))`` keys whose rows' first E stable-argsort
+    entries are the error positions (for E = 1 the first minimum), then
+    ``normal(0, sigma_e, (F_p, E))`` magnitudes. The recursion, positions
+    and scatter then run once over the stack, elementwise or per row, so
+    a frame's values do not depend on the frames drawn beside it.
     """
+    errors = {ch.errors_per_frame for _rng, ch, _frames in parts}
+    if len(errors) != 1:
+        raise ValueError(f"parts must share one errors_per_frame, got {sorted(errors)}")
+    (e,) = errors
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if ch.errors_per_frame > length:
-        raise ValueError(
-            f"errors_per_frame = {ch.errors_per_frame} exceeds frame length {length}"
-        )
-    x = _ar1(spec.rho, rng.standard_normal((frames, length)))
-    keys = rng.random((frames, length))
-    positions = np.argsort(keys, axis=1, kind="stable")[:, : ch.errors_per_frame]
-    values = rng.normal(0.0, ch.sigma_e, (frames, ch.errors_per_frame))
+    if e > length:
+        raise ValueError(f"errors_per_frame = {e} exceeds frame length {length}")
+    draws = [(rng.standard_normal((frames, length)), rng.random((frames, length)),
+              rng.normal(0.0, ch.sigma_e, (frames, e))) for rng, ch, frames in parts]
+    w, keys, values = (np.concatenate(a) for a in zip(*draws))
+    w = w.T.copy()  # x_i = rho x_{i-1} + scale w_i along C-ordered rows
+    x = np.sqrt(1.0 - spec.rho**2) * w
+    x[0] = w[0]
+    for i in range(1, length):
+        x[i] += spec.rho * x[i - 1]
+    x = np.ascontiguousarray(x.T)
+    positions = (keys.argmin(axis=1)[:, None] if e == 1
+                 else np.argsort(keys, axis=1, kind="stable")[:, :e])
     y = x.copy()
-    rows = np.arange(frames)[:, None]
+    rows = np.arange(len(x))[:, None]
     y[rows, positions] += values
     hit = np.zeros(x.shape, dtype=bool)
     hit[rows, positions] = values != 0.0

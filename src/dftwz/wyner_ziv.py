@@ -214,9 +214,10 @@ def _weighted_errors(
     Weights are normalized by log-sum-exp, so a frame that no support
     explains still gives finite weights. Frames are weighted together,
     one support size at a time, and their (frame, dropped position) pairs
-    are grouped by core, one operator per core; the (F, nu, M, N) stack
-    of fits holds every support's correction until the weights are known,
-    so a caller bounds the memory by bounding F.
+    are grouped by core, one operator per core (nu = 1 has one core, so
+    its frames need no grouping); the (F, nu, M, N) stack of fits holds
+    every support's correction until the weights are known, so a caller
+    bounds the memory by bounding F.
     """
     key, (rows, cols) = basis.tobytes(), basis.shape
     est = np.empty((len(residual), cols))
@@ -226,22 +227,28 @@ def _weighted_errors(
         locs = np.nonzero(support[group])[1].reshape(len(group), nu)
         frames = len(group)
         m = cols - nu + 1  # supports per core
-        # Pair p = f * nu + i is frame f less its i-th position; pairs that
-        # share this core share one operator (for nu = 1 every core is empty)
-        cores = np.stack([np.delete(locs, i, 1) for i in range(nu)], 1)
-        cores = cores.reshape(frames * nu, nu - 1)
-        keys = cores @ cols ** np.arange(nu - 1)
-        order = np.argsort(keys, kind="stable")
-        cuts = np.diff(keys[order]).nonzero()[0] + 1
-        fits = np.empty((frames * nu, m, cols))
-        logw = np.empty((frames * nu, m))
-        for sel, r in zip(np.split(order, cuts), np.split(residual[group[order // nu]], cuts)):
-            ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[sel[0]].tolist()))
-            out = _vm(r, ops).reshape(-1, m, cols + rows)
-            fits[sel] = out[..., :cols]
-            logw[sel] = prior - _mv(out[..., cols:], r)
-        fits = fits.reshape(frames, nu * m, cols)
-        logw = logw.reshape(frames, nu * m)
+        if nu == 1:  # one core, the empty one: the pairs are the frames
+            ops, prior = _extension_fits(key, rows, noise_var, ())
+            r = residual[group]
+            out = _vm(r, ops).reshape(frames, m, cols + rows)
+            fits, logw = out[..., :cols], prior - _mv(out[..., cols:], r)
+        else:
+            # Pair p = f * nu + i is frame f less its i-th position; pairs
+            # that share this core share one operator
+            cores = np.stack([np.delete(locs, i, 1) for i in range(nu)], 1)
+            cores = cores.reshape(frames * nu, nu - 1)
+            keys = cores @ cols ** np.arange(nu - 1)
+            order = np.argsort(keys, kind="stable")
+            cuts = np.diff(keys[order]).nonzero()[0] + 1
+            fits = np.empty((frames * nu, m, cols))
+            logw = np.empty((frames * nu, m))
+            for sel, r in zip(np.split(order, cuts), np.split(residual[group[order // nu]], cuts)):
+                ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[sel[0]].tolist()))
+                out = _vm(r, ops).reshape(-1, m, cols + rows)
+                fits[sel] = out[..., :cols]
+                logw[sel] = prior - _mv(out[..., cols:], r)
+            fits = fits.reshape(frames, nu * m, cols)
+            logw = logw.reshape(frames, nu * m)
         # PGZ's support ends up in every core's list, at entry s_i - i of
         # core i's block; count it once.
         for i in range(1, nu):

@@ -49,7 +49,7 @@ def _block(code, counts, seed):
     anchors = ANCHORS[code.n]
     supports = anchors + [tuple(rng.choice(code.k, size=c, replace=False)) for c in counts]
     sizes = [2.0] * len(anchors) + list(rng.choice([0.05, 0.5, 3.0], len(counts)))
-    x = draw_frames(SourceSpec(0.9), ChannelSpec(0), code.n, rng, len(supports))[0]
+    x = draw_frames(SourceSpec(0.9), code.n, [(rng, ChannelSpec(0), len(supports))])[0]
     y = x.copy()
     for row, support, size in zip(y, supports, sizes):
         row[list(support)] += size * rng.choice([-1.0, 1.0], len(support))
@@ -125,8 +125,8 @@ CHI2_999 = {14: 36.123, 104: 154.314}
 def test_draw_frames_block_statistics():
     frames, length, errors, sigma_e, rho = 20_000, 15, 2, 0.7, 0.9
     ch = ChannelSpec(errors, sigma_e)
-    x, y, hit = draw_frames(SourceSpec(rho), ch, length, np.random.default_rng(11), frames)
-    again = draw_frames(SourceSpec(rho), ch, length, np.random.default_rng(11), frames)
+    x, y, hit = draw_frames(SourceSpec(rho), length, [(np.random.default_rng(11), ch, frames)])
+    again = draw_frames(SourceSpec(rho), length, [(np.random.default_rng(11), ch, frames)])
     for a, b in zip((x, y, hit), again):
         np.testing.assert_array_equal(a, b)
 

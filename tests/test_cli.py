@@ -253,6 +253,12 @@ def test_main_bad_range_names_the_key_typed(capsys, tmp_path, source):
     assert err == "dftwz: range = (nan, 1.0): need finite hi > lo, got [nan, 1.0]\n"
 
 
+def test_main_bad_bits_names_bits(capsys, tmp_path):
+    code, err = run_main(capsys, "--bits", "0", "--frames", "8", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err == "dftwz: bits = 0: must be a positive integer\n"
+
+
 @pytest.mark.parametrize("bits", ["600", "1100"])
 def test_main_bits_without_a_float_sigma_q_exit_2(capsys, tmp_path, bits):
     code, err = run_main(

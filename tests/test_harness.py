@@ -71,6 +71,7 @@ _WORKER_KNOBS = {
     "rho_1.5": (dict(rho=1.5), None),
     "negative_errors": (dict(errors_per_frame=-1), None),
     "more_errors_than_k": (dict(n=11, k=3, errors_per_frame=4, approaches=("parity",)), None),
+    "0_bits": (dict(bits=0), "^bits"),
     "600_bits": (dict(bits=600), None),
     "1100_bits": (dict(bits=1100), None),
 }
@@ -235,12 +236,31 @@ def test_overload_rate_counts_each_points_own_clips():
         count = 0
         for lo in range(0, cfg.frames, SUB_BLOCK_FRAMES):
             rng = np.random.default_rng((cfg.seed, ci, 1, lo))
-            x = draw_frames(SourceSpec(cfg.rho), ch, C75.k, rng,
-                            min(SUB_BLOCK_FRAMES, cfg.frames - lo))[0]
+            x = draw_frames(SourceSpec(cfg.rho), C75.k,
+                            [(rng, ch, min(SUB_BLOCK_FRAMES, cfg.frames - lo))])[0]
             count += int(np.sum(np.abs(x @ C75.P_gen.T) > 1.5))
         clips.append(count)
     assert len(set(clips)) == len(clips)  # pooled clips would read one rate
     assert [p.overload_rate for p in sweep(cfg).points] == [c / tx for c in clips]
+
+
+def test_point_mse_is_the_frame_order_sum():
+    # The reference loop: each sub-block drawn alone, and each frame's MSE
+    # added to the point's sum one at a time, in frame order. A pairwise
+    # sum (np.sum) rounds differently. 600 frames make one block per
+    # point, of sub-blocks of 256, 256 and 88 frames.
+    cfg = small_config(approaches=("syndrome",), ceqnr_db=(-10.0, 10.0, 30.0), frames=600)
+    quant = cfg.transmit_quantizer("syndrome")
+    for ci, (db, point) in enumerate(zip(cfg.ceqnr_db, sweep(cfg).points)):
+        ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db))
+        total = 0.0
+        for lo in range(0, cfg.frames, SUB_BLOCK_FRAMES):
+            part = (np.random.default_rng((cfg.seed, ci, 0, lo)), ch,
+                    min(SUB_BLOCK_FRAMES, cfg.frames - lo))
+            frames = draw_frames(SourceSpec(cfg.rho), C75.n, [part])
+            for frame_mse in harness._trials(C75, "syndrome", quant, *frames)[0].tolist():
+                total += frame_mse
+        assert point.mse_syndrome == total / cfg.frames
 
 
 def _sweep_peak(cfg):

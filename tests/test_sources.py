@@ -10,7 +10,7 @@ CLEAN = ChannelSpec(0)
 
 
 def _source(rho, length, rng, frames):
-    return draw_frames(SourceSpec(rho), CLEAN, length, rng, frames)[0]
+    return draw_frames(SourceSpec(rho), length, [(rng, CLEAN, frames)])[0]
 
 
 def _lag1(x):
@@ -54,28 +54,28 @@ def test_gauss_markov_stationary_from_first_sample(rng):
 
 def test_gauss_markov_length_validation(rng):
     with pytest.raises(ValueError):
-        draw_frames(SourceSpec(0.9), CLEAN, 0, rng, 1)
+        draw_frames(SourceSpec(0.9), 0, [(rng, CLEAN, 1)])
 
 
 def test_apply_channel_sigma_zero_identity(rng):
-    x, y, hit = draw_frames(SourceSpec(0.9), ChannelSpec(1, 0.0), 7, rng, 50)
+    x, y, hit = draw_frames(SourceSpec(0.9), 7, [(rng, ChannelSpec(1, 0.0), 50)])
     np.testing.assert_array_equal(y, x)
     assert not hit.any()
 
 
 def test_apply_channel_one_position_differs(rng):
-    x, y, hit = draw_frames(SourceSpec(0.9), ChannelSpec(1, 1.0), 7, rng, 200)
+    x, y, hit = draw_frames(SourceSpec(0.9), 7, [(rng, ChannelSpec(1, 1.0), 200)])
     np.testing.assert_array_equal(y != x, hit)
     assert np.all(hit.sum(axis=1) == 1)
 
 
 def test_apply_channel_distinct_positions(rng):
-    _, _, hit = draw_frames(SourceSpec(0.9), ChannelSpec(3, 1.0), 15, rng, 200)
+    _, _, hit = draw_frames(SourceSpec(0.9), 15, [(rng, ChannelSpec(3, 1.0), 200)])
     assert np.all(hit.sum(axis=1) == 3)
 
 
 def test_apply_channel_error_moments(rng):
-    x, y, hit = draw_frames(SourceSpec(0.9), ChannelSpec(1, 1.0), 7, rng, 10**5)
+    x, y, hit = draw_frames(SourceSpec(0.9), 7, [(rng, ChannelSpec(1, 1.0), 10**5)])
     vals = (y - x)[hit]
     assert vals.size == 10**5
     assert np.std(vals) == pytest.approx(1.0, rel=0.02)
@@ -87,12 +87,63 @@ def test_apply_channel_error_moments(rng):
 
 def test_apply_channel_too_many_errors(rng):
     with pytest.raises(ValueError):
-        draw_frames(SourceSpec(0.9), ChannelSpec(4, 1.0), 3, rng, 1)
+        draw_frames(SourceSpec(0.9), 3, [(rng, ChannelSpec(4, 1.0), 1)])
 
 
 def test_seeded_replay_bit_identical():
     ch = ChannelSpec(1, 0.7)
-    first = draw_frames(SourceSpec(0.9), ch, 7, np.random.default_rng(42), 3)
-    second = draw_frames(SourceSpec(0.9), ch, 7, np.random.default_rng(42), 3)
+    first = draw_frames(SourceSpec(0.9), 7, [(np.random.default_rng(42), ch, 3)])
+    second = draw_frames(SourceSpec(0.9), 7, [(np.random.default_rng(42), ch, 3)])
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("errors", [0, 1, 3])
+@pytest.mark.parametrize("sigmas", [(0.0, 0.0, 0.0), (0.7, 0.7, 0.7), (0.0, 0.3, 2.0)])
+def test_stacked_draw_equals_its_parts_drawn_alone(errors, sigmas):
+    # Ragged parts, as a sweep's stack holds them: each part's frames are
+    # the ones its own generator and channel give in a call of their own.
+    sizes = (256, 256, 4)
+
+    def parts():
+        return [(np.random.default_rng((9, i)), ChannelSpec(errors, sigma), frames)
+                for i, (sigma, frames) in enumerate(zip(sigmas, sizes))]
+
+    stacked = draw_frames(SourceSpec(0.9), 15, parts())
+    alone = [draw_frames(SourceSpec(0.9), 15, [part]) for part in parts()]
+    for got, want in zip(stacked, zip(*alone)):
+        np.testing.assert_array_equal(got, np.concatenate(want))
+        assert got.flags.c_contiguous
+
+
+class _TiedKeys:
+    """A generator whose keys take only three values, so rows tie."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.keys = None
+
+    def standard_normal(self, shape):
+        return self._rng.standard_normal(shape)
+
+    def random(self, shape):
+        self.keys = np.floor(3 * self._rng.random(shape)) / 3
+        return self.keys
+
+    def normal(self, loc, scale, shape):
+        return self._rng.normal(loc, scale, shape)
+
+
+def test_single_error_position_is_the_first_stable_argsort_entry():
+    gen = _TiedKeys(3)
+    _, _, hit = draw_frames(SourceSpec(0.9), 7, [(gen, ChannelSpec(1, 1.0), 500)])
+    first = np.argsort(gen.keys, axis=1, kind="stable")[:, 0]
+    assert (np.sum(gen.keys == gen.keys.min(axis=1, keepdims=True), axis=1) > 1).any()
+    np.testing.assert_array_equal(hit.nonzero()[1], first)
+
+
+def test_stacked_parts_must_share_errors_per_frame(rng):
+    with pytest.raises(ValueError, match="errors_per_frame"):
+        draw_frames(SourceSpec(0.9), 7, [(rng, ChannelSpec(1), 4), (rng, ChannelSpec(2), 4)])
+    with pytest.raises(ValueError, match="errors_per_frame"):
+        draw_frames(SourceSpec(0.9), 7, [])

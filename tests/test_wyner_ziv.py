@@ -39,7 +39,7 @@ Q_FINE_PA = QuantizerSpec(28, -8.0, 8.0)
 
 def _source_frame(length, rng):
     """One frame of the rho = 0.9 source, drawn without channel errors."""
-    return draw_frames(SourceSpec(0.9), ChannelSpec(0), length, rng, 1)[0][0]
+    return draw_frames(SourceSpec(0.9), length, [(rng, ChannelSpec(0), 1)])[0][0]
 
 
 def test_syndrome_encode_codeword_near_zero(rng):
@@ -250,27 +250,42 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
     assert counts >= {max(t - 1, 1), t}  # supports of t - 1 and t positions ran
 
 
-def test_frames_sharing_a_core_through_different_positions():
-    # {0, 1, 2} dropping 0 and {1, 2, 5} dropping 5 both reach core (1, 2),
-    # so the weighting serves them with one operator; {1, 2, 7} and a
-    # second {0, 1, 2} join that core too, and {1, 2} is a smaller support.
-    t = C159.t
-    basis = np.vstack([C159.H[:t].real, C159.H[:t].imag])
-    supports = [(0, 1, 2), (1, 2, 5), (3, 4, 6), (1, 2, 7), (0, 1, 2), (1, 2)]
-    rng = np.random.default_rng(7)
-    residual = np.empty((len(supports), basis.shape[0]))
-    mask = np.zeros((len(supports), C159.n), dtype=bool)
+def _weigh_each_row(basis, supports, seed):
+    # Each row of one call over frames with these PGZ supports equals its
+    # one-row call bitwise and the decoders' rule written out.
+    rng = np.random.default_rng(seed)
+    rows, cols = basis.shape
+    residual = np.empty((len(supports), rows))
+    mask = np.zeros((len(supports), cols), dtype=bool)
     for f, sup in enumerate(supports):
         mask[f, list(sup)] = True
-        e = np.zeros(C159.n)
+        e = np.zeros(cols)
         e[list(sup)] = rng.choice([0.05, 0.5], len(sup)) * rng.normal(size=len(sup))
-        residual[f] = basis @ e + 0.3 * np.sqrt(Q_SY.sigma_q_sq) * rng.normal(size=len(residual[f]))
+        residual[f] = basis @ e + 0.3 * np.sqrt(Q_SY.sigma_q_sq) * rng.normal(size=rows)
     est = _weighted_errors(basis, residual, mask, Q_SY.sigma_q_sq)
     for f, sup in enumerate(supports):
         one = _weighted_errors(basis, residual[f : f + 1], mask[f : f + 1], Q_SY.sigma_q_sq)
         np.testing.assert_array_equal(est[f], one[0])
         want = _direct_correction(basis, residual[f], sup, Q_SY.sigma_q_sq)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
+
+
+def test_frames_sharing_a_core_through_different_positions():
+    # {0, 1, 2} dropping 0 and {1, 2, 5} dropping 5 both reach core (1, 2),
+    # so the weighting serves them with one operator; {1, 2, 7} and a
+    # second {0, 1, 2} join that core too, and {1, 2} is a smaller support.
+    t = C159.t
+    basis = np.vstack([C159.H[:t].real, C159.H[:t].imag])
+    _weigh_each_row(basis, [(0, 1, 2), (1, 2, 5), (3, 4, 6), (1, 2, 7), (0, 1, 2), (1, 2)], 7)
+
+
+@pytest.mark.parametrize("approach", ["syndrome", "parity"])
+def test_single_position_frames_weighted_in_place(approach):
+    # One-position supports share the empty core and skip the grouping;
+    # interleaved with two-position frames, each keeps its own row.
+    t = C159.t
+    basis = np.vstack([C159.H[:t].real, C159.H[:t].imag]) if approach == "syndrome" else C159.P_gen
+    _weigh_each_row(basis, [(4,), (1, 6), (0,), (4,), (2, 5), (8,), (1, 6), (3,)], 8)
 
 
 def _best_single_rss(basis, r):
