@@ -16,9 +16,9 @@ The solver follows the shape of the problem. A t = 1 code's Hankel
 matrix is 1x1, with singular value |s_0|, and a one-unknown locator
 (nu = 1, any t) is the scalar least-squares fit a^H b / a^H a, formed
 on a scaled copy so that its decisions do not depend on the syndrome's
-scale. Every larger count and locator system runs an SVD (a Gram matrix
-would square its condition number), except that a nu = t locator reuses
-the count's spectrum and is solved by LU.
+scale. Every larger count runs an SVD (a Gram matrix would square its
+condition number). A nu = t locator is solved by LU on that spectrum,
+and a 1 < nu < t one by Householder QR, whose rank test the SVD's implies.
 
 ``decode_block`` runs the count, locator and location steps on a block
 of F syndromes at once and is the one way into the chain; ``pgz_decode``
@@ -155,15 +155,16 @@ def _solve_locators(
     values: np.ndarray, nu: int, sing: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares locator coefficients (F, nu) of each row of
-    ``values``, and whether its system has full rank. One SVD per row
-    serves both the rank test and the solve, x = V diag(1/sing) U^H b;
-    the coefficients of a rank-deficient row are meaningless.
+    ``values``, and whether its system has full rank. One Householder QR
+    per row, A = QR, serves both the rank test min |R_jj| >= rtol max |R_jj|
+    (implied by the SVD's, as sing_min <= |R_jj| <= sing_max) and the
+    solve R x = Q^H b; a rank-deficient row's coefficients are meaningless.
 
     For nu = t the caller passes the count's singular values ``sing``:
     A[m, c] = S[m, t-1-c] is the Hankel matrix with its columns reversed,
     so they serve the rank test, and LU solves the full-rank rows.
 
-    One unknown (nu = 1) needs no SVD: its one column a = s_0..s_{2t-2}
+    One unknown (nu = 1) needs no QR: its one column a = s_0..s_{2t-2}
     has full rank when a != 0, and Lambda_1 = a^H b / a^H a. Both are
     formed from a and b divided by max |a|, so that a^H a lies in
     [1, 2t - 1] and the solve does not under- or overflow at any scale of
@@ -181,16 +182,25 @@ def _solve_locators(
         coeffs = np.zeros(b.shape, dtype=np.complex128)
         coeffs[full] = np.linalg.solve(a[full], b[full, :, None])[..., 0]
         return coeffs, full
-    u, sing, vh = np.linalg.svd(a, full_matrices=False)
-    full = (sing[:, 0] > 0.0) & (sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0])
-    ub = (b[:, None, :] @ u.conj()) / np.where(full[:, None, None], sing[:, None, :], 1.0)
-    return (ub @ vh.conj())[:, 0], full
+    q, r = np.linalg.qr(a)  # reduced: q (F, 2t - nu, nu), r (F, nu, nu)
+    size = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    top = size.max(axis=1)
+    full = (top > 0.0) & (size.min(axis=1) >= _LOCATOR_SINGULAR_RTOL * top)
+    rhs = (b[:, None, :] @ q.conj())[:, 0]  # q^H b, one product per row
+    coeffs = np.zeros(rhs.shape, dtype=np.complex128)
+    for j in range(nu - 1, -1, -1):  # back-substitution; rank-deficient rows divide by 1
+        rest = (r[:, j, j + 1 :] * coeffs[:, j + 1 :]).sum(axis=1)
+        coeffs[:, j] = (rhs[:, j] - rest) / np.where(full, r[:, j, j], 1.0)
+    return coeffs, full
 
 
 def _candidates(candidate_set, n: int) -> np.ndarray:
     if candidate_set is None:
         return np.arange(n)
-    cands = np.array(sorted(set(int(i) for i in candidate_set)), dtype=np.int64)
+    items = list(candidate_set)  # a generator is read once
+    if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in items):
+        raise ValueError(f"candidate_set must hold integers, got {candidate_set!r}")
+    cands = np.array(sorted(set(int(i) for i in items)), dtype=np.int64)
     if np.any(cands < 0) or np.any(cands >= n):
         raise ValueError("candidate indices must lie in 0..n-1")
     return cands
@@ -260,11 +270,10 @@ def decode_block(
         if rows.size:
             coeffs, full = _solve_locators(values[rows], nu, sing[rows] if nu == t else None)
             locator[rows, :nu] = coeffs
-            if not full.all():
-                failed = rows[~full]
-                locator[failed] = 0.0
-                count[failed] -= 1
-                retries[failed] += 1
+            failed = rows[~full]
+            locator[failed] = 0.0
+            count[failed] -= 1
+            retries[failed] += 1
     support = np.zeros((len(values), n), dtype=bool)
     live = count.nonzero()[0]
     if live.size:

@@ -197,6 +197,15 @@ def _vm(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ matrix)[..., 0, :]
 
 
+def _normalized(logw: np.ndarray) -> np.ndarray:
+    """Rows of exp(logw) over their sums, shifting ``logw`` in place; a weight
+    under e^-708 of its row's largest is 0, sparing exp its slow subnormal path."""
+    logw -= logw.max(axis=1, keepdims=True)
+    w = np.exp(logw, out=np.zeros_like(logw), where=logw > -708.0)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
 def _weighted_errors(
     basis: np.ndarray, residual: np.ndarray, support: np.ndarray, noise_var: float
 ) -> np.ndarray:
@@ -211,13 +220,13 @@ def _weighted_errors(
     least-squares magnitudes and the weight
     exp(-rss / (2 noise_var)) / sqrt(det(A^T A)): the likelihood of the
     residual with the magnitudes integrated out under a flat prior.
-    Weights are normalized by log-sum-exp, so a frame that no support
-    explains still gives finite weights. Frames are weighted together,
-    one support size at a time, and their (frame, dropped position) pairs
-    are grouped by core, one operator per core (nu = 1 has one core, so
-    its frames need no grouping); the (F, nu, M, N) stack of fits holds
-    every support's correction until the weights are known, so a caller
-    bounds the memory by bounding F.
+    Weights are normalized after shifting each frame's largest log-weight
+    to 0, so a frame that no support explains still gives finite weights.
+    Frames are weighted together, one support size at a time; their
+    (frame, dropped position) pairs are sorted by core, one operator per
+    contiguous slice (nu = 1 has one core), and a frame's estimate is the
+    sum of its nu pairs' weighted fits. The (F nu, M, N) stack of fits
+    holds every correction until the weights are known: bound F to bound it.
     """
     key, (rows, cols) = basis.tobytes(), basis.shape
     est = np.empty((len(residual), cols))
@@ -231,31 +240,33 @@ def _weighted_errors(
             ops, prior = _extension_fits(key, rows, noise_var, ())
             r = residual[group]
             out = _vm(r, ops).reshape(frames, m, cols + rows)
-            fits, logw = out[..., :cols], prior - _mv(out[..., cols:], r)
-        else:
-            # Pair p = f * nu + i is frame f less its i-th position; pairs
-            # that share this core share one operator
-            cores = np.stack([np.delete(locs, i, 1) for i in range(nu)], 1)
-            cores = cores.reshape(frames * nu, nu - 1)
-            keys = cores @ cols ** np.arange(nu - 1)
-            order = np.argsort(keys, kind="stable")
-            cuts = np.diff(keys[order]).nonzero()[0] + 1
-            fits = np.empty((frames * nu, m, cols))
-            logw = np.empty((frames * nu, m))
-            for sel, r in zip(np.split(order, cuts), np.split(residual[group[order // nu]], cuts)):
-                ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[sel[0]].tolist()))
-                out = _vm(r, ops).reshape(-1, m, cols + rows)
-                fits[sel] = out[..., :cols]
-                logw[sel] = prior - _mv(out[..., cols:], r)
-            fits = fits.reshape(frames, nu * m, cols)
-            logw = logw.reshape(frames, nu * m)
+            est[group] = _vm(_normalized(prior - _mv(out[..., cols:], r)), out[..., :cols])
+            del out  # before the next support size allocates its own
+            continue
+        # Pair p = f * nu + i is frame f less its i-th position; in core
+        # order, the pairs that share a core are one slice and one operator
+        cores = np.stack([np.delete(locs, i, 1) for i in range(nu)], 1).reshape(-1, nu - 1)
+        keys = cores @ cols ** np.arange(nu - 1)
+        order = np.argsort(keys, kind="stable")
+        bounds = np.r_[0, np.diff(keys[order]).nonzero()[0] + 1, len(order)]
+        res = residual[group[order // nu]]
+        fits = np.empty((len(order), m, cols))
+        logw = np.empty((len(order), m))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[order[lo]].tolist()))
+            out = _vm(res[lo:hi], ops).reshape(hi - lo, m, cols + rows)
+            fits[lo:hi] = out[..., :cols]
+            logw[lo:hi] = prior - _mv(out[..., cols:], res[lo:hi])
+        inverse = np.argsort(order)
+        logw = logw[inverse].reshape(frames, nu * m)
         # PGZ's support ends up in every core's list, at entry s_i - i of
         # core i's block; count it once.
         for i in range(1, nu):
             logw[np.arange(frames), i * m + locs[:, i] - i] = -np.inf
-        w = np.exp(logw - np.logaddexp.reduce(logw, axis=1, keepdims=True))
-        est[group] = _vm(w, fits)
-        del fits, out  # before the next support size allocates its own
+        w = _normalized(logw).reshape(frames * nu, m)[order]
+        pairs = _vm(w, fits)
+        del fits  # before the frame-order estimates allocate their own
+        est[group] = pairs[inverse].reshape(frames, nu, cols).sum(axis=1)
     return est
 
 
@@ -301,9 +312,8 @@ def syndrome_decode_block(
     fix = pgz.count.nonzero()[0]
     if fix.size:
         t = code.t
-        half = code.H[:t]
         x_hat[fix] -= _weighted_errors(
-            np.vstack([half.real, half.imag]),
+            np.vstack([code.H[:t].real, code.H[:t].imag]),
             np.concatenate([s_err[fix, :t].real, s_err[fix, :t].imag], axis=1),
             pgz.support[fix],
             quantizer.sigma_q_sq,
@@ -331,10 +341,7 @@ def parity_decode_block(
     fix = pgz.count.nonzero()[0]
     if fix.size:
         x_hat[fix] -= _weighted_errors(
-            code.P_gen,
-            _mv(code.P_gen, y[fix]) - values[fix],
-            support[fix],
-            quantizer.sigma_q_sq,
+            code.P_gen, _mv(code.P_gen, y[fix]) - values[fix], support[fix], quantizer.sigma_q_sq
         )
     return DecodedBlock(x_hat, syndromes, pgz, support)
 

@@ -1,17 +1,18 @@
 """PGZ decoder oracles: closed-form syndromes, Hankel count, locator
 algebra, grid location, least-squares magnitudes, retry ladder,
 noiseless exactness and scale invariance, all read off ``pgz_decode``,
-the closed-form one-unknown solves and the nu = t LU solves against
-LAPACK, and the domain of the tolerances."""
+the closed-form one-unknown solves, the 1 < nu < t QR solves and the
+nu = t LU solves against LAPACK, and the domain of the tolerances."""
 
 import numpy as np
 import pytest
 
 from dftwz.codes import build_code
-from dftwz.pgz import _grid, _locator_system, decode_block, pgz_decode
+from dftwz.pgz import _grid, _locator_system, _solve_locators, decode_block, pgz_decode
 
 C75 = build_code(7, 5)
 C159 = build_code(15, 9)
+C2113 = build_code(21, 13)
 C3125 = build_code(31, 25)
 
 
@@ -130,6 +131,15 @@ def test_locate_tie_breaks_to_smaller_index():
 def test_locate_validates_candidates():
     with pytest.raises(ValueError):
         pgz_decode(C75, unit_error_syndrome(C75, 1), candidate_set=[7])
+    # Non-integer entries are refused, not truncated: int(-0.5) == 0 would
+    # pass the range check, and a bool is no position.
+    for bad in ([2.7, 3.2], [3, -0.5], [1, True], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="candidate_set"):
+            pgz_decode(C75, unit_error_syndrome(C75, 1), candidate_set=bad)
+    # Integers pass, from any iterable, a one-shot generator included.
+    for good in ([1, 4], np.array([4, 1]), (i for i in range(7))):
+        est = pgz_decode(C75, unit_error_syndrome(C75, 1), candidate_set=good, rel_tol=1e-10)
+        assert est.locations == (1,)
     # Two errors but one candidate: the ladder starts at one unknown.
     e = np.zeros(15)
     e[2], e[9] = 1.0, -0.7
@@ -333,6 +343,72 @@ def test_full_count_block_runs_one_svd(rng, monkeypatch):
     block = decode_block(C159, syndromes)
     assert block.gated.sum() == 4
     assert np.all(block.count[~block.gated] == C159.t)
+    assert calls == [(60, 3, 3)]
+
+
+def _partial_count_block(code, frames, rng):
+    """For each nu in 2..t-1, syndromes of nu errors of random size and
+    position under complex noise of 1e-3; then noiseless syndromes of one
+    error, whose locator systems of two or more unknowns are singular, and
+    of one error beside one 1e-6 as large, whose systems of two unknowns
+    are ill-conditioned but of full rank."""
+    blocks = []
+    for nu in range(2, code.t):
+        e = np.zeros((frames, code.n))
+        for row in e:
+            mags = rng.uniform(0.5, 2.0, nu) * rng.choice([-1.0, 1.0], nu)
+            row[rng.choice(code.n, size=nu, replace=False)] = mags
+        blocks.append(e @ code.H.T + 1e-3 * _complex_normal(rng, (frames, code.n - code.k)))
+    for second in (0.0, 1e-6):
+        e = np.zeros((frames // 4, code.n))
+        for row in e:
+            mags = rng.uniform(0.5, 2.0) * np.array([1.0, second])
+            row[rng.choice(code.n, size=2, replace=False)] = mags
+        blocks.append(e @ code.H.T)
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("code", [C159, C2113, C3125], ids=["15-9", "21-13", "31-25"])
+def test_partial_count_solves_match_lapack(code, rng):
+    # A count of 1 < nu < t solves its tall key-equation system by QR, with
+    # the diagonal of R as its rank test; it must agree with the least
+    # squares and the SVD rank test it replaces and pick the same support.
+    syndromes = _partial_count_block(code, 128, rng)
+    block = decode_block(code, syndromes)
+    for nu in range(2, code.t):
+        a, b = _locator_system(syndromes, nu)
+        coeffs, full = _solve_locators(syndromes, nu)
+        sing = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_array_equal(full, sing[:, -1] >= 1e-10 * sing[:, 0])
+        assert 128 <= full.sum() <= len(full) - 32
+        rows = (block.count == nu).nonzero()[0]
+        assert rows.size >= 100
+        np.testing.assert_array_equal(block.locator[rows, :nu], coeffs[rows])
+        a, b = a[rows], b[rows]
+        ref = np.array([np.linalg.lstsq(a_f, b_f, rcond=None)[0] for a_f, b_f in zip(a, b)])
+        np.testing.assert_allclose(coeffs[rows], ref, rtol=1e-10, atol=0)
+        np.testing.assert_array_equal(
+            block.support[rows], _grid(ref, block.count[rows], np.arange(code.n), code.n))
+
+
+def test_partial_count_block_runs_one_svd(rng, monkeypatch):
+    # The count's Hankel SVD is the only one when every live frame counts
+    # 2 < t: the locators run QR.
+    e = np.zeros((64, 15))
+    for row in e:
+        row[rng.choice(15, size=2, replace=False)] = rng.uniform(0.5, 2.0, 2)
+    syndromes = e @ C159.H.T + 1e-6 * _complex_normal(rng, (64, 6))
+    syndromes[:4] = 0.0  # gated
+    calls, real_svd = [], np.linalg.svd
+
+    def svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    block = decode_block(C159, syndromes)
+    assert block.gated.sum() == 4
+    assert np.all(block.count[~block.gated] == 2) and not block.retries.any()
     assert calls == [(60, 3, 3)]
 
 

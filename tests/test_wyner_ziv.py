@@ -2,6 +2,7 @@
 the weighted correction, compression ratios."""
 
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -273,10 +274,41 @@ def _weigh_each_row(basis, supports, seed):
 def test_frames_sharing_a_core_through_different_positions():
     # {0, 1, 2} dropping 0 and {1, 2, 5} dropping 5 both reach core (1, 2),
     # so the weighting serves them with one operator; {1, 2, 7} and a
-    # second {0, 1, 2} join that core too, and {1, 2} is a smaller support.
+    # second {0, 1, 2} join that core too, {1, 2} is a smaller support, and
+    # the one-position frames run beside them.
     t = C159.t
     basis = np.vstack([C159.H[:t].real, C159.H[:t].imag])
-    _weigh_each_row(basis, [(0, 1, 2), (1, 2, 5), (3, 4, 6), (1, 2, 7), (0, 1, 2), (1, 2)], 7)
+    supports = [(0, 1, 2), (2,), (1, 2, 5), (3, 4, 6), (1, 2, 7), (0, 1, 2), (1, 2), (9,)]
+    _weigh_each_row(basis, supports, 7)
+
+
+def test_weights_spanning_more_than_the_exponent_range(rng):
+    # Errors of 0.5 to 2 against a tenth of the quantizer's noise
+    # variance: a swapped support leaves thousands of nats of residual, so
+    # the log-weights of one frame span far more than 708 nats and most
+    # weights are cut to 0 rather than taken through exp's slow subnormal
+    # path; the estimates still match the rule written out.
+    t = C159.t
+    basis = np.vstack([C159.H[:t].real, C159.H[:t].imag])
+    noise_var = 0.1 * Q_SY.sigma_q_sq
+    supports = [(2, 9), (0, 4, 11), (6,), (1, 13), (3, 7, 8)]
+    residual = np.empty((len(supports), 2 * t))
+    mask = np.zeros((len(supports), C159.n), dtype=bool)
+    for f, sup in enumerate(supports):
+        mask[f, list(sup)] = True
+        e = np.zeros(C159.n)
+        e[list(sup)] = rng.uniform(0.5, 2.0, len(sup)) * rng.choice([-1.0, 1.0], len(sup))
+        residual[f] = basis @ e + np.sqrt(noise_var) * rng.normal(size=2 * t)
+        swaps = [basis[:, list(sup[1:]) + [c]] for c in range(C159.n) if c not in sup]
+        fits = [a @ np.linalg.lstsq(a, residual[f], rcond=None)[0] for a in swaps]
+        rss = [np.sum((residual[f] - fit) ** 2) for fit in fits]
+        assert max(rss) / (2 * noise_var) > 2e3  # swaps that drop sup[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = _weighted_errors(basis, residual, mask, noise_var)
+    for f, sup in enumerate(supports):
+        want = _direct_correction(basis, residual[f], sup, noise_var)
+        np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
 
 
 @pytest.mark.parametrize("approach", ["syndrome", "parity"])
