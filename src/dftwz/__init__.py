@@ -22,9 +22,8 @@ from .pgz import ErrorEstimate, pgz_decode
 from .quantize import QuantizerSpec, quantize
 from .sources import ChannelSpec, SourceSpec
 from .wyner_ziv import (
-    ParityMessage,
+    Message,
     ReconstructionResult,
-    SyndromeMessage,
     compression_ratio,
     parity_decode,
     parity_encode,
@@ -46,8 +45,7 @@ __all__ = [
     "quantize",
     "SourceSpec",
     "ChannelSpec",
-    "SyndromeMessage",
-    "ParityMessage",
+    "Message",
     "ReconstructionResult",
     "syndrome_encode",
     "syndrome_decode",

@@ -17,7 +17,8 @@ import argparse
 import math
 import sys
 
-from .harness import APPROACHES, DEFAULT_CSV_PATH, SweepConfig, sweep, write_csv
+from .harness import DEFAULT_CSV_PATH, SweepConfig, sweep, write_csv
+from .wyner_ziv import APPROACHES
 
 __all__ = ["main", "entry", "config_from_argv", "parse_ceqnr_grid", "parse_pair",
            "load_config_file"]

@@ -43,7 +43,7 @@ _REAL_TOL = 1e-10
 
 
 def _validate_odd_pair(n: int, k: int) -> None:
-    if not (isinstance(n, (int, np.integer)) and isinstance(k, (int, np.integer))):
+    if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in (n, k)):
         raise ValueError(f"n and k must be integers, got n={n!r}, k={k!r}")
     if n % 2 == 0 or k % 2 == 0:
         raise ValueError(f"n and k must both be odd, got (n, k) = ({n}, {k})")

@@ -10,10 +10,11 @@ start at multiples of these two constants, so both are part of the
 contract. A task is one block of one approach at every CEQNR point; it
 draws (one draw_frames call, a generator per sub-block), encodes and
 decodes its sub-blocks _STACK_SUB_BLOCKS at a time, stacked as one
-array. Each frame's MSE is added to its point's block sum in frame
-order, and block partial sums are reduced in submission order, so
-identical configuration and seed produce byte-identical CSV for any
-worker count.
+array, through ``wyner_ziv``, which alone maps the approach's name to
+its frame length, what it sends and how it decodes. Each frame's MSE
+is added to its point's block sum in frame order, and block partial
+sums are reduced in submission order, so identical configuration and
+seed produce byte-identical CSV for any worker count.
 
 CEQNR (channel-error-to-quantization-noise ratio) is
 10 log10(sigma_e^2 / sigma_q^2) where sigma_q^2 = step^2 / 12 of the
@@ -34,11 +35,13 @@ from .codes import CodeSpec, DftCode, build_code
 from .quantize import BitsError, QuantizerSpec
 from .sources import ChannelSpec, SourceSpec, draw_frames
 from .wyner_ziv import (
+    APPROACHES,
     DEFAULT_PARITY_RANGE,
     DEFAULT_SYNDROME_RANGE,
+    decode_block,
     encode_block,
-    parity_decode_block,
-    syndrome_decode_block,
+    frame_length,
+    tx_samples,
 )
 
 __all__ = [
@@ -54,7 +57,6 @@ __all__ = [
     "BLOCK_FRAMES",
 ]
 
-APPROACHES = ("syndrome", "parity")
 _APPROACH_ID = {"syndrome": 0, "parity": 1}
 
 # Frames per grid point in one work unit. Part of the byte-determinism
@@ -112,6 +114,12 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name, least in (("frames", 1), ("seed", 0), ("workers", 1), ("errors_per_frame", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or type(value) is bool:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not self.approaches or any(a not in APPROACHES for a in self.approaches):
             raise ValueError(f"approaches must be a nonempty subset of {APPROACHES}")
         if len(set(self.approaches)) != len(self.approaches):
@@ -134,12 +142,6 @@ class SweepConfig:
                 raise ValueError(
                     f"CEQNR values must be -inf or finite with a finite sigma_e, got {db}"
                 )
-        if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         CodeSpec(self.n, self.k)  # validates n, k (odd, n > k)
         t = (self.n - self.k) // 2
         if self.errors_per_frame > t:
@@ -206,22 +208,12 @@ def _trials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Round trips of frames as ``draw_frames`` returns them: per-frame
     (MSE, localized, zero-error, overloads)."""
-    if approach == "syndrome":
-        values, overloads = encode_block(code.H, x, quantizer)
-        decoded = syndrome_decode_block(code, values, quantizer, y)
-    elif approach == "parity":
-        values, overloads = encode_block(code.P_gen, x, quantizer)
-        decoded = parity_decode_block(code, values, quantizer, y)
-    else:
-        raise ValueError(f"unknown approach {approach!r}")
+    values, overloads = encode_block(code, approach, x, quantizer)
+    decoded = decode_block(code, approach, values, quantizer, y)
     diff = decoded.x_hat - x
     localized = np.all(decoded.support == hit, axis=1)
     zero_error = np.all(decoded.x_hat == x, axis=1)
     return np.mean(diff * diff, axis=1), localized, zero_error, overloads
-
-
-def _tx_samples(code: DftCode, approach: str) -> int:
-    return (code.n - code.k) * (2 if approach == "syndrome" else 1)
 
 
 def run_trial(
@@ -240,7 +232,7 @@ def run_trial(
     ground-truth error positions; zero_error means the reconstruction is
     bitwise equal to the source frame.
     """
-    frame = draw_frames(source, code.n if approach == "syndrome" else code.k, [(rng, ch, 1)])
+    frame = draw_frames(source, frame_length(code, approach), [(rng, ch, 1)])
     mse, localized, zero_error, overloads = _trials(code, approach, quantizer, *frame)
     return TrialRecord(
         approach=approach,
@@ -248,7 +240,7 @@ def run_trial(
         localization_correct=bool(localized[0]),
         zero_error=bool(zero_error[0]),
         overloads=int(overloads[0]),
-        tx_samples=_tx_samples(code, approach),
+        tx_samples=tx_samples(code, approach),
     )
 
 
@@ -271,7 +263,7 @@ def _run_block(task: tuple[str, int, int]) -> list[list]:
     for each CEQNR point in grid order."""
     approach, start, count = task
     cfg, code = _CTX["cfg"], _CTX["code"]
-    length = code.n if approach == "syndrome" else code.k
+    length = frame_length(code, approach)
     channels = [ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db)) for db in cfg.ceqnr_db]
     subs = [(ci, lo, min(SUB_BLOCK_FRAMES, start + count - lo))
             for ci in range(len(channels)) for lo in range(start, start + count, SUB_BLOCK_FRAMES)]
@@ -344,7 +336,7 @@ def sweep(config: SweepConfig) -> SweepResult:
             loc[approach] = loc_cnt / config.frames
             zero_total += zero_cnt
             ovl_total += ovl_cnt
-            tx_total += config.frames * _tx_samples(code, approach)
+            tx_total += config.frames * tx_samples(code, approach)
         points.append(
             SweepPoint(
                 ceqnr_db=float(db),

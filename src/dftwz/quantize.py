@@ -29,7 +29,7 @@ class QuantizerSpec:
     hi: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, (int, np.integer)) or self.bits < 1:
+        if not isinstance(self.bits, (int, np.integer)) or type(self.bits) is bool or self.bits < 1:
             raise BitsError(f"bits = {self.bits!r}: must be a positive integer")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.hi <= self.lo:
             raise ValueError(f"need finite hi > lo, got [{self.lo}, {self.hi}]")

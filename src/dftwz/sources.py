@@ -38,8 +38,11 @@ class ChannelSpec:
     sigma_e: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.errors_per_frame < 0:
-            raise ValueError(f"errors_per_frame must be >= 0, got {self.errors_per_frame}")
+        e = self.errors_per_frame
+        if not isinstance(e, (int, np.integer)) or type(e) is bool:
+            raise ValueError(f"errors_per_frame must be an integer, got {e!r}")
+        if e < 0:
+            raise ValueError(f"errors_per_frame must be >= 0, got {e}")
         if not self.sigma_e >= 0.0:
             raise ValueError(f"sigma_e must be >= 0, got {self.sigma_e}")
 

@@ -34,9 +34,11 @@ exp(-rss / (2 step^2/12)) / sqrt(det(A^T A)). Both pipelines reconstruct
 x_hat = y - e_hat; they differ only in the basis and the residual that
 e_hat is fitted on.
 
-``encode_block``, ``syndrome_decode_block`` and ``parity_decode_block``
-run a block of frames as arrays; the per-frame functions run them on a
-block of one.
+This module is the one place that maps an approach name to what it
+sends and how it decodes: ``APPROACHES``, ``frame_length``,
+``tx_samples``, and ``encode_block`` and ``decode_block``, which run a
+block of frames of either approach as arrays. The per-frame functions
+run them on a block of one and carry one ``Message`` type.
 """
 
 from __future__ import annotations
@@ -49,27 +51,31 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import DftCode
-from .pgz import ErrorEstimate, PgzBlock, decode_block, frame_estimate
+from .pgz import ErrorEstimate, PgzBlock, frame_estimate
+from .pgz import decode_block as _pgz_decode_block
 from .quantize import QuantizerSpec, quantize
 
 __all__ = [
-    "SyndromeMessage",
-    "ParityMessage",
+    "APPROACHES",
+    "Message",
     "ReconstructionResult",
     "syndrome_encode",
     "syndrome_decode",
     "parity_encode",
     "parity_decode",
+    "frame_length",
+    "tx_samples",
     "compression_ratio",
     "encode_block",
-    "syndrome_decode_block",
-    "parity_decode_block",
+    "decode_block",
     "DecodedBlock",
     "syndrome_noise_floor",
     "parity_noise_floor",
     "DEFAULT_SYNDROME_RANGE",
     "DEFAULT_PARITY_RANGE",
 ]
+
+APPROACHES = ("syndrome", "parity")
 
 # Default transmitted-sample quantizer ranges. Syndrome components of a
 # unit-variance source stay within a fraction of 1 (unitary H rows), so a
@@ -88,20 +94,12 @@ _FLOOR_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
-class SyndromeMessage:
-    """Quantized syndrome: complex vector of length n - k; real and
-    imaginary parts are each reconstruction levels of ``quantizer``."""
+class Message:
+    """One frame's quantized samples, n - k of them: the complex syndrome
+    Hx for the syndrome approach, its real and imaginary parts each
+    reconstruction levels of ``quantizer``, or the parity P_gen x."""
 
-    values: np.ndarray
-    quantizer: QuantizerSpec
-    bits_used: int
-    overloads: int
-
-
-@dataclass(frozen=True)
-class ParityMessage:
-    """Quantized parity samples (length n - k)."""
-
+    approach: str
     values: np.ndarray
     quantizer: QuantizerSpec
     bits_used: int
@@ -119,6 +117,23 @@ class ReconstructionResult:
 
     x_hat: np.ndarray
     error_estimate: ErrorEstimate
+
+
+def _is_syndrome(approach: str) -> bool:
+    """Whether ``approach`` is the syndrome one; a name outside APPROACHES raises."""
+    if approach not in APPROACHES:
+        raise ValueError(f"unknown approach {approach!r}: expected one of {APPROACHES}")
+    return approach == "syndrome"
+
+
+def frame_length(code: DftCode, approach: str) -> int:
+    """Source samples per frame: n for the syndrome approach, k for parity."""
+    return code.n if _is_syndrome(approach) else code.k
+
+
+def tx_samples(code: DftCode, approach: str) -> int:
+    """Real numbers sent per frame: 2(n-k) syndrome parts or n-k parity samples."""
+    return (code.n - code.k) * (2 if _is_syndrome(approach) else 1)
 
 
 def syndrome_noise_floor(code: DftCode, quantizer: QuantizerSpec) -> float:
@@ -243,9 +258,11 @@ def _weighted_errors(
             est[group] = _vm(_normalized(prior - _mv(out[..., cols:], r)), out[..., :cols])
             del out  # before the next support size allocates its own
             continue
-        # Pair p = f * nu + i is frame f less its i-th position; in core
-        # order, the pairs that share a core are one slice and one operator
-        cores = np.stack([np.delete(locs, i, 1) for i in range(nu)], 1).reshape(-1, nu - 1)
+        # Pair p = f * nu + i is frame f less its i-th position, keeping row i
+        # of ``kept``; in core order, the pairs that share a core are one slice
+        # and one operator
+        kept = np.nonzero(~np.eye(nu, dtype=bool))[1].reshape(nu, nu - 1)
+        cores = locs[:, kept].reshape(-1, nu - 1)
         keys = cores @ cols ** np.arange(nu - 1)
         order = np.argsort(keys, kind="stable")
         bounds = np.r_[0, np.diff(keys[order]).nonzero()[0] + 1, len(order)]
@@ -271,12 +288,14 @@ def _weighted_errors(
 
 
 def encode_block(
-    matrix: np.ndarray, x: np.ndarray, quantizer: QuantizerSpec
+    code: DftCode, approach: str, x: np.ndarray, quantizer: QuantizerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize matrix @ x[f] for each row x[f] of x (real and imaginary
-    parts apart when ``matrix`` is complex); returns the levels and each
-    frame's number of clipped samples, those outside [lo, hi]."""
-    v = _mv(matrix, _frames(x, matrix.shape[1], "source"))
+    """Quantize what ``approach`` sends of each row x[f] of x: the complex
+    syndrome H x[f] (real and imaginary parts apart) or the parity
+    P_gen x[f]; returns the levels and each frame's number of clipped
+    samples, those outside [lo, hi]."""
+    x = _frames(x, frame_length(code, approach), "source")
+    v = _mv(code.H if _is_syndrome(approach) else code.P_gen, x)
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
     lo, hi = quantizer.lo, quantizer.hi
     overloads = sum(np.count_nonzero((p < lo) | (p > hi), axis=1) for p in parts)
@@ -297,67 +316,64 @@ class DecodedBlock(NamedTuple):
     support: np.ndarray
 
 
-def syndrome_decode_block(
-    code: DftCode,
-    values: np.ndarray,
-    quantizer: QuantizerSpec,
-    y: np.ndarray,
+def decode_block(
+    code: DftCode, approach: str, values: np.ndarray, quantizer: QuantizerSpec, y: np.ndarray
 ) -> DecodedBlock:
-    """``syndrome_decode`` for a block: rows of the quantized syndromes
-    ``values`` (F, n - k) against rows of the side information y (F, n)."""
-    y = _frames(y, code.n, "side information")
-    s_err = _mv(code.H, y) - values
-    pgz = decode_block(code, s_err, noise_floor=syndrome_noise_floor(code, quantizer))
-    x_hat = y.copy()
-    fix = pgz.count.nonzero()[0]
-    if fix.size:
+    """``syndrome_decode`` or ``parity_decode`` for a block: rows of the
+    quantized ``values`` (F, n - k) that ``encode_block`` sent against
+    rows of the side information y (F, frame length)."""
+    y = _frames(y, frame_length(code, approach), "side information")
+    if _is_syndrome(approach):
+        syndromes = _mv(code.H, y) - values
+        cands, noise_floor, index = None, syndrome_noise_floor(code, quantizer), slice(None)
         t = code.t
-        x_hat[fix] -= _weighted_errors(
-            np.vstack([code.H[:t].real, code.H[:t].imag]),
-            np.concatenate([s_err[fix, :t].real, s_err[fix, :t].imag], axis=1),
-            pgz.support[fix],
-            quantizer.sigma_q_sq,
-        )
-    return DecodedBlock(x_hat, s_err, pgz, pgz.support)
+        basis = np.vstack([code.H[:t].real, code.H[:t].imag])
 
+        def residual(rows: np.ndarray) -> np.ndarray:
+            return np.concatenate([syndromes[rows, :t].real, syndromes[rows, :t].imag], axis=1)
+    else:
+        z = np.empty((len(y), code.n))
+        z[:, code.systematic] = y
+        z[:, code.parity] = values
+        syndromes = _mv(code.H, z)
+        cands = index = code.systematic
+        noise_floor = parity_noise_floor(code, quantizer)
+        basis = code.P_gen
 
-def parity_decode_block(
-    code: DftCode,
-    values: np.ndarray,
-    quantizer: QuantizerSpec,
-    y: np.ndarray,
-) -> DecodedBlock:
-    """``parity_decode`` for a block: rows of the quantized parities
-    ``values`` (F, n - k) against rows of the side information y (F, k)."""
-    y = _frames(y, code.k, "side information")
-    z = np.empty((len(y), code.n))
-    z[:, code.systematic] = y
-    z[:, code.parity] = values
-    syndromes = _mv(code.H, z)
-    noise_floor = parity_noise_floor(code, quantizer)
-    pgz = decode_block(code, syndromes, code.systematic, noise_floor=noise_floor)
-    support = pgz.support[:, code.systematic]
+        def residual(rows: np.ndarray) -> np.ndarray:
+            return _mv(code.P_gen, y[rows]) - values[rows]
+    pgz = _pgz_decode_block(code, syndromes, cands, noise_floor=noise_floor)
+    support = pgz.support[:, index]
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
-        x_hat[fix] -= _weighted_errors(
-            code.P_gen, _mv(code.P_gen, y[fix]) - values[fix], support[fix], quantizer.sigma_q_sq
-        )
+        x_hat[fix] -= _weighted_errors(basis, residual(fix), support[fix], quantizer.sigma_q_sq)
     return DecodedBlock(x_hat, syndromes, pgz, support)
 
 
-def syndrome_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> SyndromeMessage:
-    """Quantize s_x = Hx componentwise on real and imaginary parts."""
-    values, overloads = encode_block(code.H, np.asarray(x, dtype=np.float64)[None], quantizer)
-    return SyndromeMessage(
-        values=values[0],
-        quantizer=quantizer,
-        bits_used=2 * (code.n - code.k) * quantizer.bits,
-        overloads=int(overloads[0]),
+def _encode(code: DftCode, approach: str, x: np.ndarray, quantizer: QuantizerSpec) -> Message:
+    values, overloads = encode_block(code, approach, np.asarray(x)[None], quantizer)
+    bits_used = tx_samples(code, approach) * quantizer.bits
+    return Message(approach, values[0], quantizer, bits_used, int(overloads[0]))
+
+
+def _decode(code: DftCode, approach: str, msg: Message, y: np.ndarray) -> ReconstructionResult:
+    if msg.approach != approach:
+        raise ValueError(f"a {msg.approach} message given to the {approach} decoder")
+    decoded = decode_block(code, approach, msg.values[None], msg.quantizer, np.asarray(y)[None])
+    estimate = frame_estimate(code, decoded.syndromes, decoded.pgz)
+    locations = tuple(np.flatnonzero(decoded.support[0]).tolist())
+    return ReconstructionResult(
+        x_hat=decoded.x_hat[0], error_estimate=replace(estimate, locations=locations)
     )
 
 
-def syndrome_decode(code: DftCode, msg: SyndromeMessage, y: np.ndarray) -> ReconstructionResult:
+def syndrome_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> Message:
+    """Quantize s_x = Hx componentwise on real and imaginary parts."""
+    return _encode(code, "syndrome", x, quantizer)
+
+
+def syndrome_decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
     """Estimate the channel error from s_e_tilde = Hy - s_x_hat and undo it.
 
     PGZ gives the reported ``error_estimate``; x_hat = y - e_hat, where
@@ -370,32 +386,15 @@ def syndrome_decode(code: DftCode, msg: SyndromeMessage, y: np.ndarray) -> Recon
     exact recovery when source and side information coincide. Non-finite
     side information raises ValueError.
     """
-    decoded = syndrome_decode_block(
-        code, msg.values[None], msg.quantizer, np.asarray(y, dtype=np.float64)[None]
-    )
-    return _result(code, decoded)
+    return _decode(code, "syndrome", msg, y)
 
 
-def _result(code: DftCode, decoded: DecodedBlock) -> ReconstructionResult:
-    estimate = frame_estimate(code, decoded.syndromes, decoded.pgz)
-    locations = tuple(np.flatnonzero(decoded.support[0]).tolist())
-    return ReconstructionResult(
-        x_hat=decoded.x_hat[0], error_estimate=replace(estimate, locations=locations)
-    )
-
-
-def parity_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> ParityMessage:
+def parity_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> Message:
     """Quantize the parity samples p = P_gen x of a length-k frame."""
-    values, overloads = encode_block(code.P_gen, np.asarray(x, dtype=np.float64)[None], quantizer)
-    return ParityMessage(
-        values=values[0],
-        quantizer=quantizer,
-        bits_used=(code.n - code.k) * quantizer.bits,
-        overloads=int(overloads[0]),
-    )
+    return _encode(code, "parity", x, quantizer)
 
 
-def parity_decode(code: DftCode, msg: ParityMessage, y: np.ndarray) -> ReconstructionResult:
+def parity_decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
     """Decode the noisy codeword z_tilde, y at ``code.systematic`` and
     p_hat at ``code.parity``, and return the corrected message.
 
@@ -408,18 +407,10 @@ def parity_decode(code: DftCode, msg: ParityMessage, y: np.ndarray) -> Reconstru
     fitted on the parity residual P_gen y - p_hat. Non-finite side
     information raises ValueError.
     """
-    decoded = parity_decode_block(
-        code, msg.values[None], msg.quantizer, np.asarray(y, dtype=np.float64)[None]
-    )
-    return _result(code, decoded)
+    return _decode(code, "parity", msg, y)
 
 
 def compression_ratio(code: DftCode, approach: str) -> Fraction:
     """Source samples per transmitted real number, as an exact rational:
     n / (2(n-k)) for the syndrome approach, k / (n-k) for parity."""
-    n, k = code.n, code.k
-    if approach == "syndrome":
-        return Fraction(n, 2 * (n - k))
-    if approach == "parity":
-        return Fraction(k, n - k)
-    raise ValueError(f"unknown approach {approach!r} (expected 'syndrome' or 'parity')")
+    return Fraction(frame_length(code, approach), tx_samples(code, approach))

@@ -17,12 +17,11 @@ from dftwz.pgz import decode_block, pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
+    decode_block as wz_decode_block,
     encode_block,
     parity_decode,
-    parity_decode_block,
     parity_encode,
     syndrome_decode,
-    syndrome_decode_block,
     syndrome_encode,
 )
 
@@ -76,8 +75,8 @@ def test_block_decodes_as_its_frames(code, counts, seed):
     x, y = _block(code, counts, seed)
     q_sy, q_pa = Q_SY[code.n], Q_PA[code.n]
 
-    values, _ = encode_block(code.H, x, q_sy)
-    block = syndrome_decode_block(code, values, q_sy, y)
+    values, _ = encode_block(code, "syndrome", x, q_sy)
+    block = wz_decode_block(code, "syndrome", values, q_sy, y)
     assert set(block.pgz.count.tolist()) >= set(range(code.t + 1))  # gated and every nu-hat
     for i in range(len(x)):
         msg = syndrome_encode(code, x[i], q_sy)
@@ -85,8 +84,8 @@ def test_block_decodes_as_its_frames(code, counts, seed):
         _assert_same(block, syndrome_decode(code, msg, y[i]), i)
 
     k = code.k
-    values, _ = encode_block(code.P_gen, x[:, :k], q_pa)
-    block = parity_decode_block(code, values, q_pa, y[:, :k])
+    values, _ = encode_block(code, "parity", x[:, :k], q_pa)
+    block = wz_decode_block(code, "parity", values, q_pa, y[:, :k])
     for i in range(len(x)):
         msg = parity_encode(code, x[i, :k], q_pa)
         np.testing.assert_array_equal(msg.values, values[i])

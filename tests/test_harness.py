@@ -74,6 +74,13 @@ _WORKER_KNOBS = {
     "0_bits": (dict(bits=0), "^bits"),
     "600_bits": (dict(bits=600), None),
     "1100_bits": (dict(bits=1100), None),
+    "fractional_frames": (dict(frames=2.5), "^frames must be an integer"),
+    "fractional_seed": (dict(seed=1.5), "^seed must be an integer"),
+    "float_errors": (dict(errors_per_frame=1.0), "^errors_per_frame must be an integer"),
+    "fractional_workers": (dict(workers=1.5), "^workers must be an integer"),
+    "bool_frames": (dict(frames=True), "^frames must be an integer"),
+    "bool_bits": (dict(bits=True), "^bits"),
+    "bool_k": (dict(k=True), "^n and k must be integers"),
 }
 
 

@@ -10,8 +10,10 @@ from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec, quantize
 from dftwz.wyner_ziv import (
     compression_ratio,
+    frame_length,
     parity_encode,
     syndrome_encode,
+    tx_samples,
 )
 
 _CODES: dict[tuple[int, int], DftCode] = {}
@@ -142,11 +144,22 @@ def test_rate_accounting(pair, bits, seed):
     assert pm.values.shape == (n - k,)
 
 
-@given(pair=odd_pairs())
-def test_compression_ratios_are_exact_rationals(pair):
+@given(pair=odd_pairs(), bits=st.integers(1, 8))
+def test_compression_ratios_are_exact_rationals(pair, bits):
     from fractions import Fraction
 
     n, k = pair
     code = cached_code(n, k)
     assert compression_ratio(code, "syndrome") == Fraction(n, 2 * (n - k))
     assert compression_ratio(code, "parity") == Fraction(k, n - k)
+    # Every count of what a frame sends agrees: the sent-sample count, the
+    # message's bits and its values, two real parts per complex syndrome.
+    q = QuantizerSpec(bits, -4.0, 4.0)
+    for approach, encode in (("syndrome", syndrome_encode), ("parity", parity_encode)):
+        length = frame_length(code, approach)
+        assert length == (n if approach == "syndrome" else k)
+        msg = encode(code, np.zeros(length), q)
+        assert msg.approach == approach
+        sent = len(msg.values) * (2 if np.iscomplexobj(msg.values) else 1)
+        assert tx_samples(code, approach) == msg.bits_used / bits == sent
+        assert compression_ratio(code, approach) == Fraction(length, sent)

@@ -1,5 +1,7 @@
 """Midrise quantizer: frozen levels, clipping, idempotence, noise power."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -26,12 +28,14 @@ def test_quantize_clips_to_edge_level():
 
 def test_encode_block_counts_clips_per_frame():
     # A clip is a sample outside [lo, hi]; the edges themselves are in range.
+    # A stand-in code: the parity approach sends x, the syndrome (1+1j) x.
+    code = SimpleNamespace(n=3, k=3, P_gen=np.eye(3), H=(1.0 + 1.0j) * np.eye(3))
     x = np.array([[5.0, 0.0, -4.5], [4.0, -4.0, 0.1], [9.0, 9.0, -9.0]])
-    values, overloads = encode_block(np.eye(3), x, REF)
+    values, overloads = encode_block(code, "parity", x, REF)
     assert overloads.tolist() == [2, 0, 3]
     np.testing.assert_array_equal(values, quantize(REF, x))
-    # A complex matrix counts the real and the imaginary parts apart.
-    _, overloads = encode_block((1.0 + 1.0j) * np.eye(3), x, REF)
+    # A complex syndrome counts the real and the imaginary parts apart.
+    _, overloads = encode_block(code, "syndrome", x, REF)
     assert overloads.tolist() == [4, 0, 6]
 
 

@@ -1,9 +1,14 @@
-"""The README's quick start runs as documented, and its flag table
-lists exactly the CLI's flags."""
+"""The README's quick start runs as documented, its flag table lists
+exactly the CLI's flags, and every public name resolves."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
+import dftwz
 from dftwz import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -25,3 +30,12 @@ def test_flag_table_lists_every_cli_flag():
     documented = [re.match(r"\| `(--[a-z-]+)", row).group(1) for row in rows]
     flags = ["--" + key.replace("_", "-") for key in cli._KNOBS] + ["--out", "--config"]
     assert sorted(documented) == sorted(flags)
+
+
+@pytest.mark.parametrize(
+    "module", ["dftwz"] + [f"dftwz.{m.name}" for m in pkgutil.iter_modules(dftwz.__path__)]
+)
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names {missing}"

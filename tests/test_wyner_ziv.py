@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dftwz.codes import build_code
-from dftwz.harness import SweepConfig, sweep
+from dftwz.harness import SweepConfig, run_trial, sweep
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
@@ -17,13 +17,12 @@ from dftwz.wyner_ziv import (
     _extension_fits,
     _weighted_errors,
     compression_ratio,
+    decode_block,
     encode_block,
     parity_decode,
-    parity_decode_block,
     parity_encode,
     parity_noise_floor,
     syndrome_decode,
-    syndrome_decode_block,
     syndrome_encode,
     syndrome_noise_floor,
 )
@@ -396,12 +395,36 @@ def test_non_finite_frame_rejects_its_block(rng):
     x = rng.standard_normal((4, 7))
     y = x.copy()
     y[2, 1] = np.nan
-    values, _ = encode_block(C75.H, x, Q_SY)
+    values, _ = encode_block(C75, "syndrome", x, Q_SY)
     with pytest.raises(ValueError, match="non-finite"):
-        syndrome_decode_block(C75, values, Q_SY, y)
-    values, _ = encode_block(C75.P_gen, x[:, :5], Q_PA)
+        decode_block(C75, "syndrome", values, Q_SY, y)
+    values, _ = encode_block(C75, "parity", x[:, :5], Q_PA)
     with pytest.raises(ValueError, match="non-finite"):
-        parity_decode_block(C75, values, Q_PA, y[:, :5])
+        decode_block(C75, "parity", values, Q_PA, y[:, :5])
+
+
+def test_unknown_approach_raises_one_error():
+    # Every layer passes the approach name through to wyner_ziv, whose one
+    # check names the valid approaches.
+    x = np.zeros((1, 7))
+    calls = (
+        lambda: encode_block(C75, "hybrid", x, Q_SY),
+        lambda: decode_block(C75, "hybrid", np.zeros((1, 2)), Q_SY, x),
+        lambda: compression_ratio(C75, "hybrid"),
+        lambda: run_trial(C75, "hybrid", Q_SY, ChannelSpec(1, 1.0), np.random.default_rng(0)),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"unknown approach 'hybrid': expected one of ('syndrome', 'parity')"}
+
+
+def test_message_goes_to_its_own_decoder():
+    msg = parity_encode(C75, np.zeros(5), Q_PA)
+    with pytest.raises(ValueError, match="parity message given to the syndrome decoder"):
+        syndrome_decode(C75, msg, np.zeros(7))
 
 
 def test_reconstruction_result_is_frozen():
