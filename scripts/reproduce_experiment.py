@@ -25,7 +25,7 @@ def main(argv=None) -> int:
 
     s_q2 = config.reference_quantizer.sigma_q_sq
     print(f"# ({config.n},{config.k}) code, {config.frames} frames/point, "
-          f"seed {config.seed}, {elapsed:.0f}s")
+          f"seed {config.seed}, {elapsed:.2f}s")
     print(f"# sigma_q^2 = {s_q2:.6g}; MSE columns are relative to it")
     header = f"{'CEQNR dB':>9} {'mse_syn':>9} {'mse_par':>9} {'loc_syn':>8} {'loc_par':>8}"
     print(header)

@@ -66,10 +66,12 @@ def draw_frames(
     Each part's generator draws in a fixed order, each for all its F_p
     frames at once: ``standard_normal((F_p, length))`` innovations, then
     ``random((F_p, length))`` keys whose rows' first E stable-argsort
-    entries are the error positions (for E = 1 the first minimum), then
+    entries are the error positions, then
     ``normal(0, sigma_e, (F_p, E))`` magnitudes. The recursion, positions
     and scatter then run once over the stack, elementwise or per row, so
-    a frame's values do not depend on the frames drawn beside it.
+    a frame's values do not depend on the frames drawn beside it. The
+    positions take E argmin passes, each masking its pick to +inf: the
+    first minimum, then the next, ties in index order as a stable sort.
     """
     errors = {ch.errors_per_frame for _rng, ch, _frames in parts}
     if len(errors) != 1:
@@ -88,8 +90,11 @@ def draw_frames(
     for i in range(1, length):
         x[i] += spec.rho * x[i - 1]
     x = np.ascontiguousarray(x.T)
-    positions = (keys.argmin(axis=1)[:, None] if e == 1
-                 else np.argsort(keys, axis=1, kind="stable")[:, :e])
+    positions = np.empty((len(x), e), dtype=np.intp)  # E masked argmin passes
+    for j in range(e):
+        positions[:, j] = keys.argmin(axis=1)
+        if j < e - 1:
+            np.put_along_axis(keys, positions[:, j, None], np.inf, axis=1)
     y = x.copy()
     rows = np.arange(len(x))[:, None]
     y[rows, positions] += values

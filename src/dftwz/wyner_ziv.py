@@ -163,8 +163,10 @@ def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
 # t = 3 errors has 1 + N + N(N-1)/2 cores of at most two positions over
 # its N candidate columns: 497 for the (31,25) syndrome basis (N = 31)
 # and 326 for its parity basis (N = 25). The bound holds both, so a sweep
-# of such a code builds each core's fits once; it is not unbounded,
-# because (63,57) would need ~2,000 entries of ~200 KB each.
+# of such a code builds each core's fits once. An entry holds
+# rows * M * (nu + rows) floats: 5.6 KB for a (15,9) syndrome core of two
+# positions, 12.5 KB for (31,25); it is not unbounded, because (63,57)
+# would need ~2,000 entries of 26 KB each.
 @functools.lru_cache(maxsize=1024)
 def _extension_fits(
     basis: bytes, rows: int, noise_var: float, core: tuple[int, ...]
@@ -172,26 +174,23 @@ def _extension_fits(
     """Least-squares fits of every support ``core + (c,)``, c not in core.
 
     ``basis`` is a (rows, N) float64 matrix as bytes, so that each core's
-    fits are built once and then reused. For each of the M supports, with
-    A its columns and P = I - A pinv(A) the symmetric projector onto the
-    residual of the fit, the returned (rows, M * (N + rows)) operator maps
-    a residual r (as ``r @ op``) to [the fitted error pattern over all N
-    positions; P r / (2 noise_var)], whose dot product with r is
-    rss / (2 noise_var). The (M,) log-priors are -log(det(A^T A)) / 2. In both
-    decoders' bases every support of at most t positions has full column
-    rank (the syndrome basis holds t Vandermonde rows, and
-    P_gen = -H_P^{-1} H_S maps independent columns of H through the
-    invertible H_P^{-1}), so A^T A is invertible.
+    fits are built once and then reused. The M added columns c are the
+    candidates not in ``core``, ascending. For each support, with A its
+    columns and P = I - A pinv(A) the symmetric projector onto the
+    residual of the fit, the returned (rows, M * (nu + rows)) operator
+    maps a residual r (as ``r @ op``) to [the nu least-squares magnitudes,
+    core positions first and c last; P r / (2 noise_var)], whose dot
+    product with r is rss / (2 noise_var). The (M,) log-priors are
+    -log(det(A^T A)) / 2. In both decoders' bases every support of at
+    most t positions has full column rank (the syndrome basis holds t
+    Vandermonde rows, and P_gen = -H_P^{-1} H_S maps independent columns
+    of H through the invertible H_P^{-1}), so A^T A is invertible.
     """
     a_all = np.frombuffer(basis).reshape(rows, -1)
-    cols = a_all.shape[1]
-    supports = [core + (c,) for c in range(cols) if c not in core]
+    supports = [core + (c,) for c in range(a_all.shape[1]) if c not in core]
     a = a_all[:, supports].transpose(1, 0, 2)  # (M, rows, nu)
     pinv = np.linalg.pinv(a)
-    ops = np.zeros((len(supports), cols + rows, rows))
-    for op, support, fit in zip(ops, supports, pinv):
-        op[list(support)] = fit
-    ops[:, cols:] = (np.eye(rows) - a @ pinv) / (2.0 * noise_var)
+    ops = np.concatenate([pinv, (np.eye(rows) - a @ pinv) / (2.0 * noise_var)], axis=1)
     ops = np.ascontiguousarray(ops.transpose(2, 0, 1).reshape(rows, -1))
     log_prior = -0.5 * np.linalg.slogdet(a.transpose(0, 2, 1) @ a)[1]
     ops.flags.writeable = log_prior.flags.writeable = False
@@ -240,8 +239,9 @@ def _weighted_errors(
     Frames are weighted together, one support size at a time; their
     (frame, dropped position) pairs are sorted by core, one operator per
     contiguous slice (nu = 1 has one core), and a frame's estimate is the
-    sum of its nu pairs' weighted fits. The (F nu, M, N) stack of fits
-    holds every correction until the weights are known: bound F to bound it.
+    sum of its nu pairs' weighted fits. Each pair holds its M supports'
+    magnitudes and projected residuals, M (nu + rows) floats, until the
+    weights are known: bound F to bound them.
     """
     key, (rows, cols) = basis.tobytes(), basis.shape
     est = np.empty((len(residual), cols))
@@ -251,11 +251,11 @@ def _weighted_errors(
         locs = np.nonzero(support[group])[1].reshape(len(group), nu)
         frames = len(group)
         m = cols - nu + 1  # supports per core
-        if nu == 1:  # one core, the empty one: the pairs are the frames
+        if nu == 1:  # one core, the empty one: support j is column j alone
             ops, prior = _extension_fits(key, rows, noise_var, ())
             r = residual[group]
-            out = _vm(r, ops).reshape(frames, m, cols + rows)
-            est[group] = _vm(_normalized(prior - _mv(out[..., cols:], r)), out[..., :cols])
+            out = _vm(r, ops).reshape(frames, m, 1 + rows)
+            est[group] = _normalized(prior - _mv(out[..., 1:], r)) * out[..., 0]
             del out  # before the next support size allocates its own
             continue
         # Pair p = f * nu + i is frame f less its i-th position, keeping row i
@@ -267,23 +267,32 @@ def _weighted_errors(
         order = np.argsort(keys, kind="stable")
         bounds = np.r_[0, np.diff(keys[order]).nonzero()[0] + 1, len(order)]
         res = residual[group[order // nu]]
-        fits = np.empty((len(order), m, cols))
+        out = np.empty((len(order), 1, m * (nu + rows)))
         logw = np.empty((len(order), m))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            ops, prior = _extension_fits(key, rows, noise_var, tuple(cores[order[lo]].tolist()))
-            out = _vm(res[lo:hi], ops).reshape(hi - lo, m, cols + rows)
-            fits[lo:hi] = out[..., :cols]
-            logw[lo:hi] = prior - _mv(out[..., cols:], res[lo:hi])
-        inverse = np.argsort(order)
+            core = tuple(cores[order[lo]].tolist())
+            ops, logw[lo:hi] = _extension_fits(key, rows, noise_var, core)
+            np.matmul(res[lo:hi, None], ops, out=out[lo:hi])
+        out = out.reshape(len(order), m, nu + rows)
+        logw -= _mv(out[..., nu:], res)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
         logw = logw[inverse].reshape(frames, nu * m)
         # PGZ's support ends up in every core's list, at entry s_i - i of
         # core i's block; count it once.
         for i in range(1, nu):
             logw[np.arange(frames), i * m + locs[:, i] - i] = -np.inf
-        w = _normalized(logw).reshape(frames * nu, m)[order]
-        pairs = _vm(w, fits)
-        del fits  # before the frame-order estimates allocate their own
-        est[group] = pairs[inverse].reshape(frames, nu, cols).sum(axis=1)
+        # Pairs in frame order: a pair's fit is its weighted core magnitudes
+        # and, at each added column, that one support's weighted magnitude
+        w = _normalized(logw).reshape(-1, m)
+        mags = out[inverse, :, :nu]
+        del out  # before the frame-order estimates allocate their own
+        added = np.ones((len(order), cols), dtype=bool)
+        added[np.arange(len(order))[:, None], cores] = False
+        pairs = np.empty((len(order), cols))
+        pairs[~added] = _vm(w, mags[..., : nu - 1]).ravel()
+        pairs[added] = (w * mags[..., nu - 1]).ravel()
+        est[group] = pairs.reshape(frames, nu, cols).sum(axis=1)
     return est
 
 

@@ -160,6 +160,10 @@ GOLDEN_CONFIGS = {
     "golden_21_13.csv": dict(
         n=21, k=13, errors_per_frame=4, ceqnr_db=(20.0, 40.0), frames=256
     ),
+    # 31 candidates: two-position cores with 29 supports each
+    "golden_31_25.csv": dict(
+        n=31, k=25, errors_per_frame=3, ceqnr_db=(20.0, 40.0), frames=512
+    ),
 }
 
 

@@ -294,6 +294,18 @@ def test_sweep_memory_does_not_grow_with_grid_or_frames():
     assert _sweep_peak(replace(cfg, frames=2 * cfg.frames)) <= 1.1 * peak
 
 
+def test_three_error_weighting_holds_only_each_supports_magnitudes():
+    # A (31,25) decode call of 2,048 three-error frames weighs 3 pairs of 29
+    # supports per frame. Holding each support's 3 magnitudes and 6
+    # projected residuals, not a fit over all 31 positions, keeps the peak
+    # near 21 MiB; 31-wide fits would take about 46 MiB. Allocation sizes do
+    # not depend on timing; an untraced sweep fills the operator cache first.
+    cfg = SweepConfig(n=31, k=25, errors_per_frame=3, ceqnr_db=(30.0,), frames=BLOCK_FRAMES,
+                      approaches=("syndrome",), seed=3)
+    sweep(cfg)
+    assert _sweep_peak(cfg) < 30 * 2**20
+
+
 def test_sweep_single_approach_columns():
     res = sweep(small_config(approaches=("syndrome",)))
     for point in res.points:

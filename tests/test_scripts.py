@@ -17,9 +17,14 @@ def _load(name):
 
 def test_reproduce_experiment_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    assert _load("reproduce_experiment").main(["--frames", "8", "--out", str(out)]) == 0
+    # enough frames that the printed time, to 10 ms, is not 0.00s
+    assert _load("reproduce_experiment").main(["--frames", "2048", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 12  # header plus the 11 default CEQNR points
-    assert "CSV written to" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "CSV written to" in printed
+    # the first line ends with the sweep's wall time, "<seconds>s"
+    elapsed = printed.splitlines()[0].rsplit(", ", 1)[1]
+    assert elapsed.endswith("s") and float(elapsed[:-1]) > 0.0
 

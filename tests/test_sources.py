@@ -135,11 +135,21 @@ class _TiedKeys:
 
 
 def test_single_error_position_is_the_first_stable_argsort_entry():
-    gen = _TiedKeys(3)
-    _, _, hit = draw_frames(SourceSpec(0.9), 7, [(gen, ChannelSpec(1, 1.0), 500)])
-    first = np.argsort(gen.keys, axis=1, kind="stable")[:, 0]
-    assert (np.sum(gen.keys == gen.keys.min(axis=1, keepdims=True), axis=1) > 1).any()
-    np.testing.assert_array_equal(hit.nonzero()[1], first)
+    # The j-th of E errors lands where the j-th stable-argsort entry of its
+    # frame's keys points, with ties at the minimum and past it.
+    for errors in (1, 2, 3):
+        gen = _TiedKeys(3)
+        x, y, hit = draw_frames(SourceSpec(0.9), 7, [(gen, ChannelSpec(errors, 1.0), 500)])
+        first = np.argsort(gen.keys, axis=1, kind="stable")[:, :errors]
+        assert (np.sum(gen.keys == gen.keys.min(axis=1, keepdims=True), axis=1) > errors).any()
+        np.testing.assert_array_equal(hit.nonzero()[1], np.sort(first, axis=1).ravel())
+        replay = np.random.default_rng(3)  # past the innovations and keys
+        replay.standard_normal((500, 7))
+        replay.random((500, 7))
+        np.testing.assert_allclose(
+            np.take_along_axis(y - x, first, axis=1),
+            replay.normal(0.0, 1.0, (500, errors)), rtol=0, atol=1e-12,
+        )
 
 
 def test_stacked_parts_must_share_errors_per_frame(rng):
