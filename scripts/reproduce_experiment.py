@@ -12,12 +12,16 @@ every dftwz flag, e.g. --frames, --seed, --workers and --out.
 import sys
 import time
 
-from dftwz.cli import config_from_argv
+from dftwz.cli import run
 from dftwz.harness import sweep, write_csv
 
 
 def main(argv=None) -> int:
-    config, out = config_from_argv(sys.argv[1:] if argv is None else argv)
+    """Exits as dftwz does: 0, or 2 with a one-line diagnostic on stderr."""
+    return run(argv, _reproduce)
+
+
+def _reproduce(config, out) -> None:
     start = time.perf_counter()
     result = sweep(config)
     elapsed = time.perf_counter() - start
@@ -36,7 +40,6 @@ def main(argv=None) -> int:
             f"{p.loc_freq_parity:>8.4f}"
         )
     print(f"# CSV written to {out}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ Example:
 Each sweep knob is one key of ``_KNOBS``: a --flag (dashes for
 underscores) and a key of the key=value file that --config names, where
 explicit flags win. SweepConfig supplies every default and validates.
-Exits 0 on success, 2 on validation or I/O failure with a one-line
-diagnostic on stderr.
+``run(argv, action)``, shared by main and the scripts, runs action(config,
+out) and returns 0, or 2 on a bad value or I/O with one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 
 from .harness import DEFAULT_CSV_PATH, SweepConfig, sweep, write_csv
 from .wyner_ziv import APPROACHES
 
-__all__ = ["main", "entry", "config_from_argv", "parse_ceqnr_grid", "parse_pair",
+__all__ = ["main", "run", "entry", "config_from_argv", "parse_ceqnr_grid", "parse_pair",
            "load_config_file"]
 
 
@@ -164,14 +165,18 @@ def config_from_argv(argv: list[str]) -> tuple[SweepConfig, str]:
         raise ValueError(f"{keys[0]} = {rest}") from None
 
 
-def main(argv: "list[str] | None" = None) -> int:
+def run(argv: "list[str] | None", action: Callable[[SweepConfig, str], None]) -> int:
     try:
         config, out = config_from_argv(list(sys.argv[1:]) if argv is None else list(argv))
-        write_csv(sweep(config), out)
+        action(config, out)
     except (ValueError, OSError) as exc:
         print(f"dftwz: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    return run(argv, lambda config, out: write_csv(sweep(config), out))
 
 
 def entry() -> None:

@@ -24,6 +24,7 @@ correlation).
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass, fields
@@ -211,8 +212,8 @@ def _trials(
     values, overloads = encode_block(code, approach, x, quantizer)
     decoded = decode_block(code, approach, values, quantizer, y)
     diff = decoded.x_hat - x
-    localized = np.all(decoded.support == hit, axis=1)
-    zero_error = np.all(decoded.x_hat == x, axis=1)
+    localized = functools.reduce(np.logical_and, (decoded.support == hit).T)
+    zero_error = functools.reduce(np.logical_and, (decoded.x_hat == x).T)
     return np.mean(diff * diff, axis=1), localized, zero_error, overloads
 
 

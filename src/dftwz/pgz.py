@@ -126,7 +126,7 @@ def _count(
     (gated, singular values, count). Gated rows run no SVD, and neither
     does t = 1, whose 1x1 Hankel matrix [s_0] has singular value |s_0|."""
     mag = np.abs(values)
-    gated = mag.max(axis=1, initial=0.0) <= noise_floor
+    gated = functools.reduce(np.maximum, mag.T) <= noise_floor  # exact, fast on short rows
     sing = np.full((len(values), t), np.nan)
     live = (~gated).nonzero()[0]
     if t == 1:
@@ -208,17 +208,20 @@ def _candidates(candidate_set, n: int) -> np.ndarray:
 
 def _grid(coeffs: np.ndarray, count: np.ndarray, cands: np.ndarray, n: int) -> np.ndarray:
     """(F, |cands|) mask of the count[f] candidates minimizing
-    |Lambda(alpha^{-i})| for each row of ``coeffs`` (F, d); ties break
-    toward the smaller index. Horner's rule from the highest degree, as
-    np.polyval evaluates it; zero leading coefficients leave the value
+    |Lambda(alpha^{-i})| for each row of ``coeffs`` (F, d), ties toward the
+    smaller index and NaN (an overflow) last: argmin passes over its bits
+    less the sign, which order as it does, each masking its pick. Horner's
+    rule as np.polyval runs it; zero leading coefficients leave the value
     unchanged, so rows of lower degree may share one array."""
     alpha_inv = _grid_points(n)[cands]
     value = np.zeros((len(coeffs), len(cands)), dtype=np.complex128)
     for c in coeffs.T[::-1]:
         value = value * alpha_inv - c[:, None]
     value = value * alpha_inv + 1.0
-    order = np.argsort(np.abs(value), axis=1, kind="stable")
-    return np.argsort(order, axis=1) < count[:, None]  # rank of each candidate < count
+    keys, taken = np.abs(value).view(np.uint64) & np.uint64(2**63 - 1), np.uint64(2**64 - 1)
+    for live in (np.flatnonzero(count > j) for j in range(count.max(initial=0))):
+        keys[live, keys.argmin(axis=1)[live]] = taken
+    return keys == taken
 
 
 def _magnitudes(code: DftCode, values: np.ndarray, locs: np.ndarray) -> np.ndarray:

@@ -64,14 +64,15 @@ def draw_frames(
     differs from x". All parts share E.
 
     Each part's generator draws in a fixed order, each for all its F_p
-    frames at once: ``standard_normal((F_p, length))`` innovations, then
+    frames at once, the first two with ``out=`` into the stack:
+    ``standard_normal((F_p, length))`` innovations, then
     ``random((F_p, length))`` keys whose rows' first E stable-argsort
-    entries are the error positions, then
-    ``normal(0, sigma_e, (F_p, E))`` magnitudes. The recursion, positions
-    and scatter then run once over the stack, elementwise or per row, so
-    a frame's values do not depend on the frames drawn beside it. The
-    positions take E argmin passes, each masking its pick to +inf: the
-    first minimum, then the next, ties in index order as a stable sort.
+    entries are the error positions, then ``normal(0, sigma_e, (F_p, E))``
+    magnitudes. The recursion, positions and scatter then run once over
+    the stack, elementwise or per row, so a frame's values do not depend
+    on the frames drawn beside it. The positions take E argmin passes,
+    each masking its pick to +inf: the first minimum, then the next, ties
+    in index order as a stable sort.
     """
     errors = {ch.errors_per_frame for _rng, ch, _frames in parts}
     if len(errors) != 1:
@@ -81,9 +82,12 @@ def draw_frames(
         raise ValueError(f"length must be >= 1, got {length}")
     if e > length:
         raise ValueError(f"errors_per_frame = {e} exceeds frame length {length}")
-    draws = [(rng.standard_normal((frames, length)), rng.random((frames, length)),
-              rng.normal(0.0, ch.sigma_e, (frames, e))) for rng, ch, frames in parts]
-    w, keys, values = (np.concatenate(a) for a in zip(*draws))
+    at = np.cumsum([0] + [frames for _rng, _ch, frames in parts])
+    w, keys, values = (np.empty((at[-1], d)) for d in (length, length, e))
+    for (rng, ch, frames), lo, hi in zip(parts, at, at[1:]):
+        rng.standard_normal(out=w[lo:hi])
+        rng.random(out=keys[lo:hi])
+        values[lo:hi] = rng.normal(0.0, ch.sigma_e, (frames, e))
     w = w.T.copy()  # x_i = rho x_{i-1} + scale w_i along C-ordered rows
     x = np.sqrt(1.0 - spec.rho**2) * w
     x[0] = w[0]

@@ -160,9 +160,9 @@ def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
 
 
 # One cache entry per (basis, noise variance, core). A code correcting
-# t = 3 errors has 1 + N + N(N-1)/2 cores of at most two positions over
-# its N candidate columns: 497 for the (31,25) syndrome basis (N = 31)
-# and 326 for its parity basis (N = 25). The bound holds both, so a sweep
+# t = 3 errors has N + N(N-1)/2 cores of one or two positions over its
+# N candidate columns: 496 for the (31,25) syndrome basis (N = 31) and
+# 325 for its parity basis (N = 25). The bound holds both, so a sweep
 # of such a code builds each core's fits once. An entry holds
 # rows * M * (nu + rows) floats: 5.6 KB for a (15,9) syndrome core of two
 # positions, 12.5 KB for (31,25); it is not unbounded, because (63,57)
@@ -171,7 +171,7 @@ def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
 def _extension_fits(
     basis: bytes, rows: int, noise_var: float, core: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fits of every support ``core + (c,)``, c not in core.
+    """Least-squares fits of every support ``core + (c,)``, c not in ``core`` (non-empty).
 
     ``basis`` is a (rows, N) float64 matrix as bytes, so that each core's
     fits are built once and then reused. The M added columns c are the
@@ -214,7 +214,7 @@ def _vm(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def _normalized(logw: np.ndarray) -> np.ndarray:
     """Rows of exp(logw) over their sums, shifting ``logw`` in place; a weight
     under e^-708 of its row's largest is 0, sparing exp its slow subnormal path."""
-    logw -= logw.max(axis=1, keepdims=True)
+    logw -= functools.reduce(np.maximum, logw.T)[:, None]  # exact, fast on short rows
     w = np.exp(logw, out=np.zeros_like(logw), where=logw > -708.0)
     w /= w.sum(axis=1, keepdims=True)
     return w
@@ -236,28 +236,28 @@ def _weighted_errors(
     residual with the magnitudes integrated out under a flat prior.
     Weights are normalized after shifting each frame's largest log-weight
     to 0, so a frame that no support explains still gives finite weights.
-    Frames are weighted together, one support size at a time; their
-    (frame, dropped position) pairs are sorted by core, one operator per
-    contiguous slice (nu = 1 has one core), and a frame's estimate is the
-    sum of its nu pairs' weighted fits. Each pair holds its M supports'
-    magnitudes and projected residuals, M (nu + rows) floats, until the
-    weights are known: bound F to bound them.
+    Frames are weighted together, one support size at a time. Support {j}
+    of a nu = 1 frame is a_j alone, fitted by g_j = a_j.r / |a_j|^2 with
+    rss |r|^2 - |a_j|^2 g_j^2, whose |r|^2 cancels in the normalization:
+    one product r @ (basis / |a|^2). For nu >= 2, (frame, dropped position)
+    pairs are sorted by core, one operator per contiguous slice, and a
+    frame's estimate is the sum of its nu pairs' weighted fits. Each pair
+    holds M (nu + rows) floats until the weights are known: bound F to
+    bound them.
     """
     key, (rows, cols) = basis.tobytes(), basis.shape
     est = np.empty((len(residual), cols))
     sizes = support.sum(axis=1)
     for nu in np.bincount(sizes).nonzero()[0]:
         group = (sizes == nu).nonzero()[0]
+        if nu == 1:  # g_j = a_j.r / |a_j|^2 for each column j
+            sq = (basis * basis).sum(axis=0)
+            g = _vm(residual[group], basis / sq)
+            est[group] = _normalized(g * g * (sq / (2.0 * noise_var)) - 0.5 * np.log(sq)) * g
+            continue
         locs = np.nonzero(support[group])[1].reshape(len(group), nu)
         frames = len(group)
         m = cols - nu + 1  # supports per core
-        if nu == 1:  # one core, the empty one: support j is column j alone
-            ops, prior = _extension_fits(key, rows, noise_var, ())
-            r = residual[group]
-            out = _vm(r, ops).reshape(frames, m, 1 + rows)
-            est[group] = _normalized(prior - _mv(out[..., 1:], r)) * out[..., 0]
-            del out  # before the next support size allocates its own
-            continue
         # Pair p = f * nu + i is frame f less its i-th position, keeping row i
         # of ``kept``; in core order, the pairs that share a core are one slice
         # and one operator
@@ -305,12 +305,9 @@ def encode_block(
     samples, those outside [lo, hi]."""
     x = _frames(x, frame_length(code, approach), "source")
     v = _mv(code.H if _is_syndrome(approach) else code.P_gen, x)
-    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    lo, hi = quantizer.lo, quantizer.hi
-    overloads = sum(np.count_nonzero((p < lo) | (p > hi), axis=1) for p in parts)
-    if np.iscomplexobj(v):
-        return quantize(quantizer, v.real) + 1j * quantize(quantizer, v.imag), overloads
-    return quantize(quantizer, v), overloads
+    parts = v.view(np.float64)  # a complex row's real and imaginary parts interleaved
+    overloads = np.count_nonzero((parts < quantizer.lo) | (parts > quantizer.hi), axis=1)
+    return quantize(quantizer, parts).view(v.dtype), overloads
 
 
 class DecodedBlock(NamedTuple):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dftwz.codes import build_code
-from dftwz.pgz import _grid, _locator_system, _solve_locators, decode_block, pgz_decode
+from dftwz.pgz import _grid, _grid_points, _locator_system, _solve_locators, decode_block, pgz_decode
 
 C75 = build_code(7, 5)
 C159 = build_code(15, 9)
@@ -126,6 +126,40 @@ def test_locate_tie_breaks_to_smaller_index():
     # candidate identically.
     chosen = _grid(np.zeros((1, 2), dtype=complex), np.array([2]), np.arange(15), 15)
     assert tuple(chosen[0].nonzero()[0]) == (0, 1)
+
+
+def _grid_by_argsort(coeffs, count, cands, n):
+    # The rule written out: Lambda's values by np.polyval, and a candidate
+    # is chosen when its rank in a stable argsort of |Lambda| is < count.
+    value = np.array([np.polyval(np.r_[-c[::-1], 1.0], _grid_points(n)[cands]) for c in coeffs])
+    return np.argsort(np.argsort(np.abs(value), axis=1, kind="stable"), axis=1) < count[:, None]
+
+
+@pytest.mark.parametrize("code,parity", [(C75, False), (C75, True), (C159, False), (C159, True)],
+                         ids=["7-5", "7-5-parity", "15-9", "15-9-parity"])
+def test_grid_ranks_as_a_stable_argsort(code, parity, rng):
+    # Counts 0..t in one call over random locators, all-zero and tiny ones
+    # (|Lambda| = 1 at every candidate, an exact tie), repeated rows, and
+    # locators near the float limit or infinite, whose values overflow to
+    # inf or NaN, so that masked picks tie with what is left.
+    t, n = code.t, code.n
+    cands = code.systematic if parity else np.arange(n)
+    coeffs = _complex_normal(rng, (600, t))
+    coeffs[100:150] = 0.0
+    coeffs[150:200] *= 1e-300
+    coeffs[200:300] = coeffs[300:400]
+    coeffs[400:500] = 1.5e308 * np.exp(2j * np.pi * rng.random((100, t)))
+    coeffs[450:500, -1] = np.inf
+    count = rng.integers(0, t + 1, len(coeffs))
+    count[400:500] = t
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _grid_by_argsort(coeffs, count, cands, n)
+        np.testing.assert_array_equal(_grid(coeffs, count, cands, n), want)
+        value = np.abs([np.polyval(np.r_[-c[::-1], 1.0], _grid_points(n)[cands]) for c in coeffs])
+    assert np.array_equal(want.sum(axis=1), count)
+    assert np.all(value[100:200] == 1.0)
+    assert np.isinf(value[400:500]).any()
+    assert np.isnan(value[400:500]).any() == (t > 1)
 
 
 def test_locate_validates_candidates():

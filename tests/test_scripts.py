@@ -28,3 +28,10 @@ def test_reproduce_experiment_writes_csv(tmp_path, capsys):
     elapsed = printed.splitlines()[0].rsplit(", ", 1)[1]
     assert elapsed.endswith("s") and float(elapsed[:-1]) > 0.0
 
+
+def test_reproduce_experiment_reports_a_bad_flag_as_dftwz_does(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert _load("reproduce_experiment").main(["--bits", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["dftwz: bits = 0: must be a positive integer"]
+    assert captured.out == "" and not out.exists()

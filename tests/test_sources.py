@@ -123,12 +123,14 @@ class _TiedKeys:
         self._rng = np.random.default_rng(seed)
         self.keys = None
 
-    def standard_normal(self, shape):
-        return self._rng.standard_normal(shape)
+    def standard_normal(self, out):
+        return self._rng.standard_normal(out=out)
 
-    def random(self, shape):
-        self.keys = np.floor(3 * self._rng.random(shape)) / 3
-        return self.keys
+    def random(self, out):
+        # draw_frames masks the keys it is given, so keep a copy of them
+        self.keys = np.floor(3 * self._rng.random(out.shape)) / 3
+        out[...] = self.keys
+        return out
 
     def normal(self, loc, scale, shape):
         return self._rng.normal(loc, scale, shape)
