@@ -11,10 +11,12 @@ contract. A task is one block of one approach at every CEQNR point; it
 draws (one draw_frames call, a generator per sub-block), encodes and
 decodes its sub-blocks _STACK_SUB_BLOCKS at a time, stacked as one
 array, through ``wyner_ziv``, which alone maps the approach's name to
-its frame length, what it sends and how it decodes. Each frame's MSE
-is added to its point's block sum in frame order, and block partial
-sums are reduced in submission order, so identical configuration and
-seed produce byte-identical CSV for any worker count.
+its frame length, what it sends and how it decodes. A task's partial
+sums are one array with a row per point (MSE sum, localized,
+zero-error and overload counts); each frame is added to its point's
+row in frame order, and the tasks' arrays of an approach are added in
+submission order, so identical configuration and seed produce
+byte-identical CSV for any worker count.
 
 CEQNR (channel-error-to-quantization-noise ratio) is
 10 log10(sigma_e^2 / sigma_q^2) where sigma_q^2 = step^2 / 12 of the
@@ -246,52 +248,38 @@ def run_trial(
 
 
 # ---------------------------------------------------------------------------
-# Block execution. A module-level context keeps the code, built once by
-# the caller, and the quantizers alive per worker process; tasks
-# reference it by field name.
+# Block execution. A module-level context keeps the configuration and the
+# code, built once by the caller, alive per worker process.
 
 _CTX: dict = {}
 
 
 def _init_worker(cfg: SweepConfig, code: DftCode) -> None:
-    tx_quant = {approach: cfg.transmit_quantizer(approach) for approach in APPROACHES}
     _CTX.clear()
-    _CTX.update(cfg=cfg, code=code, tx_quant=tx_quant, source=SourceSpec(cfg.rho))
+    _CTX.update(cfg=cfg, code=code)
 
 
-def _run_block(task: tuple[str, int, int]) -> list[list]:
-    """Partial sums over one block of frames, [mse_sum, loc, zero, ovl]
-    for each CEQNR point in grid order."""
+def _run_block(task: tuple[str, int, int]) -> np.ndarray:
+    """Partial sums over one block of frames: one row per CEQNR point in
+    grid order, of MSE sum, localized, zero-error and overload counts."""
     approach, start, count = task
     cfg, code = _CTX["cfg"], _CTX["code"]
-    length = frame_length(code, approach)
+    quantizer, source = cfg.transmit_quantizer(approach), SourceSpec(cfg.rho)
     channels = [ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db)) for db in cfg.ceqnr_db]
     subs = [(ci, lo, min(SUB_BLOCK_FRAMES, start + count - lo))
             for ci in range(len(channels)) for lo in range(start, start + count, SUB_BLOCK_FRAMES)]
-    sums = [[0.0, 0, 0, 0] for _ in channels]
+    sums = np.zeros((len(channels), 4))
     for i in range(0, len(subs), _STACK_SUB_BLOCKS):
         stack = subs[i:i + _STACK_SUB_BLOCKS]
-        frames = draw_frames(_CTX["source"], length, [
+        frames = draw_frames(source, frame_length(code, approach), [
             (np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], lo)), channels[ci], n)
             for ci, lo, n in stack])
-        per_frame = _trials(code, approach, _CTX["tx_quant"][approach], *frames)
-        at = 0
-        for ci, _lo, n in stack:
-            mse, loc, zero, ovl = (a[at:at + n] for a in per_frame)
-            at += n
-            slot = sums[ci]
+        per_frame = np.column_stack(_trials(code, approach, quantizer, *frames))
+        ends = np.cumsum([n for _ci, _lo, n in stack]).tolist()
+        for (ci, _lo, n), end in zip(stack, ends):
             # one frame at a time, in frame order; np.sum would add pairwise
-            slot[0] = float(np.add.accumulate(np.concatenate(([slot[0]], mse)))[-1])
-            slot[1] += int(np.count_nonzero(loc))
-            slot[2] += int(np.count_nonzero(zero))
-            slot[3] += int(ovl.sum())
+            sums[ci] = np.add.accumulate(np.vstack((sums[ci], per_frame[end - n:end])))[-1]
     return sums
-
-
-def _make_tasks(cfg: SweepConfig) -> list[tuple[str, int, int]]:
-    """(approach, start, count) for every block of every approach."""
-    return [(approach, start, min(BLOCK_FRAMES, cfg.frames - start))
-            for approach in cfg.approaches for start in range(0, cfg.frames, BLOCK_FRAMES)]
 
 
 def sweep(config: SweepConfig) -> SweepResult:
@@ -305,7 +293,8 @@ def sweep(config: SweepConfig) -> SweepResult:
     worker per task holding a full BLOCK_FRAMES block at most and none
     when that is one or fewer.
     """
-    tasks = _make_tasks(config)
+    tasks = [(approach, start, min(BLOCK_FRAMES, config.frames - start))
+             for approach in config.approaches for start in range(0, config.frames, BLOCK_FRAMES)]
     code = build_code(config.n, config.k)
     # Starting a worker costs more than a part block's work saves.
     workers = min(config.workers, sum(task[-1] == BLOCK_FRAMES for task in tasks))
@@ -318,40 +307,29 @@ def sweep(config: SweepConfig) -> SweepResult:
         _init_worker(config, code)
         partials = [_run_block(t) for t in tasks]
 
-    acc: dict[tuple[int, str], list[float]] = {}
+    sums: dict[str, np.ndarray] = {}
     for (approach, _start, _count), part in zip(tasks, partials):
-        for ci, sums in enumerate(part):
-            slot = acc.setdefault((ci, approach), [0.0, 0, 0, 0])
-            for i, v in enumerate(sums):
-                slot[i] += v
-
-    points = []
+        sums[approach] = sums.get(approach, 0.0) + part
+    pooled = sum(sums.values())
+    nan = np.full((len(config.ceqnr_db), 4), np.nan)
+    syndrome, parity = (sums.get(approach, nan) / config.frames for approach in APPROACHES)
+    zero = pooled[:, 2] / (config.frames * len(config.approaches))
+    overload = pooled[:, 3] / (config.frames * sum(tx_samples(code, a) for a in config.approaches))
     sigma_q_sq = config.reference_quantizer.sigma_q_sq
-    for ci, db in enumerate(config.ceqnr_db):
-        mse = {"syndrome": float("nan"), "parity": float("nan")}
-        loc = {"syndrome": float("nan"), "parity": float("nan")}
-        zero_total = ovl_total = tx_total = 0
-        for approach in config.approaches:
-            mse_sum, loc_cnt, zero_cnt, ovl_cnt = acc[(ci, approach)]
-            mse[approach] = mse_sum / config.frames
-            loc[approach] = loc_cnt / config.frames
-            zero_total += zero_cnt
-            ovl_total += ovl_cnt
-            tx_total += config.frames * tx_samples(code, approach)
-        points.append(
-            SweepPoint(
-                ceqnr_db=float(db),
-                mse_syndrome=mse["syndrome"],
-                mse_parity=mse["parity"],
-                sigma_q_sq=sigma_q_sq,
-                loc_freq_syndrome=loc["syndrome"],
-                loc_freq_parity=loc["parity"],
-                zero_error_frac=zero_total / (config.frames * len(config.approaches)),
-                overload_rate=ovl_total / tx_total,
-                frames=config.frames,
-            )
+    return SweepResult(points=tuple(
+        SweepPoint(
+            ceqnr_db=float(db),
+            mse_syndrome=float(syndrome[ci, 0]),
+            mse_parity=float(parity[ci, 0]),
+            sigma_q_sq=sigma_q_sq,
+            loc_freq_syndrome=float(syndrome[ci, 1]),
+            loc_freq_parity=float(parity[ci, 1]),
+            zero_error_frac=float(zero[ci]),
+            overload_rate=float(overload[ci]),
+            frames=config.frames,
         )
-    return SweepResult(points=tuple(points))
+        for ci, db in enumerate(config.ceqnr_db)
+    ))
 
 
 def _fmt(column: str, value: "float | int") -> str:

@@ -165,15 +165,16 @@ def _solve_locators(
     so they serve the rank test, and LU solves the full-rank rows.
 
     One unknown (nu = 1) needs no QR: its one column a = s_0..s_{2t-2}
-    has full rank when a != 0, and Lambda_1 = a^H b / a^H a. Both are
-    formed from a and b divided by max |a|, so that a^H a lies in
-    [1, 2t - 1] and the solve does not under- or overflow at any scale of
-    the syndrome."""
+    has full rank when max |a| > 0 and max |a| >= rtol max |b|, and
+    Lambda_1 = a^H b / a^H a. Both are formed from a and b divided by
+    max |a|, so that a^H a lies in [1, 2t - 1] and b within 1 / rtol;
+    a rank-deficient row is divided by max |b| and its solve by 1, so
+    that no row under- or overflows at any scale of the syndrome."""
     a, b = _locator_system(values, nu)
     if nu == 1:
-        scale = np.abs(a[:, :, 0]).max(axis=1)
-        full = scale > 0.0
-        scale[~full] = 1.0
+        top, b_top = np.abs(a[:, :, 0]).max(axis=1), np.abs(b).max(axis=1)
+        full = (top > 0.0) & (top >= _LOCATOR_SINGULAR_RTOL * b_top)
+        scale = np.where(full, top, np.where(b_top > 0.0, b_top, 1.0))
         a, b = a[:, :, 0] / scale[:, None], b / scale[:, None]
         aa = (a.real * a.real + a.imag * a.imag).sum(axis=1)
         return ((a.conj() * b).sum(axis=1) / np.where(full, aa, 1.0))[:, None], full

@@ -221,7 +221,8 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
 
 
 def _weighted_errors(
-    basis: np.ndarray, residual: np.ndarray, support: np.ndarray, noise_var: float
+    basis: np.ndarray, residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
+    noise_var: float,
 ) -> np.ndarray:
     """Error estimates (F, N) averaged over each frame's PGZ support and
     its single swaps.
@@ -229,8 +230,8 @@ def _weighted_errors(
     Row f of ``residual`` (F, rows) observes ``basis @ e`` through white
     noise of variance ``noise_var``; the candidate positions are the N
     columns of ``basis``, and row f of ``support`` (F, N) marks PGZ's
-    positions. The supports are those that keep all but one of PGZ's
-    positions (the core) and add any other column. Each gets
+    ``sizes[f]`` positions. The supports are those that keep all but one
+    of PGZ's positions (the core) and add any other column. Each gets
     least-squares magnitudes and the weight
     exp(-rss / (2 noise_var)) / sqrt(det(A^T A)): the likelihood of the
     residual with the magnitudes integrated out under a flat prior.
@@ -247,7 +248,6 @@ def _weighted_errors(
     """
     key, (rows, cols) = basis.tobytes(), basis.shape
     est = np.empty((len(residual), cols))
-    sizes = support.sum(axis=1)
     for nu in np.bincount(sizes).nonzero()[0]:
         group = (sizes == nu).nonzero()[0]
         if nu == 1:  # g_j = a_j.r / |a_j|^2 for each column j
@@ -353,7 +353,8 @@ def decode_block(
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
-        x_hat[fix] -= _weighted_errors(basis, residual(fix), support[fix], quantizer.sigma_q_sq)
+        x_hat[fix] -= _weighted_errors(
+            basis, residual(fix), support[fix], pgz.count[fix], quantizer.sigma_q_sq)
     return DecodedBlock(x_hat, syndromes, pgz, support)
 
 

@@ -24,6 +24,7 @@ from dftwz.harness import (
 )
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
+from dftwz.wyner_ziv import frame_length, tx_samples
 
 C75 = build_code(7, 5)
 Q_SY = QuantizerSpec(6, -1.0, 1.0)
@@ -251,22 +252,39 @@ def test_overload_rate_counts_each_points_own_clips():
     assert [p.overload_rate for p in sweep(cfg).points] == [c / tx for c in clips]
 
 
-def test_point_mse_is_the_frame_order_sum():
-    # The reference loop: each sub-block drawn alone, and each frame's MSE
-    # added to the point's sum one at a time, in frame order. A pairwise
-    # sum (np.sum) rounds differently. 600 frames make one block per
-    # point, of sub-blocks of 256, 256 and 88 frames.
-    cfg = small_config(approaches=("syndrome",), ceqnr_db=(-10.0, 10.0, 30.0), frames=600)
-    quant = cfg.transmit_quantizer("syndrome")
-    for ci, (db, point) in enumerate(zip(cfg.ceqnr_db, sweep(cfg).points)):
-        ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db))
+def _sub_block_trials(cfg, approach, ci, start, count):
+    """``harness._trials`` of each sub-block of frames start..start+count at
+    point ``ci``, each drawn alone, in frame order."""
+    code = build_code(cfg.n, cfg.k)
+    ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(cfg.ceqnr_db[ci]))
+    for lo in range(start, start + count, SUB_BLOCK_FRAMES):
+        rng = np.random.default_rng((cfg.seed, ci, harness._APPROACH_ID[approach], lo))
+        frames = draw_frames(SourceSpec(cfg.rho), frame_length(code, approach),
+                             [(rng, ch, min(SUB_BLOCK_FRAMES, start + count - lo))])
+        yield harness._trials(code, approach, cfg.transmit_quantizer(approach), *frames)
+
+
+@pytest.mark.parametrize("frames", [600, 2 * BLOCK_FRAMES + 88])
+def test_point_mse_is_the_frame_order_sum(frames):
+    # The reference loop: each sub-block drawn alone, each frame's MSE
+    # added to its block's sum one at a time, in frame order, from 0.0,
+    # and the block sums added in block order. A pairwise sum (np.sum)
+    # rounds differently, and so does one running sum across blocks, at
+    # every point; at seed 12 the blocks added in reverse order do too, at
+    # two of the three. 600 frames make one block per point, of sub-blocks
+    # of 256, 256 and 88 frames; 2 * BLOCK_FRAMES + 88 make two full
+    # blocks and one of 88.
+    cfg = small_config(approaches=("syndrome",), ceqnr_db=(-10.0, 10.0, 30.0), frames=frames,
+                       seed=12)
+    for ci, point in enumerate(sweep(cfg).points):
         total = 0.0
-        for lo in range(0, cfg.frames, SUB_BLOCK_FRAMES):
-            part = (np.random.default_rng((cfg.seed, ci, 0, lo)), ch,
-                    min(SUB_BLOCK_FRAMES, cfg.frames - lo))
-            frames = draw_frames(SourceSpec(cfg.rho), C75.n, [part])
-            for frame_mse in harness._trials(C75, "syndrome", quant, *frames)[0].tolist():
-                total += frame_mse
+        for start in range(0, cfg.frames, BLOCK_FRAMES):
+            block = 0.0
+            count = min(BLOCK_FRAMES, cfg.frames - start)
+            for mse, *_rest in _sub_block_trials(cfg, "syndrome", ci, start, count):
+                for frame_mse in mse.tolist():
+                    block += frame_mse
+            total += block
         assert point.mse_syndrome == total / cfg.frames
 
 
@@ -306,12 +324,24 @@ def test_three_error_weighting_holds_only_each_supports_magnitudes():
     assert _sweep_peak(cfg) < 30 * 2**20
 
 
-def test_sweep_single_approach_columns():
-    res = sweep(small_config(approaches=("syndrome",)))
-    for point in res.points:
-        assert np.isfinite(point.mse_syndrome)
-        assert np.isnan(point.mse_parity)
-        assert np.isnan(point.loc_freq_parity)
+@pytest.mark.parametrize("approach", ["syndrome", "parity"])
+def test_sweep_single_approach_columns(approach):
+    # The approach that did not run reads NaN; the pooled columns count
+    # the one that ran alone. Narrow ranges clip 2-5% of the samples, so
+    # that at -inf some frames are zero-error and some are not.
+    cfg = small_config(approaches=(approach,), ceqnr_db=(float("-inf"), 0.0, 30.0),
+                       syndrome_range=(-0.5, 0.5), parity_range=(-2.0, 2.0))
+    other = "parity" if approach == "syndrome" else "syndrome"
+    for ci, point in enumerate(sweep(cfg).points):
+        assert np.isfinite(getattr(point, f"mse_{approach}"))
+        assert np.isfinite(getattr(point, f"loc_freq_{approach}"))
+        assert np.isnan(getattr(point, f"mse_{other}"))
+        assert np.isnan(getattr(point, f"loc_freq_{other}"))
+        trials = list(_sub_block_trials(cfg, approach, ci, 0, cfg.frames))
+        zero_error = sum(int(np.count_nonzero(zero)) for _mse, _loc, zero, _ovl in trials)
+        overloads = sum(int(ovl.sum()) for *_rest, ovl in trials)
+        assert point.zero_error_frac == zero_error / cfg.frames
+        assert point.overload_rate == overloads / (cfg.frames * tx_samples(C75, approach))
 
 
 def test_sweep_perfect_correlation_point():

@@ -2,7 +2,10 @@
 algebra, grid location, least-squares magnitudes, retry ladder,
 noiseless exactness and scale invariance, all read off ``pgz_decode``,
 the closed-form one-unknown solves, the 1 < nu < t QR solves and the
-nu = t LU solves against LAPACK, and the domain of the tolerances."""
+nu = t LU solves against LAPACK, the rank test of a one-unknown system
+far below its right side, and the domain of the tolerances."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +337,19 @@ def test_one_unknown_solves_match_lapack(code, rng):
     np.testing.assert_allclose(block.locator[rows, :1], ref, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(
         block.support[rows], _grid(ref, block.count[rows], np.arange(code.n), code.n))
+
+
+@pytest.mark.parametrize(
+    "syndrome", [[1e-310, 1e300 + 1e300j], [1e200, 1e300]], ids=["subnormal-a", "huge-a"])
+def test_one_unknown_system_far_below_its_right_side_is_rank_deficient(syndrome):
+    # max |a| = |s_0| under 1e-10 max |b| = |s_1|: b / max |a| overflows
+    # on the first row, and an unscaled a^H a on the second. Each row
+    # steps down the ladder, with no warning and no locator.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = decode_block(C75, np.array([syndrome]))
+    assert (block.count[0], block.retries[0]) == (0, 1)
+    assert not block.locator.any() and not block.support.any()
 
 
 def _full_count_block(code, frames, rng):

@@ -262,9 +262,10 @@ def _weigh_each_row(basis, supports, seed):
         e = np.zeros(cols)
         e[list(sup)] = rng.choice([0.05, 0.5], len(sup)) * rng.normal(size=len(sup))
         residual[f] = basis @ e + 0.3 * np.sqrt(Q_SY.sigma_q_sq) * rng.normal(size=rows)
-    est = _weighted_errors(basis, residual, mask, Q_SY.sigma_q_sq)
+    est = _weighted_errors(basis, residual, mask, mask.sum(axis=1), Q_SY.sigma_q_sq)
     for f, sup in enumerate(supports):
-        one = _weighted_errors(basis, residual[f : f + 1], mask[f : f + 1], Q_SY.sigma_q_sq)
+        one = _weighted_errors(
+            basis, residual[f : f + 1], mask[f : f + 1], np.array([len(sup)]), Q_SY.sigma_q_sq)
         np.testing.assert_array_equal(est[f], one[0])
         want = _direct_correction(basis, residual[f], sup, Q_SY.sigma_q_sq)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
@@ -304,7 +305,7 @@ def test_weights_spanning_more_than_the_exponent_range(rng):
         assert max(rss) / (2 * noise_var) > 2e3  # swaps that drop sup[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        est = _weighted_errors(basis, residual, mask, noise_var)
+        est = _weighted_errors(basis, residual, mask, mask.sum(axis=1), noise_var)
     for f, sup in enumerate(supports):
         want = _direct_correction(basis, residual[f], sup, noise_var)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
