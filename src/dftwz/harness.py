@@ -1,22 +1,20 @@
 """Monte-Carlo experiment engine: CEQNR sweeps, metrics, CSV output.
 
 Determinism contract: each CEQNR point's frames are processed in fixed
-blocks of BLOCK_FRAMES, split into sub-blocks of at most
-SUB_BLOCK_FRAMES. A sub-block draws its innovations, error-position keys
-and error magnitudes, in that order, from one
-default_rng((master_seed, ceqnr_index, approach_id, lo)), lo being the
-index of its first frame (sources.draw_frames). Blocks and sub-blocks
-start at multiples of these two constants, so both are part of the
-contract. A task is one block of one approach at every CEQNR point; it
-draws (one draw_frames call, a generator per sub-block), encodes and
-decodes its sub-blocks _STACK_SUB_BLOCKS at a time, stacked as one
-array, through ``wyner_ziv``, which alone maps the approach's name to
-its frame length, what it sends and how it decodes. A task's partial
-sums are one array with a row per point (MSE sum, localized,
-zero-error and overload counts); each frame is added to its point's
-row in frame order, and the tasks' arrays of an approach are added in
-submission order, so identical configuration and seed produce
-byte-identical CSV for any worker count.
+blocks of BLOCK_FRAMES, and a point's block draws its innovations,
+error-position keys and error magnitudes, in that order, from one
+default_rng((master_seed, ceqnr_index, approach_id, start)), start being
+the index of the block's first frame (sources.draw_frames). Blocks start
+at multiples of BLOCK_FRAMES, so it is part of the contract. A task is
+one block of F frames of one approach at every CEQNR point; it draws,
+encodes and decodes the blocks of max(1, BLOCK_FRAMES // F) points at a
+time, stacked as one array, through ``wyner_ziv``, which alone maps the approach's name
+to its frame length, what it sends and how it decodes. A task's partial
+sums are one array with a row per point (MSE sum, localized, zero-error
+and overload counts); each point's frames are added in frame order, and
+the tasks' arrays of an approach are added in submission order, so
+identical configuration and seed produce byte-identical CSV for any
+worker count.
 
 CEQNR (channel-error-to-quantization-noise ratio) is
 10 log10(sigma_e^2 / sigma_q^2) where sigma_q^2 = step^2 / 12 of the
@@ -62,23 +60,14 @@ __all__ = [
 
 _APPROACH_ID = {"syndrome": 0, "parity": 1}
 
-# Frames per grid point in one work unit. Part of the byte-determinism
-# contract: partial sums are accumulated within a block and blocks are
+# Frames per grid point in one work unit, drawn from one generator. Part
+# of the byte-determinism contract: it fixes which generator draws which
+# frame, and partial sums are accumulated within a block and blocks are
 # reduced in order, so results are independent of how blocks land on
-# workers.
+# workers. It also caps the frames one decode call holds, which is not
+# part of the contract: every product over a stack is a stack of
+# per-frame products.
 BLOCK_FRAMES = 2048
-
-# Frames drawn from one generator. Part of the byte-determinism contract
-# too: it fixes which generator draws which frame.
-SUB_BLOCK_FRAMES = 256
-
-# Sub-blocks encoded and decoded in one call, from any grid points: at
-# most one block's frames. One call per stack pays the decoders' per-call
-# cost once; the cap bounds a call's memory, the weighting stacks
-# included, whatever the frame count and the grid's length. Not part of
-# the contract: every product over a stack is a stack of per-frame
-# products.
-_STACK_SUB_BLOCKS = BLOCK_FRAMES // SUB_BLOCK_FRAMES
 
 # Where the CLI writes the sweep CSV unless given a path.
 DEFAULT_CSV_PATH = "sweep.csv"
@@ -266,19 +255,16 @@ def _run_block(task: tuple[str, int, int]) -> np.ndarray:
     cfg, code = _CTX["cfg"], _CTX["code"]
     quantizer, source = cfg.transmit_quantizer(approach), SourceSpec(cfg.rho)
     channels = [ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db)) for db in cfg.ceqnr_db]
-    subs = [(ci, lo, min(SUB_BLOCK_FRAMES, start + count - lo))
-            for ci in range(len(channels)) for lo in range(start, start + count, SUB_BLOCK_FRAMES)]
-    sums = np.zeros((len(channels), 4))
-    for i in range(0, len(subs), _STACK_SUB_BLOCKS):
-        stack = subs[i:i + _STACK_SUB_BLOCKS]
-        frames = draw_frames(source, frame_length(code, approach), [
-            (np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], lo)), channels[ci], n)
-            for ci, lo, n in stack])
+    points, per = len(channels), max(1, BLOCK_FRAMES // count)
+    sums = np.empty((points, 4))
+    for lo in range(0, points, per):
+        stack = range(lo, min(lo + per, points))
+        parts = [(np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], start)),
+                  channels[ci], count) for ci in stack]
+        frames = draw_frames(source, frame_length(code, approach), parts)
         per_frame = np.column_stack(_trials(code, approach, quantizer, *frames))
-        ends = np.cumsum([n for _ci, _lo, n in stack]).tolist()
-        for (ci, _lo, n), end in zip(stack, ends):
-            # one frame at a time, in frame order; np.sum would add pairwise
-            sums[ci] = np.add.accumulate(np.vstack((sums[ci], per_frame[end - n:end])))[-1]
+        # one frame at a time, in frame order; np.sum would add pairwise
+        sums[stack] = np.add.accumulate(per_frame.reshape(len(stack), count, 4), axis=1)[:, -1]
     return sums
 
 

@@ -133,8 +133,10 @@ def _count(
         sing[live] = mag[live, :1]
     elif live.size:
         sing[live] = np.linalg.svd(values[live[:, None, None], _hankel_index(t)], compute_uv=False)
-    # NaN rows count 0, and so does an all-zero Hankel matrix
-    count = (sing >= rel_tol * sing[:, :1]).sum(axis=1) * (sing[:, 0] > 0.0)
+    # NaN rows count 0, and so does an all-zero Hankel matrix. Integer
+    # columns added are fast on short rows; bool columns would OR.
+    above = (sing >= rel_tol * sing[:, :1]).T.astype(int)
+    count = functools.reduce(np.add, above) * (sing[:, 0] > 0.0)
     return gated, sing, count
 
 

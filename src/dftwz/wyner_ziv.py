@@ -329,6 +329,9 @@ def decode_block(
     quantized ``values`` (F, n - k) that ``encode_block`` sent against
     rows of the side information y (F, frame length)."""
     y = _frames(y, frame_length(code, approach), "side information")
+    values, expected = np.asarray(values), (len(y), code.n - code.k)
+    if values.shape != expected:
+        raise ValueError(f"message values have shape {values.shape}, expected {expected}")
     if _is_syndrome(approach):
         syndromes = _mv(code.H, y) - values
         cands, noise_floor, index = None, syndrome_noise_floor(code, quantizer), slice(None)

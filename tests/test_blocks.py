@@ -1,4 +1,4 @@
-"""Block drawing and decoding: a sub-block's frames drawn from one
+"""Block drawing and decoding: a block's frames drawn from one
 generator have the source's and the channel's statistics, a block of
 frames decodes exactly as each of its frames decodes on its own, and the
 sweep reproduces the committed golden CSVs."""
@@ -149,8 +149,10 @@ def test_draw_frames_block_statistics():
     assert lag1 == pytest.approx(rho, abs=0.005)
 
 
-# Written by this package with one generator per sub-block; a sweep must
-# reproduce them byte for byte with any worker count.
+# Written by this package with one generator per point's block; a sweep
+# must reproduce them byte for byte with any worker count. (21,13), at 256
+# frames per point, also has the bytes of one generator per 256-frame
+# sub-block, which the package used before.
 GOLDEN_CONFIGS = {
     "golden_7_5.csv": dict(ceqnr_db=(-math.inf, 0.0, 30.0), frames=2000),
     "golden_15_9.csv": dict(

@@ -13,7 +13,6 @@ from dftwz.codes import build_code
 from dftwz.harness import (
     BLOCK_FRAMES,
     CSV_COLUMNS,
-    SUB_BLOCK_FRAMES,
     SweepConfig,
     SweepPoint,
     SweepResult,
@@ -147,7 +146,7 @@ def test_sweep_deterministic_same_seed():
 
 def test_sweep_worker_count_invariance(tmp_path):
     # Fixed-block reduction: byte-identical CSV for any worker count, also
-    # for (15,9) with 2 errors, whose pooled sub-blocks weight supports of
+    # for (15,9) with 2 errors, whose pooled blocks weight supports of
     # up to 3 positions.
     for code in (dict(), dict(n=15, k=9, errors_per_frame=2)):
         cfg1 = small_config(frames=2 * BLOCK_FRAMES + 17, **code)
@@ -233,8 +232,8 @@ def test_overload_rate_counts_each_points_own_clips():
     # A narrow parity range clips at every point, a different number of
     # samples at each. Each point's rate is its own frames' clips, drawn
     # as the README's determinism contract says; 300 frames per point
-    # make sub-blocks of 256 and 44 frames, and a decode call stacks
-    # sub-blocks of more than one point.
+    # make one block per point, and a decode call stacks the blocks of
+    # all three points.
     cfg = small_config(approaches=("parity",), parity_range=(-1.5, 1.5),
                        ceqnr_db=(-10.0, 10.0, 30.0), frames=300)
     tx = cfg.frames * (C75.n - C75.k)
@@ -242,48 +241,49 @@ def test_overload_rate_counts_each_points_own_clips():
     for ci, db in enumerate(cfg.ceqnr_db):
         ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db))
         count = 0
-        for lo in range(0, cfg.frames, SUB_BLOCK_FRAMES):
-            rng = np.random.default_rng((cfg.seed, ci, 1, lo))
+        for start in range(0, cfg.frames, BLOCK_FRAMES):
+            rng = np.random.default_rng((cfg.seed, ci, 1, start))
             x = draw_frames(SourceSpec(cfg.rho), C75.k,
-                            [(rng, ch, min(SUB_BLOCK_FRAMES, cfg.frames - lo))])[0]
+                            [(rng, ch, min(BLOCK_FRAMES, cfg.frames - start))])[0]
             count += int(np.sum(np.abs(x @ C75.P_gen.T) > 1.5))
         clips.append(count)
     assert len(set(clips)) == len(clips)  # pooled clips would read one rate
     assert [p.overload_rate for p in sweep(cfg).points] == [c / tx for c in clips]
 
 
-def _sub_block_trials(cfg, approach, ci, start, count):
-    """``harness._trials`` of each sub-block of frames start..start+count at
-    point ``ci``, each drawn alone, in frame order."""
+def _block_trials(cfg, approach, ci, start):
+    """``harness._trials`` of the block of frames from ``start`` at point
+    ``ci``, drawn alone from its own generator."""
     code = build_code(cfg.n, cfg.k)
     ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(cfg.ceqnr_db[ci]))
-    for lo in range(start, start + count, SUB_BLOCK_FRAMES):
-        rng = np.random.default_rng((cfg.seed, ci, harness._APPROACH_ID[approach], lo))
-        frames = draw_frames(SourceSpec(cfg.rho), frame_length(code, approach),
-                             [(rng, ch, min(SUB_BLOCK_FRAMES, start + count - lo))])
-        yield harness._trials(code, approach, cfg.transmit_quantizer(approach), *frames)
+    rng = np.random.default_rng((cfg.seed, ci, harness._APPROACH_ID[approach], start))
+    frames = draw_frames(SourceSpec(cfg.rho), frame_length(code, approach),
+                         [(rng, ch, min(BLOCK_FRAMES, cfg.frames - start))])
+    return harness._trials(code, approach, cfg.transmit_quantizer(approach), *frames)
 
 
-@pytest.mark.parametrize("frames", [600, 2 * BLOCK_FRAMES + 88])
-def test_point_mse_is_the_frame_order_sum(frames):
-    # The reference loop: each sub-block drawn alone, each frame's MSE
-    # added to its block's sum one at a time, in frame order, from 0.0,
-    # and the block sums added in block order. A pairwise sum (np.sum)
-    # rounds differently, and so does one running sum across blocks, at
-    # every point; at seed 12 the blocks added in reverse order do too, at
-    # two of the three. 600 frames make one block per point, of sub-blocks
-    # of 256, 256 and 88 frames; 2 * BLOCK_FRAMES + 88 make two full
-    # blocks and one of 88.
-    cfg = small_config(approaches=("syndrome",), ceqnr_db=(-10.0, 10.0, 30.0), frames=frames,
-                       seed=12)
+@pytest.mark.parametrize("ceqnr_db, frames", [
+    pytest.param((-10.0, 10.0, 30.0), 600, id="600"),
+    pytest.param((-10.0, 10.0, 30.0), 2 * BLOCK_FRAMES + 88, id=str(2 * BLOCK_FRAMES + 88)),
+    pytest.param(tuple(float(db) for db in range(-10, 41, 5)), 600, id="11-points-600"),
+])
+def test_point_mse_is_the_frame_order_sum(ceqnr_db, frames):
+    # The reference loop: each block drawn alone, each frame's MSE added
+    # to its block's sum one at a time, in frame order, from 0.0, and the
+    # block sums added in block order. A pairwise sum (np.sum) rounds
+    # differently, and so does one running sum across blocks, at every
+    # point; at seed 12 the blocks added in reverse order do too, at
+    # one of the three. 600 frames make one block per point;
+    # 2 * BLOCK_FRAMES + 88 make two full blocks and one of 88. Over 11
+    # points, 600 frames stack 3 points per decode call, so one task
+    # makes 4 stacks, the last of 2 points.
+    cfg = small_config(approaches=("syndrome",), ceqnr_db=ceqnr_db, frames=frames, seed=12)
     for ci, point in enumerate(sweep(cfg).points):
         total = 0.0
         for start in range(0, cfg.frames, BLOCK_FRAMES):
             block = 0.0
-            count = min(BLOCK_FRAMES, cfg.frames - start)
-            for mse, *_rest in _sub_block_trials(cfg, "syndrome", ci, start, count):
-                for frame_mse in mse.tolist():
-                    block += frame_mse
+            for frame_mse in _block_trials(cfg, "syndrome", ci, start)[0].tolist():
+                block += frame_mse
             total += block
         assert point.mse_syndrome == total / cfg.frames
 
@@ -337,7 +337,8 @@ def test_sweep_single_approach_columns(approach):
         assert np.isfinite(getattr(point, f"loc_freq_{approach}"))
         assert np.isnan(getattr(point, f"mse_{other}"))
         assert np.isnan(getattr(point, f"loc_freq_{other}"))
-        trials = list(_sub_block_trials(cfg, approach, ci, 0, cfg.frames))
+        trials = [_block_trials(cfg, approach, ci, start)
+                  for start in range(0, cfg.frames, BLOCK_FRAMES)]
         zero_error = sum(int(np.count_nonzero(zero)) for _mse, _loc, zero, _ovl in trials)
         overloads = sum(int(ovl.sum()) for *_rest, ovl in trials)
         assert point.zero_error_frac == zero_error / cfg.frames

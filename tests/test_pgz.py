@@ -282,6 +282,25 @@ def test_pgz_reports_the_count_steps_singular_values(rng):
     assert gated.diagnostics.singular_values.shape == (0,)
 
 
+def test_block_count_is_each_rows_hankel_rank(rng):
+    # A block's counts are taken column by column; each must equal its
+    # row's own Hankel rank, 0 to t, as an integer: adding bool columns
+    # would OR them and read every nonzero rank as 1.
+    errors = np.zeros((64, 15))
+    for f in range(64):
+        errors[f, rng.choice(15, f % 4, replace=False)] = rng.uniform(0.5, 2.0, f % 4)
+    noise = 1e-6 * (rng.standard_normal((64, 6)) + 1j * rng.standard_normal((64, 6)))
+    syndromes = errors @ C159.H.T + noise * (errors.any(axis=1)[:, None])
+    block = decode_block(C159, syndromes)
+    ranks = []
+    for s in syndromes:
+        sing = np.linalg.svd(np.array([s[a : a + 3] for a in range(3)]), compute_uv=False)
+        ranks.append(int(np.sum(sing >= 1e-2 * sing[0])) if sing[0] > 0.0 else 0)
+    assert block.count.dtype == np.int_
+    np.testing.assert_array_equal(block.count + block.retries, ranks)
+    assert sorted(set(ranks)) == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_syndrome_rejected(bad):
     s = unit_error_syndrome(C75, 3)

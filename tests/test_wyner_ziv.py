@@ -2,6 +2,7 @@
 the weighted correction, compression ratios."""
 
 import dataclasses
+import re
 import warnings
 from fractions import Fraction
 
@@ -402,6 +403,31 @@ def test_non_finite_frame_rejects_its_block(rng):
     values, _ = encode_block(C75, "parity", x[:, :5], Q_PA)
     with pytest.raises(ValueError, match="non-finite"):
         decode_block(C75, "parity", values, Q_PA, y[:, :5])
+
+
+@pytest.mark.parametrize("encode, decode, length, quantizer", [
+    (syndrome_encode, syndrome_decode, 7, Q_SY), (parity_encode, parity_decode, 5, Q_PA),
+], ids=["syndrome", "parity"])
+def test_scalar_decoder_rejects_a_message_of_the_wrong_length(encode, decode, length, quantizer):
+    # A message carries n - k values; one too few would be broadcast over
+    # both syndrome components or both parity positions.
+    msg = encode(C75, np.zeros(length), quantizer)
+    short = dataclasses.replace(msg, values=msg.values[:1] + 0.3)
+    with pytest.raises(ValueError, match=r"message values have shape \(1, 1\), expected \(1, 2\)"):
+        decode(C75, short, np.zeros(length))
+
+
+@pytest.mark.parametrize("approach", ["syndrome", "parity"])
+@pytest.mark.parametrize("shape", [(3, 1), (2,), (2, 2), (3, 3)],
+                         ids=["one-column", "flat", "two-frames", "three-columns"])
+def test_block_decoder_rejects_values_of_the_wrong_shape(approach, shape):
+    # Values (F, n - k) for F frames of side information: (3, 1) would be
+    # broadcast over both columns and (2,) over every frame, and the
+    # others would fail inside numpy with an error that names neither.
+    y = np.zeros((3, 7 if approach == "syndrome" else 5))
+    values = np.full(shape, 0.5, dtype=complex if approach == "syndrome" else float)
+    with pytest.raises(ValueError, match=re.escape(f"message values have shape {shape}")):
+        decode_block(C75, approach, values, Q_SY if approach == "syndrome" else Q_PA, y)
 
 
 def test_unknown_approach_raises_one_error():
