@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -285,6 +284,8 @@ def sweep(config: SweepConfig) -> SweepResult:
     # Starting a worker costs more than a part block's work saves.
     workers = min(config.workers, sum(task[-1] == BLOCK_FRAMES for task in tasks))
     if workers > 1:
+        import multiprocessing  # only a pooled sweep pays for its import
+
         with multiprocessing.Pool(
             processes=workers, initializer=_init_worker, initargs=(config, code)
         ) as pool:

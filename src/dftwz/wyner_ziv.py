@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -159,15 +158,17 @@ def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
     return a
 
 
-# One cache entry per (basis, noise variance, core). A code correcting
-# t = 3 errors has N + N(N-1)/2 cores of one or two positions over its
-# N candidate columns: 496 for the (31,25) syndrome basis (N = 31) and
-# 325 for its parity basis (N = 25). The bound holds both, so a sweep
-# of such a code builds each core's fits once. An entry holds
-# rows * M * (nu + rows) floats: 5.6 KB for a (15,9) syndrome core of two
-# positions, 12.5 KB for (31,25); it is not unbounded, because (63,57)
-# would need ~2,000 entries of 26 KB each.
-@functools.lru_cache(maxsize=1024)
+# One cache entry per (basis, noise variance, core). A code correcting t
+# errors has C(N,1) + ... + C(N,t-1) cores over its N candidate columns:
+# 1,561 for the (21,13) syndrome basis (N = 21, t = 4) and 377 for its
+# parity basis (N = 13). The bound is their sum, so a sweep of both
+# approaches of that code, or of one with fewer cores ((31,25): 496 + 325),
+# builds each core's fits once. An entry holds rows * M * (nu + rows)
+# floats: 5.6 KB for a (15,9) syndrome core of two positions, 13.8 KB
+# for a (21,13) one of three; the full (21,13) cache holds 24.6 MB. It
+# is not unbounded: (31,21) has 44,002 cores, and 1,938 of its entries of
+# up to 32.4 KB hold 63 MB.
+@functools.lru_cache(maxsize=1938)
 def _extension_fits(
     basis: bytes, rows: int, noise_var: float, core: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -423,4 +424,6 @@ def parity_decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionR
 def compression_ratio(code: DftCode, approach: str) -> Fraction:
     """Source samples per transmitted real number, as an exact rational:
     n / (2(n-k)) for the syndrome approach, k / (n-k) for parity."""
+    from fractions import Fraction  # imported on first use: it loads decimal
+
     return Fraction(frame_length(code, approach), tx_samples(code, approach))

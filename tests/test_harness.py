@@ -1,8 +1,8 @@
 """Harness: trial records, sweep aggregation, determinism, CSV contract."""
 
+import multiprocessing
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,8 +187,7 @@ def _pool_sizes(monkeypatch, tmp_path, cfg):
     """Pool sizes that ``sweep(cfg)`` asks for, after checking that its
     CSV matches the serial sweep's."""
     started = []
-    monkeypatch.setattr(harness, "multiprocessing", SimpleNamespace(
-        Pool=lambda **kw: _InlinePool(**kw, started=started)))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda **kw: _InlinePool(**kw, started=started))
     pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
     write_csv(sweep(cfg), str(pooled))
     write_csv(sweep(replace(cfg, workers=1)), str(serial))
@@ -219,8 +218,7 @@ def test_sweep_starts_no_pool_without_two_full_blocks(monkeypatch, tmp_path):
 def test_cli_rejects_a_bad_knob_before_asking_for_a_pool(monkeypatch, tmp_path, capsys,
                                                           flag, value):
     started = []
-    monkeypatch.setattr(harness, "multiprocessing", SimpleNamespace(
-        Pool=lambda **kw: _InlinePool(**kw, started=started)))
+    monkeypatch.setattr(multiprocessing, "Pool", lambda **kw: _InlinePool(**kw, started=started))
     code = main([flag, value, "--approach", "parity", "--ceqnr", "20",
                  "--frames", str(2 * BLOCK_FRAMES), "--workers", "2",
                  "--out", str(tmp_path / "x.csv")])

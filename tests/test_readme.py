@@ -1,9 +1,14 @@
 """The README's quick start runs as documented, its flag table lists
-exactly the CLI's flags, and every public name resolves."""
+exactly the CLI's flags, every public name resolves, and a fresh
+interpreter imports only the submodules it uses."""
 
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +44,52 @@ def test_every_public_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}"
+
+
+def _fresh(code):
+    """Stdout of ``code`` run in a fresh interpreter that imports this dftwz."""
+    src = str(Path(dftwz.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_LOADED = """
+import sys
+print(*sorted(m for m in sys.modules
+              if m.split(".")[0] in ("dftwz", "multiprocessing", "fractions")))
+"""
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import dftwz; dftwz.build_code(7, 5)", ["dftwz", "dftwz.codes"]),
+    ("import dftwz.cli", sorted(["dftwz"] + [f"dftwz.{m.name}"
+                                             for m in pkgutil.iter_modules(dftwz.__path__)])),
+])
+def test_start_up_loads_only_what_it_uses(code, loaded):
+    # A public name loads its submodule on first use; multiprocessing waits
+    # for a pooled sweep and fractions for compression_ratio.
+    assert _fresh(code + _LOADED).split() == loaded
+
+
+# Run after dftwz.cli, which imports the submodule quantize: the import
+# system binds it on the package, where the public name is the function.
+_NAMES = """
+import importlib, json, dftwz.cli
+try:
+    dftwz.no_such_name
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({
+    "differ": [name for name in dftwz.__all__ if name != "__version__" and getattr(dftwz, name)
+               is not getattr(importlib.import_module(f"dftwz.{dftwz._SUBMODULE[name]}"), name)],
+    "undir": sorted(set(dftwz.__all__) - set(dir(dftwz))),
+    "error": error,
+}))
+"""
+
+
+def test_public_names_are_their_submodules_objects():
+    assert json.loads(_fresh(_NAMES)) == {
+        "differ": [], "undir": [], "error": "module 'dftwz' has no attribute 'no_such_name'"}

@@ -469,3 +469,17 @@ def test_extension_fits_hold_every_core_of_a_t3_code():
     info = _extension_fits.cache_info()
     assert info.currsize > 256
     assert info.misses == info.currsize
+
+
+def test_extension_fits_hold_every_core_of_a_t4_code():
+    # A (21,13) 4-error syndrome sweep meets over 1,300 cores. Under a smaller
+    # bound, a second identical sweep rebuilds the cores the first evicted;
+    # with every core held, it builds none.
+    cfg = SweepConfig(n=21, k=13, errors_per_frame=4, ceqnr_db=(30.0, 40.0), frames=512,
+                      approaches=("syndrome",), seed=3)
+    _extension_fits.cache_clear()
+    sweep(cfg)
+    first = _extension_fits.cache_info()
+    sweep(cfg)
+    assert _extension_fits.cache_info().misses == first.misses
+    assert first.currsize > 1300
