@@ -4,28 +4,26 @@ Library layout:
     codes      code construction (generator, parity check, systematic form)
     pgz        real-field Peterson-Gorenstein-Zierler decoding (pgz_decode)
     wyner_ziv  syndrome- and parity-based compression pipelines
-    quantize   uniform midrise scalar quantizer
+    quantize   uniform midrise scalar quantizer (quantize.quantize)
     sources    Gauss-Markov source and Bernoulli-Gaussian channel
     harness    Monte-Carlo sweeps, metrics, CSV output
     cli        command-line front end
 
 A public name loads its submodule on first use, so ``build_code`` costs
-the import of ``codes`` alone.
+the import of ``codes`` alone. A submodule's name is the submodule, so
+``import dftwz.quantize as q`` binds the module.
 """
-
-import sys
-import types
 
 __version__ = "0.1.0"
 
 _SUBMODULE = {name: module for module, names in {
-    "codes": ("CodeSpec", "DftCode", "build_code", "decode_pseudo_inverse", "encode"),
+    "codes": ("CodeSpec", "DftCode", "build_code", "decode_pseudo_inverse"),
     "pgz": ("ErrorEstimate", "pgz_decode"),
-    "quantize": ("QuantizerSpec", "quantize"),
+    "quantize": ("QuantizerSpec",),
     "sources": ("SourceSpec", "ChannelSpec"),
     "wyner_ziv": ("Message", "ReconstructionResult", "syndrome_encode", "syndrome_decode",
                   "parity_encode", "parity_decode", "compression_ratio"),
-    "harness": ("SweepConfig", "SweepResult", "run_trial", "sweep", "write_csv", "read_csv"),
+    "harness": ("SweepConfig", "SweepResult", "sweep", "write_csv", "read_csv"),
 }.items() for name in names}
 
 __all__ = [*_SUBMODULE, "__version__"]
@@ -42,15 +40,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
-
-
-class _Package(types.ModuleType):
-    """Importing the submodule ``quantize`` binds it on the package; the
-    public name ``quantize`` is the function, so keep that binding."""
-
-    def __setattr__(self, name, value):
-        if not (name in _SUBMODULE and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -33,7 +33,6 @@ __all__ = [
     "CodeSpec",
     "DftCode",
     "build_code",
-    "encode",
     "decode_pseudo_inverse",
 ]
 
@@ -168,14 +167,6 @@ def build_code(n: int, k: int) -> DftCode:
         systematic=_freeze(systematic),
         parity=_freeze(parity),
     )
-
-
-def encode(G: np.ndarray, message: np.ndarray) -> np.ndarray:
-    """Codeword G @ message."""
-    message = np.asarray(message, dtype=np.float64)
-    if message.shape != (G.shape[1],):
-        raise ValueError(f"message length {message.shape} does not match k = {G.shape[1]}")
-    return G @ message
 
 
 def decode_pseudo_inverse(G: np.ndarray, y_hat: np.ndarray) -> np.ndarray:

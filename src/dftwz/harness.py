@@ -45,11 +45,9 @@ from .wyner_ziv import (
 )
 
 __all__ = [
-    "TrialRecord",
     "SweepConfig",
     "SweepPoint",
     "SweepResult",
-    "run_trial",
     "sweep",
     "write_csv",
     "read_csv",
@@ -70,17 +68,6 @@ BLOCK_FRAMES = 2048
 
 # Where the CLI writes the sweep CSV unless given a path.
 DEFAULT_CSV_PATH = "sweep.csv"
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one encode/corrupt/decode round trip."""
-
-    approach: str
-    frame_mse: float
-    localization_correct: bool
-    zero_error: bool
-    overloads: int
-    tx_samples: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +92,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name, least in (("frames", 1), ("seed", 0), ("workers", 1), ("errors_per_frame", 0)):
+        for name, least in (("frames", 1), ("seed", 0), ("workers", 1)):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or type(value) is bool:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -133,8 +120,7 @@ class SweepConfig:
                 raise ValueError(
                     f"CEQNR values must be -inf or finite with a finite sigma_e, got {db}"
                 )
-        CodeSpec(self.n, self.k)  # validates n, k (odd, n > k)
-        t = (self.n - self.k) // 2
+        t = CodeSpec(self.n, self.k).t  # validates n, k (odd, n > k)
         if self.errors_per_frame > t:
             raise ValueError(
                 f"errors_per_frame = {self.errors_per_frame} exceeds t = {t} "
@@ -205,34 +191,6 @@ def _trials(
     localized = functools.reduce(np.logical_and, (decoded.support == hit).T)
     zero_error = functools.reduce(np.logical_and, (decoded.x_hat == x).T)
     return np.mean(diff * diff, axis=1), localized, zero_error, overloads
-
-
-def run_trial(
-    code: DftCode,
-    approach: str,
-    quantizer: QuantizerSpec,
-    ch: ChannelSpec,
-    rng: np.random.Generator,
-    *,
-    source: SourceSpec = SourceSpec(),
-) -> TrialRecord:
-    """One frame end to end: draw source, corrupt, encode, decode, score.
-
-    ``quantizer`` quantizes the transmitted samples of the chosen
-    approach. Localization is scored as exact set equality against the
-    ground-truth error positions; zero_error means the reconstruction is
-    bitwise equal to the source frame.
-    """
-    frame = draw_frames(source, frame_length(code, approach), [(rng, ch, 1)])
-    mse, localized, zero_error, overloads = _trials(code, approach, quantizer, *frame)
-    return TrialRecord(
-        approach=approach,
-        frame_mse=float(mse[0]),
-        localization_correct=bool(localized[0]),
-        zero_error=bool(zero_error[0]),
-        overloads=int(overloads[0]),
-        tx_samples=tx_samples(code, approach),
-    )
 
 
 # ---------------------------------------------------------------------------

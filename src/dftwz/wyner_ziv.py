@@ -44,6 +44,7 @@ run them on a block of one and carry one ``Message`` type.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -421,9 +422,11 @@ def parity_decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionR
     return _decode(code, "parity", msg, y)
 
 
-def compression_ratio(code: DftCode, approach: str) -> Fraction:
-    """Source samples per transmitted real number, as an exact rational:
-    n / (2(n-k)) for the syndrome approach, k / (n-k) for parity."""
-    from fractions import Fraction  # imported on first use: it loads decimal
+def compression_ratio(code: DftCode, approach: str) -> numbers.Rational:
+    """Source samples per transmitted real number, as an exact Fraction:
+    n / (2(n-k)) for the syndrome approach, k / (n-k) for parity. The
+    annotation names the ABC that numpy has already loaded, so resolving
+    it does not import fractions, which loads decimal."""
+    from fractions import Fraction  # imported on first use
 
     return Fraction(frame_length(code, approach), tx_samples(code, approach))

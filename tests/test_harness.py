@@ -1,4 +1,4 @@
-"""Harness: trial records, sweep aggregation, determinism, CSV contract."""
+"""Harness: sweep aggregation, determinism, CSV contract."""
 
 import multiprocessing
 import tracemalloc
@@ -17,7 +17,6 @@ from dftwz.harness import (
     SweepPoint,
     SweepResult,
     read_csv,
-    run_trial,
     sweep,
     write_csv,
 )
@@ -26,8 +25,6 @@ from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import frame_length, tx_samples
 
 C75 = build_code(7, 5)
-Q_SY = QuantizerSpec(6, -1.0, 1.0)
-Q_PA = QuantizerSpec(6, -4.75, 4.75)
 
 
 def small_config(**overrides):
@@ -107,35 +104,6 @@ def test_sigma_e_mapping():
     assert cfg.sigma_e(0.0) == pytest.approx(np.sqrt(s_q2))
     assert cfg.sigma_e(20.0) == pytest.approx(10 * np.sqrt(s_q2))
     assert cfg.sigma_e(float("-inf")) == 0.0
-
-
-def test_run_trial_scores_localization():
-    ch = ChannelSpec(1, 1.0)
-    rec = run_trial(C75, "syndrome", Q_SY, ch, np.random.default_rng(5))
-    assert rec.approach == "syndrome"
-    assert rec.tx_samples == 4
-    assert isinstance(rec.localization_correct, bool)
-    assert rec.frame_mse >= 0.0
-
-
-def test_run_trial_parity_frame_length():
-    ch = ChannelSpec(1, 0.0)
-    rec = run_trial(C75, "parity", Q_PA, ch, np.random.default_rng(5))
-    assert rec.tx_samples == 2
-    assert rec.zero_error
-    assert rec.localization_correct  # empty set equals empty set
-
-
-def test_run_trial_rejects_unknown_approach():
-    with pytest.raises(ValueError):
-        run_trial(C75, "hybrid", Q_SY, ChannelSpec(1, 0.0), np.random.default_rng(0))
-
-
-def test_run_trial_replay_bit_identical():
-    ch = ChannelSpec(1, 0.3)
-    a = run_trial(C75, "syndrome", Q_SY, ch, np.random.default_rng((3, 0, 7, 0)))
-    b = run_trial(C75, "syndrome", Q_SY, ch, np.random.default_rng((3, 0, 7, 0)))
-    assert a == b
 
 
 def test_sweep_deterministic_same_seed():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dftwz.codes import DftCode, build_code, encode
+from dftwz.codes import DftCode, build_code
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec, quantize
 from dftwz.wyner_ziv import (
@@ -49,7 +49,7 @@ def test_algebraic_invariants_for_any_odd_pair(pair):
 def test_codeword_spectrum_vanishes_on_zero_rows(pair, seed):
     n, k = pair
     code = cached_code(n, k)
-    x = encode(code.G, np.random.default_rng(seed).standard_normal(k))
+    x = code.G @ np.random.default_rng(seed).standard_normal(k)
     spectrum = np.fft.fft(x) / np.sqrt(n)
     assert np.max(np.abs(spectrum[list(code.zero_rows)])) < 1e-9
 

@@ -1,6 +1,6 @@
 """The README's quick start runs as documented, its flag table lists
-exactly the CLI's flags, every public name resolves, and a fresh
-interpreter imports only the submodules it uses."""
+exactly the CLI's flags, every public name and its annotations resolve,
+and a fresh interpreter imports only the submodules it uses."""
 
 import importlib
 import json
@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -37,13 +38,22 @@ def test_flag_table_lists_every_cli_flag():
     assert sorted(documented) == sorted(flags)
 
 
-@pytest.mark.parametrize(
-    "module", ["dftwz"] + [f"dftwz.{m.name}" for m in pkgutil.iter_modules(dftwz.__path__)]
-)
+_MODULES = ["dftwz"] + [f"dftwz.{m.name}" for m in pkgutil.iter_modules(dftwz.__path__)]
+
+
+@pytest.mark.parametrize("module", _MODULES)
 def test_every_public_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}"
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_public_callables_annotations_resolve(module):
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        if callable(obj := getattr(mod, name)):
+            typing.get_type_hints(obj)
 
 
 def _fresh(code):
@@ -73,8 +83,6 @@ def test_start_up_loads_only_what_it_uses(code, loaded):
     assert _fresh(code + _LOADED).split() == loaded
 
 
-# Run after dftwz.cli, which imports the submodule quantize: the import
-# system binds it on the package, where the public name is the function.
 _NAMES = """
 import importlib, json, dftwz.cli
 try:
@@ -93,3 +101,11 @@ print(json.dumps({
 def test_public_names_are_their_submodules_objects():
     assert json.loads(_fresh(_NAMES)) == {
         "differ": [], "undir": [], "error": "module 'dftwz' has no attribute 'no_such_name'"}
+
+
+def test_import_of_a_submodule_binds_the_module():
+    assert _fresh("""
+import dftwz.quantize as q
+print(type(q).__name__, q.__name__, q.QuantizerSpec.__name__, q.quantize.__qualname__,
+      q.quantize.__module__)
+""").split() == ["module", "dftwz.quantize", "QuantizerSpec", "quantize", "dftwz.quantize"]

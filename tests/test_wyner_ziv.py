@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dftwz.codes import build_code
-from dftwz.harness import SweepConfig, run_trial, sweep
+from dftwz.harness import SweepConfig, sweep
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
@@ -438,7 +438,6 @@ def test_unknown_approach_raises_one_error():
         lambda: encode_block(C75, "hybrid", x, Q_SY),
         lambda: decode_block(C75, "hybrid", np.zeros((1, 2)), Q_SY, x),
         lambda: compression_ratio(C75, "hybrid"),
-        lambda: run_trial(C75, "hybrid", Q_SY, ChannelSpec(1, 1.0), np.random.default_rng(0)),
     )
     messages = set()
     for call in calls:
