@@ -43,7 +43,9 @@ def parse_ceqnr_grid(text: str) -> tuple[float, ...]:
     """Either START:STEP:STOP (inclusive) or a comma-separated list.
 
     -inf is accepted as a point and requests sigma_e = 0; the colon form
-    takes finite START, STEP and STOP only.
+    takes finite START, STEP and STOP only. Its points are START + i STEP,
+    up to STOP plus a billionth of STEP, each rounded to 9 decimals; a grid
+    whose rounded points repeat (a STEP under 1e-9) raises ValueError.
     """
     if ":" in text:
         parts = text.split(":")
@@ -54,11 +56,16 @@ def parse_ceqnr_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"grid START, STEP and STOP must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
-        values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 9))
-            v += step
+        if step < 1e-9:  # finer than the rounding: the points would repeat
+            raise ValueError(f"grid step must be at least 1e-9, got {step}")
+        steps = (stop - start) / step + 1e-9  # STOP may fall short by a billionth of STEP
+        if steps == math.inf:
+            raise ValueError(f"grid {text!r} has too many points")
+        values: list[float] = []
+        for i in range(math.floor(max(steps, -1.0)) + 1):  # none when STOP < START
+            values.append(round(start + i * step, 9))
+            if i and values[-1] == values[-2]:  # START too large for STEP to move it
+                raise ValueError(f"grid points repeat once rounded to 9 decimals: {text!r}")
         return tuple(values)
     return tuple(float(p) for p in text.split(","))
 

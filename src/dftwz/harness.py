@@ -194,32 +194,41 @@ def _trials(
 
 
 # ---------------------------------------------------------------------------
-# Block execution. A module-level context keeps the configuration and the
-# code, built once by the caller, alive per worker process.
+# Block execution. A module-level context keeps the configuration alive per
+# worker process. A block takes the code from build_code's memo, built once
+# per process, and the quantizers and channels from _constants, built once
+# per sweep.
 
 _CTX: dict = {}
 
 
-def _init_worker(cfg: SweepConfig, code: DftCode) -> None:
-    _CTX.clear()
-    _CTX.update(cfg=cfg, code=code)
+def _init_worker(cfg: SweepConfig) -> None:
+    _CTX["cfg"] = cfg
+
+
+@functools.lru_cache(maxsize=1)
+def _constants(cfg: SweepConfig) -> tuple[dict[str, QuantizerSpec], list[ChannelSpec]]:
+    """Each approach's transmit quantizer and each CEQNR point's channel."""
+    quantizers = {approach: cfg.transmit_quantizer(approach) for approach in cfg.approaches}
+    channels = [ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db)) for db in cfg.ceqnr_db]
+    return quantizers, channels
 
 
 def _run_block(task: tuple[str, int, int]) -> np.ndarray:
     """Partial sums over one block of frames: one row per CEQNR point in
     grid order, of MSE sum, localized, zero-error and overload counts."""
     approach, start, count = task
-    cfg, code = _CTX["cfg"], _CTX["code"]
-    quantizer, source = cfg.transmit_quantizer(approach), SourceSpec(cfg.rho)
-    channels = [ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db)) for db in cfg.ceqnr_db]
+    cfg = _CTX["cfg"]
+    code, (quantizers, channels) = build_code(cfg.n, cfg.k), _constants(cfg)
+    source, length = SourceSpec(cfg.rho), frame_length(code, approach)
     points, per = len(channels), max(1, BLOCK_FRAMES // count)
     sums = np.empty((points, 4))
     for lo in range(0, points, per):
         stack = range(lo, min(lo + per, points))
         parts = [(np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], start)),
                   channels[ci], count) for ci in stack]
-        frames = draw_frames(source, frame_length(code, approach), parts)
-        per_frame = np.column_stack(_trials(code, approach, quantizer, *frames))
+        frames = draw_frames(source, length, parts)
+        per_frame = np.column_stack(_trials(code, approach, quantizers[approach], *frames))
         # one frame at a time, in frame order; np.sum would add pairwise
         sums[stack] = np.add.accumulate(per_frame.reshape(len(stack), count, 4), axis=1)[:, -1]
     return sums
@@ -238,18 +247,18 @@ def sweep(config: SweepConfig) -> SweepResult:
     """
     tasks = [(approach, start, min(BLOCK_FRAMES, config.frames - start))
              for approach in config.approaches for start in range(0, config.frames, BLOCK_FRAMES)]
-    code = build_code(config.n, config.k)
+    code = build_code(config.n, config.k)  # before a fork, so that workers inherit it
     # Starting a worker costs more than a part block's work saves.
     workers = min(config.workers, sum(task[-1] == BLOCK_FRAMES for task in tasks))
     if workers > 1:
         import multiprocessing  # only a pooled sweep pays for its import
 
         with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker, initargs=(config, code)
+            processes=workers, initializer=_init_worker, initargs=(config,)
         ) as pool:
             partials = list(pool.imap(_run_block, tasks, chunksize=1))
     else:
-        _init_worker(config, code)
+        _init_worker(config)
         partials = [_run_block(t) for t in tasks]
 
     sums: dict[str, np.ndarray] = {}

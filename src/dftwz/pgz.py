@@ -198,8 +198,15 @@ def _solve_locators(
 
 
 def _candidates(candidate_set, n: int) -> np.ndarray:
+    """``candidate_set`` as a strictly increasing int array in 0..n-1. Such
+    an array, as a code's ``systematic``, passes through unchanged; any
+    other input is checked, sorted and deduplicated."""
     if candidate_set is None:
         return np.arange(n)
+    c = candidate_set
+    if (isinstance(c, np.ndarray) and c.dtype.kind == "i" and c.ndim == 1 and c.size
+            and 0 <= c[0] and c[-1] < n and not np.count_nonzero(c[1:] <= c[:-1])):
+        return c
     items = list(candidate_set)  # a generator is read once
     if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in items):
         raise ValueError(f"candidate_set must hold integers, got {candidate_set!r}")

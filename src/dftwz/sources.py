@@ -83,25 +83,24 @@ def draw_frames(
     if e > length:
         raise ValueError(f"errors_per_frame = {e} exceeds frame length {length}")
     at = np.cumsum([0] + [frames for _rng, _ch, frames in parts])
-    w, keys, values = (np.empty((at[-1], d)) for d in (length, length, e))
+    x, keys, values = (np.empty((at[-1], d)) for d in (length, length, e))
     for (rng, ch, frames), lo, hi in zip(parts, at, at[1:]):
-        rng.standard_normal(out=w[lo:hi])
+        rng.standard_normal(out=x[lo:hi])
         rng.random(out=keys[lo:hi])
         values[lo:hi] = rng.normal(0.0, ch.sigma_e, (frames, e))
-    w = w.T.copy()  # x_i = rho x_{i-1} + scale w_i along C-ordered rows
-    x = np.sqrt(1.0 - spec.rho**2) * w
-    x[0] = w[0]
-    for i in range(1, length):
-        x[i] += spec.rho * x[i - 1]
-    x = np.ascontiguousarray(x.T)
-    positions = np.empty((len(x), e), dtype=np.intp)  # E masked argmin passes
+    columns = x.T  # x_i = rho x_{i-1} + scale w_i, in place down the columns
+    columns[1:] *= np.sqrt(1.0 - spec.rho**2)
+    for prev, col in zip(columns, columns[1:]):
+        col += spec.rho * prev
+    # E masked argmin passes pick each row's positions, as flat indices
+    flat = np.empty((len(x), e), dtype=np.intp)
+    row_start = np.arange(0, x.size, length)
     for j in range(e):
-        positions[:, j] = keys.argmin(axis=1)
+        flat[:, j] = keys.argmin(axis=1) + row_start
         if j < e - 1:
-            np.put_along_axis(keys, positions[:, j, None], np.inf, axis=1)
+            keys.ravel()[flat[:, j]] = np.inf
     y = x.copy()
-    rows = np.arange(len(x))[:, None]
-    y[rows, positions] += values
+    y.ravel()[flat] += values
     hit = np.zeros(x.shape, dtype=bool)
-    hit[rows, positions] = values != 0.0
+    hit.ravel()[flat] = values != 0.0
     return x, y, hit

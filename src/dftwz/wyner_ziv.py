@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import DftCode
+from .codes import DftCode, build_code
 from .pgz import ErrorEstimate, PgzBlock, frame_estimate
 from .pgz import decode_block as _pgz_decode_block
 from .quantize import QuantizerSpec, quantize
@@ -222,17 +222,53 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
     return w
 
 
+class _Basis(NamedTuple):
+    """A residual basis (rows, N) with what every fit on it reuses: its
+    bytes (``_extension_fits``' key), the squared norms |a|^2 of its
+    columns, and the read-only nu = 1 operators basis / |a|^2 and
+    log(|a|^2) / 2."""
+
+    matrix: np.ndarray
+    key: bytes
+    sq: np.ndarray
+    unit: np.ndarray
+    half_log_sq: np.ndarray
+
+
+def _basis(matrix: np.ndarray) -> _Basis:
+    sq = (matrix * matrix).sum(axis=0)
+    derived = (sq, matrix / sq, 0.5 * np.log(sq))
+    for a in derived:
+        a.flags.writeable = False
+    return _Basis(matrix, matrix.tobytes(), *derived)
+
+
+# Two entries per code that build_code keeps, one per approach.
+@functools.lru_cache(maxsize=16)
+def _decoder(n: int, k: int, approach: str) -> tuple[np.ndarray | None, _Basis]:
+    """PGZ's candidate positions (None: all n) and the residual basis of
+    the (n, k) decoder of ``approach``, built once per process: the real
+    and imaginary parts of the first t rows of H, or P_gen."""
+    code = build_code(n, k)
+    if not _is_syndrome(approach):
+        return code.systematic, _basis(code.P_gen)
+    h = code.H[: code.t]
+    matrix = np.vstack([h.real, h.imag])
+    matrix.flags.writeable = False
+    return None, _basis(matrix)
+
+
 def _weighted_errors(
-    basis: np.ndarray, residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
+    basis: _Basis, residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
     noise_var: float,
 ) -> np.ndarray:
     """Error estimates (F, N) averaged over each frame's PGZ support and
     its single swaps.
 
-    Row f of ``residual`` (F, rows) observes ``basis @ e`` through white
-    noise of variance ``noise_var``; the candidate positions are the N
-    columns of ``basis``, and row f of ``support`` (F, N) marks PGZ's
-    ``sizes[f]`` positions. The supports are those that keep all but one
+    Row f of ``residual`` (F, rows) observes ``basis.matrix @ e`` through
+    white noise of variance ``noise_var``; the candidate positions are the
+    N columns of ``basis.matrix``, and row f of ``support`` (F, N) marks
+    PGZ's ``sizes[f]`` positions. The supports are those that keep all but one
     of PGZ's positions (the core) and add any other column. Each gets
     least-squares magnitudes and the weight
     exp(-rss / (2 noise_var)) / sqrt(det(A^T A)): the likelihood of the
@@ -248,14 +284,14 @@ def _weighted_errors(
     holds M (nu + rows) floats until the weights are known: bound F to
     bound them.
     """
-    key, (rows, cols) = basis.tobytes(), basis.shape
+    rows, cols = basis.matrix.shape
     est = np.empty((len(residual), cols))
     for nu in np.bincount(sizes).nonzero()[0]:
         group = (sizes == nu).nonzero()[0]
         if nu == 1:  # g_j = a_j.r / |a_j|^2 for each column j
-            sq = (basis * basis).sum(axis=0)
-            g = _vm(residual[group], basis / sq)
-            est[group] = _normalized(g * g * (sq / (2.0 * noise_var)) - 0.5 * np.log(sq)) * g
+            g = _vm(residual[group], basis.unit)
+            logw = g * g * (basis.sq / (2.0 * noise_var)) - basis.half_log_sq
+            est[group] = _normalized(logw) * g
             continue
         locs = np.nonzero(support[group])[1].reshape(len(group), nu)
         frames = len(group)
@@ -273,7 +309,7 @@ def _weighted_errors(
         logw = np.empty((len(order), m))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             core = tuple(cores[order[lo]].tolist())
-            ops, logw[lo:hi] = _extension_fits(key, rows, noise_var, core)
+            ops, logw[lo:hi] = _extension_fits(basis.key, rows, noise_var, core)
             np.matmul(res[lo:hi, None], ops, out=out[lo:hi])
         out = out.reshape(len(order), m, nu + rows)
         logw -= _mv(out[..., nu:], res)
@@ -334,11 +370,10 @@ def decode_block(
     values, expected = np.asarray(values), (len(y), code.n - code.k)
     if values.shape != expected:
         raise ValueError(f"message values have shape {values.shape}, expected {expected}")
-    if _is_syndrome(approach):
+    cands, basis = _decoder(code.n, code.k, approach)
+    if cands is None:
         syndromes = _mv(code.H, y) - values
-        cands, noise_floor, index = None, syndrome_noise_floor(code, quantizer), slice(None)
-        t = code.t
-        basis = np.vstack([code.H[:t].real, code.H[:t].imag])
+        noise_floor, index, t = syndrome_noise_floor(code, quantizer), slice(None), code.t
 
         def residual(rows: np.ndarray) -> np.ndarray:
             return np.concatenate([syndromes[rows, :t].real, syndromes[rows, :t].imag], axis=1)
@@ -347,9 +382,7 @@ def decode_block(
         z[:, code.systematic] = y
         z[:, code.parity] = values
         syndromes = _mv(code.H, z)
-        cands = index = code.systematic
-        noise_floor = parity_noise_floor(code, quantizer)
-        basis = code.P_gen
+        noise_floor, index = parity_noise_floor(code, quantizer), cands
 
         def residual(rows: np.ndarray) -> np.ndarray:
             return _mv(code.P_gen, y[rows]) - values[rows]

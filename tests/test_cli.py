@@ -40,6 +40,17 @@ def test_parse_ceqnr_grid_colon_form():
     assert parse_ceqnr_grid("0:2.5:10") == (0.0, 2.5, 5.0, 7.5, 10.0)
 
 
+def test_parse_ceqnr_grid_refuses_points_that_repeat_once_rounded():
+    # Points are rounded to 9 decimals: a finer step, or one too small to
+    # move a large START, would list one CEQNR value many times.
+    for bad in ("0:1e-10:1e-9", "0:1e-12:1e-11", "0:1e-12:1e6", "1e8:1e-9:100000001"):
+        with pytest.raises(ValueError, match="1e-9|repeat"):
+            parse_ceqnr_grid(bad)
+    assert parse_ceqnr_grid("0:1e-9:3e-9") == (0.0, 1e-9, 2e-9, 3e-9)
+    assert parse_ceqnr_grid("0.1:0.1:0.3") == (0.1, 0.2, 0.3)
+    assert parse_ceqnr_grid("40:5:-10") == ()
+
+
 def test_parse_ceqnr_grid_list_form():
     assert parse_ceqnr_grid("3,1,-inf") == (3.0, 1.0, float("-inf"))
     assert parse_ceqnr_grid("12") == (12.0,)

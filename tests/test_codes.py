@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from dftwz import codes
 from dftwz.codes import (
     CodeSpec,
     _parity_generator,
@@ -186,3 +187,28 @@ def test_pickled_code_stays_readonly_and_equal(n, k):
         np.testing.assert_array_equal(arr, getattr(code, name))
         assert arr.dtype == getattr(code, name).dtype
         assert not arr.flags.writeable, name
+
+
+def test_build_code_shares_one_read_only_instance_per_pair():
+    code = build_code(9, 3)
+    assert build_code(9, 3) is code
+    assert build_code(np.int64(9), np.int64(3)) is code
+    assert pickle.loads(pickle.dumps(code)) is code
+    for name in ("G", "H", "G_sys", "P_gen", "systematic", "parity"):
+        assert not getattr(code, name).flags.writeable, name
+    # A value equal to a valid one but of the wrong type is refused, not
+    # served from the memo: 9.0 == 9 and True == 1 as keys.
+    for n, k in ((9.0, 3), (3, True)):
+        with pytest.raises(ValueError, match="integers"):
+            build_code(n, k)
+
+
+def test_build_code_keeps_the_eight_latest_pairs():
+    codes._build.cache_clear()
+    first = build_code(3, 1)
+    later = [build_code(n, 1) for n in range(5, 21, 2)]  # 8 more pairs
+    assert codes._build.cache_info().currsize == 8
+    assert all(build_code(code.n, 1) is code for code in later)
+    rebuilt = build_code(3, 1)  # the least recently used, evicted
+    assert rebuilt is not first
+    np.testing.assert_array_equal(rebuilt.G, first.G)

@@ -1,5 +1,6 @@
 """Harness: sweep aggregation, determinism, CSV contract."""
 
+import functools
 import multiprocessing
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dftwz import harness
+from dftwz import codes, harness
 from dftwz.cli import main
 from dftwz.codes import build_code
 from dftwz.harness import (
@@ -131,6 +132,22 @@ def test_parity_sweep_of_a_code_with_fewer_candidates_than_t():
     points = sweep(cfg).points
     assert [p.frames for p in points] == [256] * 3
     assert all(np.isfinite(p.mse_parity) for p in points)
+
+
+def test_sweeps_of_one_code_build_it_once(monkeypatch):
+    # build_code's memo serves the sweep, its blocks and the decoders: two
+    # sweeps of both approaches call the uncached builder once.
+    calls, construct = [], codes._build.__wrapped__
+
+    def counted(n, k):
+        calls.append((n, k))
+        return construct(n, k)
+
+    monkeypatch.setattr(codes, "_build", functools.lru_cache(maxsize=8)(counted))
+    cfg = small_config(n=11, k=5, ceqnr_db=(-np.inf, 30.0), frames=40)
+    first, second = sweep(cfg), sweep(cfg)
+    assert calls == [(11, 5)]
+    assert first == second
 
 
 class _InlinePool:

@@ -266,6 +266,27 @@ def test_pgz_candidate_restriction():
     assert all(loc < 5 for loc in est.locations)
 
 
+def test_parity_candidates_as_array_list_or_generator_decide_alike(rng):
+    # A code's systematic array passes through unchecked; the same indices
+    # as a list or a one-shot generator go through the full check. Noisy
+    # codewords of 0, 1 and 2 errors at systematic positions give every
+    # field of the block something to hold.
+    code = C159
+    frames = 60
+    z = rng.standard_normal((frames, code.k)) @ code.G_sys.T
+    for f in range(frames):
+        z[f, rng.choice(code.systematic, size=f % 3, replace=False)] += rng.normal(size=f % 3)
+    syndromes = (z + 1e-3 * rng.standard_normal(z.shape)) @ code.H.T
+    blocks = [
+        decode_block(code, syndromes, cands, noise_floor=0.01)
+        for cands in (code.systematic, code.systematic.tolist(), (int(i) for i in code.systematic))
+    ]
+    assert set(blocks[0].count.tolist()) == {0, 1, 2}
+    for block in blocks[1:]:
+        for got, want in zip(block, blocks[0]):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_pgz_reports_the_count_steps_singular_values(rng):
     # The count step's Hankel SVD is the only one: the diagnostics report
     # its singular values, and a syndrome the clean gate passes runs none.

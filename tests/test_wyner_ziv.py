@@ -15,6 +15,7 @@ from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
+    _basis,
     _extension_fits,
     _weighted_errors,
     compression_ratio,
@@ -263,10 +264,11 @@ def _weigh_each_row(basis, supports, seed):
         e = np.zeros(cols)
         e[list(sup)] = rng.choice([0.05, 0.5], len(sup)) * rng.normal(size=len(sup))
         residual[f] = basis @ e + 0.3 * np.sqrt(Q_SY.sigma_q_sq) * rng.normal(size=rows)
-    est = _weighted_errors(basis, residual, mask, mask.sum(axis=1), Q_SY.sigma_q_sq)
+    fit = _basis(basis)
+    est = _weighted_errors(fit, residual, mask, mask.sum(axis=1), Q_SY.sigma_q_sq)
     for f, sup in enumerate(supports):
         one = _weighted_errors(
-            basis, residual[f : f + 1], mask[f : f + 1], np.array([len(sup)]), Q_SY.sigma_q_sq)
+            fit, residual[f : f + 1], mask[f : f + 1], np.array([len(sup)]), Q_SY.sigma_q_sq)
         np.testing.assert_array_equal(est[f], one[0])
         want = _direct_correction(basis, residual[f], sup, Q_SY.sigma_q_sq)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
@@ -306,7 +308,7 @@ def test_weights_spanning_more_than_the_exponent_range(rng):
         assert max(rss) / (2 * noise_var) > 2e3  # swaps that drop sup[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        est = _weighted_errors(basis, residual, mask, mask.sum(axis=1), noise_var)
+        est = _weighted_errors(_basis(basis), residual, mask, mask.sum(axis=1), noise_var)
     for f, sup in enumerate(supports):
         want = _direct_correction(basis, residual[f], sup, noise_var)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
