@@ -21,8 +21,7 @@ _SUBMODULE = {name: module for module, names in {
     "pgz": ("ErrorEstimate", "pgz_decode"),
     "quantize": ("QuantizerSpec",),
     "sources": ("SourceSpec", "ChannelSpec"),
-    "wyner_ziv": ("Message", "ReconstructionResult", "syndrome_encode", "syndrome_decode",
-                  "parity_encode", "parity_decode", "compression_ratio"),
+    "wyner_ziv": ("Message", "ReconstructionResult", "encode", "decode", "compression_ratio"),
     "harness": ("SweepConfig", "SweepResult", "sweep", "write_csv", "read_csv"),
 }.items() for name in names}
 

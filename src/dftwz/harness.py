@@ -3,8 +3,9 @@
 Determinism contract: each CEQNR point's frames are processed in fixed
 blocks of BLOCK_FRAMES, and a point's block draws its innovations,
 error-position keys and error magnitudes, in that order, from one
-default_rng((master_seed, ceqnr_index, approach_id, start)), start being
-the index of the block's first frame (sources.draw_frames). Blocks start
+default_rng((master_seed, ceqnr_index, approach_id, start)), approach_id
+being the approach's index in wyner_ziv.APPROACHES and start the index
+of the block's first frame (sources.draw_frames). Blocks start
 at multiples of BLOCK_FRAMES, so it is part of the contract. A task is
 one block of F frames of one approach at every CEQNR point; it draws,
 encodes and decodes the blocks of max(1, BLOCK_FRAMES // F) points at a
@@ -55,8 +56,6 @@ __all__ = [
     "BLOCK_FRAMES",
 ]
 
-_APPROACH_ID = {"syndrome": 0, "parity": 1}
-
 # Frames per grid point in one work unit, drawn from one generator. Part
 # of the byte-determinism contract: it fixes which generator draws which
 # frame, and partial sums are accumulated within a block and blocks are
@@ -79,7 +78,7 @@ class SweepConfig:
 
     n: int = 7
     k: int = 5
-    approaches: tuple[str, ...] = ("syndrome", "parity")
+    approaches: tuple[str, ...] = APPROACHES
     bits: int = 6
     ref_range: tuple[float, float] = (-4.0, 4.0)
     syndrome_range: tuple[float, float] = DEFAULT_SYNDROME_RANGE
@@ -102,8 +101,8 @@ class SweepConfig:
             raise ValueError(f"approaches must be a nonempty subset of {APPROACHES}")
         if len(set(self.approaches)) != len(self.approaches):
             raise ValueError("duplicate approach")
-        # Build what a worker builds, so that a bad bits, range, rho or
-        # errors_per_frame raises here and not in a pool's initializer.
+        # Build what a sweep builds, so that a bad bits, range, rho or
+        # errors_per_frame raises here and not once blocks run.
         self.reference_quantizer
         for approach in APPROACHES:
             self.transmit_quantizer(approach)
@@ -148,7 +147,7 @@ class SweepConfig:
 
     def transmit_quantizer(self, approach: str) -> QuantizerSpec:
         """Quantizer of the samples ``approach`` transmits."""
-        return self._quantizer("syndrome_range" if approach == "syndrome" else "parity_range")
+        return self._quantizer(f"{approach}_range")
 
     def sigma_e(self, ceqnr_db: float) -> float:
         return float(np.sqrt(self.reference_quantizer.sigma_q_sq * 10.0 ** (ceqnr_db / 10.0)))
@@ -193,40 +192,24 @@ def _trials(
     return np.mean(diff * diff, axis=1), localized, zero_error, overloads
 
 
-# ---------------------------------------------------------------------------
-# Block execution. A module-level context keeps the configuration alive per
-# worker process. A block takes the code from build_code's memo, built once
-# per process, and the quantizers and channels from _constants, built once
-# per sweep.
-
-_CTX: dict = {}
-
-
-def _init_worker(cfg: SweepConfig) -> None:
-    _CTX["cfg"] = cfg
-
-
-@functools.lru_cache(maxsize=1)
-def _constants(cfg: SweepConfig) -> tuple[dict[str, QuantizerSpec], list[ChannelSpec]]:
-    """Each approach's transmit quantizer and each CEQNR point's channel."""
-    quantizers = {approach: cfg.transmit_quantizer(approach) for approach in cfg.approaches}
-    channels = [ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(db)) for db in cfg.ceqnr_db]
-    return quantizers, channels
-
-
-def _run_block(task: tuple[str, int, int]) -> np.ndarray:
+def _run_block(
+    cfg: SweepConfig, quantizers: dict[str, QuantizerSpec], channels: list[ChannelSpec],
+    task: tuple[str, int, int],
+) -> np.ndarray:
     """Partial sums over one block of frames: one row per CEQNR point in
-    grid order, of MSE sum, localized, zero-error and overload counts."""
+    grid order, of MSE sum, localized, zero-error and overload counts.
+    ``quantizers`` holds each approach's transmit quantizer and
+    ``channels`` each point's channel; the code comes from build_code's
+    memo, built once per process."""
     approach, start, count = task
-    cfg = _CTX["cfg"]
-    code, (quantizers, channels) = build_code(cfg.n, cfg.k), _constants(cfg)
-    source, length = SourceSpec(cfg.rho), frame_length(code, approach)
+    code, source = build_code(cfg.n, cfg.k), SourceSpec(cfg.rho)
+    length, approach_id = frame_length(code, approach), APPROACHES.index(approach)
     points, per = len(channels), max(1, BLOCK_FRAMES // count)
     sums = np.empty((points, 4))
     for lo in range(0, points, per):
         stack = range(lo, min(lo + per, points))
-        parts = [(np.random.default_rng((cfg.seed, ci, _APPROACH_ID[approach], start)),
-                  channels[ci], count) for ci in stack]
+        parts = [(np.random.default_rng((cfg.seed, ci, approach_id, start)), channels[ci], count)
+                 for ci in stack]
         frames = draw_frames(source, length, parts)
         per_frame = np.column_stack(_trials(code, approach, quantizers[approach], *frames))
         # one frame at a time, in frame order; np.sum would add pairwise
@@ -248,18 +231,19 @@ def sweep(config: SweepConfig) -> SweepResult:
     tasks = [(approach, start, min(BLOCK_FRAMES, config.frames - start))
              for approach in config.approaches for start in range(0, config.frames, BLOCK_FRAMES)]
     code = build_code(config.n, config.k)  # before a fork, so that workers inherit it
+    run_block = functools.partial(
+        _run_block, config,
+        {approach: config.transmit_quantizer(approach) for approach in config.approaches},
+        [ChannelSpec(config.errors_per_frame, config.sigma_e(db)) for db in config.ceqnr_db])
     # Starting a worker costs more than a part block's work saves.
     workers = min(config.workers, sum(task[-1] == BLOCK_FRAMES for task in tasks))
     if workers > 1:
         import multiprocessing  # only a pooled sweep pays for its import
 
-        with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker, initargs=(config,)
-        ) as pool:
-            partials = list(pool.imap(_run_block, tasks, chunksize=1))
+        with multiprocessing.Pool(processes=workers) as pool:
+            partials = list(pool.imap(run_block, tasks, chunksize=1))
     else:
-        _init_worker(config)
-        partials = [_run_block(t) for t in tasks]
+        partials = [run_block(t) for t in tasks]
 
     sums: dict[str, np.ndarray] = {}
     for (approach, _start, _count), part in zip(tasks, partials):

@@ -36,9 +36,10 @@ e_hat is fitted on.
 
 This module is the one place that maps an approach name to what it
 sends and how it decodes: ``APPROACHES``, ``frame_length``,
-``tx_samples``, and ``encode_block`` and ``decode_block``, which run a
-block of frames of either approach as arrays. The per-frame functions
-run them on a block of one and carry one ``Message`` type.
+``tx_samples``, ``noise_floor``, and ``encode_block`` and
+``decode_block``, which run a block of frames of either approach as
+arrays. ``encode`` and ``decode`` run them on a block of one frame and
+carry one ``Message`` type, which names its approach.
 """
 
 from __future__ import annotations
@@ -59,18 +60,15 @@ __all__ = [
     "APPROACHES",
     "Message",
     "ReconstructionResult",
-    "syndrome_encode",
-    "syndrome_decode",
-    "parity_encode",
-    "parity_decode",
+    "encode",
+    "decode",
     "frame_length",
     "tx_samples",
     "compression_ratio",
     "encode_block",
     "decode_block",
     "DecodedBlock",
-    "syndrome_noise_floor",
-    "parity_noise_floor",
+    "noise_floor",
     "DEFAULT_SYNDROME_RANGE",
     "DEFAULT_PARITY_RANGE",
 ]
@@ -136,22 +134,24 @@ def tx_samples(code: DftCode, approach: str) -> int:
     return (code.n - code.k) * (2 if _is_syndrome(approach) else 1)
 
 
-def syndrome_noise_floor(code: DftCode, quantizer: QuantizerSpec) -> float:
-    """Worst-case |component| of the quantization noise on a transmitted
-    syndrome: real and imaginary errors are each <= step/2."""
-    return float(quantizer.step / np.sqrt(2.0) * _FLOOR_MARGIN)
+def noise_floor(code: DftCode, approach: str, quantizer: QuantizerSpec) -> float:
+    """Worst-case |syndrome component| of the quantization noise on what
+    ``approach`` sends: a syndrome's real and imaginary errors are each
+    <= step/2; parity's n - k errors enter through entries of magnitude
+    1/sqrt(n)."""
+    if _is_syndrome(approach):
+        floor = quantizer.step / np.sqrt(2.0)
+    else:
+        floor = (code.n - code.k) * quantizer.step / (2.0 * np.sqrt(code.n))
+    return float(floor * _FLOOR_MARGIN)
 
 
-def parity_noise_floor(code: DftCode, quantizer: QuantizerSpec) -> float:
-    """Worst-case |syndrome component| induced by parity quantization:
-    n - k entries of magnitude 1/sqrt(n) each scaled by step/2."""
-    n, k = code.n, code.k
-    return float((n - k) * quantizer.step / (2.0 * np.sqrt(n)) * _FLOOR_MARGIN)
-
-
-def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
-    """``a`` as a float64 (F, length) block of finite frames."""
-    a = np.asarray(a, dtype=np.float64)
+def _frames(a: np.ndarray, code: DftCode, approach: str, what: str) -> np.ndarray:
+    """``a`` as a float64 (F, frame length) block of real, finite frames."""
+    a, length = np.asarray(a), frame_length(code, approach)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{approach} {what} frames must be real, got {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     if a.ndim != 2 or a.shape[1] != length:
         raise ValueError(f"{what} frames have shape {a.shape[1:]}, expected ({length},)")
     if not np.isfinite(a).all():
@@ -159,7 +159,7 @@ def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
     return a
 
 
-# One cache entry per (basis, noise variance, core). A code correcting t
+# One cache entry per (code, approach, noise variance, core). A code correcting t
 # errors has C(N,1) + ... + C(N,t-1) cores over its N candidate columns:
 # 1,561 for the (21,13) syndrome basis (N = 21, t = 4) and 377 for its
 # parity basis (N = 13). The bound is their sum, so a sweep of both
@@ -171,24 +171,26 @@ def _frames(a: np.ndarray, length: int, what: str) -> np.ndarray:
 # up to 32.4 KB hold 63 MB.
 @functools.lru_cache(maxsize=1938)
 def _extension_fits(
-    basis: bytes, rows: int, noise_var: float, core: tuple[int, ...]
+    n: int, k: int, approach: str, noise_var: float, core: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fits of every support ``core + (c,)``, c not in ``core`` (non-empty).
 
-    ``basis`` is a (rows, N) float64 matrix as bytes, so that each core's
-    fits are built once and then reused. The M added columns c are the
-    candidates not in ``core``, ascending. For each support, with A its
-    columns and P = I - A pinv(A) the symmetric projector onto the
-    residual of the fit, the returned (rows, M * (nu + rows)) operator
-    maps a residual r (as ``r @ op``) to [the nu least-squares magnitudes,
-    core positions first and c last; P r / (2 noise_var)], whose dot
-    product with r is rss / (2 noise_var). The (M,) log-priors are
-    -log(det(A^T A)) / 2. In both decoders' bases every support of at
-    most t positions has full column rank (the syndrome basis holds t
-    Vandermonde rows, and P_gen = -H_P^{-1} H_S maps independent columns
-    of H through the invertible H_P^{-1}), so A^T A is invertible.
+    The columns are those of the (rows, N) residual basis of the (n, k)
+    decoder of ``approach``; each core's fits are built once and then
+    reused. The M added columns c are the candidates not in ``core``,
+    ascending. For each support, with A its columns and P = I - A pinv(A)
+    the symmetric projector onto the residual of the fit, the returned
+    (rows, M * (nu + rows)) operator maps a residual r (as ``r @ op``) to
+    [the nu least-squares magnitudes, core positions first and c last;
+    P r / (2 noise_var)], whose dot product with r is rss / (2 noise_var).
+    The (M,) log-priors are -log(det(A^T A)) / 2. In both decoders' bases
+    every support of at most t positions has full column rank (the
+    syndrome basis holds t Vandermonde rows, and P_gen = -H_P^{-1} H_S
+    maps independent columns of H through the invertible H_P^{-1}), so
+    A^T A is invertible.
     """
-    a_all = np.frombuffer(basis).reshape(rows, -1)
+    a_all = _decoder(n, k, approach).matrix
+    rows = len(a_all)
     supports = [core + (c,) for c in range(a_all.shape[1]) if c not in core]
     a = a_all[:, supports].transpose(1, 0, 2)  # (M, rows, nu)
     pinv = np.linalg.pinv(a)
@@ -222,52 +224,49 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
     return w
 
 
-class _Basis(NamedTuple):
-    """A residual basis (rows, N) with what every fit on it reuses: its
-    bytes (``_extension_fits``' key), the squared norms |a|^2 of its
-    columns, and the read-only nu = 1 operators basis / |a|^2 and
+class _Decoder(NamedTuple):
+    """PGZ's candidate positions (None: all n), the residual basis
+    (rows, N) and what every fit on it reuses: the squared norms |a|^2 of
+    its columns, and the read-only nu = 1 operators basis / |a|^2 and
     log(|a|^2) / 2."""
 
+    cands: np.ndarray | None
     matrix: np.ndarray
-    key: bytes
     sq: np.ndarray
     unit: np.ndarray
     half_log_sq: np.ndarray
 
 
-def _basis(matrix: np.ndarray) -> _Basis:
-    sq = (matrix * matrix).sum(axis=0)
-    derived = (sq, matrix / sq, 0.5 * np.log(sq))
-    for a in derived:
-        a.flags.writeable = False
-    return _Basis(matrix, matrix.tobytes(), *derived)
-
-
 # Two entries per code that build_code keeps, one per approach.
 @functools.lru_cache(maxsize=16)
-def _decoder(n: int, k: int, approach: str) -> tuple[np.ndarray | None, _Basis]:
-    """PGZ's candidate positions (None: all n) and the residual basis of
-    the (n, k) decoder of ``approach``, built once per process: the real
-    and imaginary parts of the first t rows of H, or P_gen."""
+def _decoder(n: int, k: int, approach: str) -> _Decoder:
+    """The (n, k) decoder of ``approach``, built once per process; its
+    basis is the real and imaginary parts of the first t rows of H, or
+    P_gen."""
     code = build_code(n, k)
-    if not _is_syndrome(approach):
-        return code.systematic, _basis(code.P_gen)
-    h = code.H[: code.t]
-    matrix = np.vstack([h.real, h.imag])
-    matrix.flags.writeable = False
-    return None, _basis(matrix)
+    if _is_syndrome(approach):
+        h = code.H[: code.t]
+        cands, matrix = None, np.vstack([h.real, h.imag])
+    else:
+        cands, matrix = code.systematic, code.P_gen
+    sq = (matrix * matrix).sum(axis=0)
+    arrays = (matrix, sq, matrix / sq, 0.5 * np.log(sq))
+    for a in arrays:
+        a.flags.writeable = False
+    return _Decoder(cands, *arrays)
 
 
 def _weighted_errors(
-    basis: _Basis, residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
+    key: tuple[int, int, str], residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
     noise_var: float,
 ) -> np.ndarray:
     """Error estimates (F, N) averaged over each frame's PGZ support and
     its single swaps.
 
-    Row f of ``residual`` (F, rows) observes ``basis.matrix @ e`` through
+    ``key`` is (n, k, approach), naming the decoder whose basis B is
+    used. Row f of ``residual`` (F, rows) observes ``B @ e`` through
     white noise of variance ``noise_var``; the candidate positions are the
-    N columns of ``basis.matrix``, and row f of ``support`` (F, N) marks
+    N columns of B, and row f of ``support`` (F, N) marks
     PGZ's ``sizes[f]`` positions. The supports are those that keep all but one
     of PGZ's positions (the core) and add any other column. Each gets
     least-squares magnitudes and the weight
@@ -284,6 +283,7 @@ def _weighted_errors(
     holds M (nu + rows) floats until the weights are known: bound F to
     bound them.
     """
+    basis = _decoder(*key)
     rows, cols = basis.matrix.shape
     est = np.empty((len(residual), cols))
     for nu in np.bincount(sizes).nonzero()[0]:
@@ -309,7 +309,7 @@ def _weighted_errors(
         logw = np.empty((len(order), m))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             core = tuple(cores[order[lo]].tolist())
-            ops, logw[lo:hi] = _extension_fits(basis.key, rows, noise_var, core)
+            ops, logw[lo:hi] = _extension_fits(*key, noise_var, core)
             np.matmul(res[lo:hi, None], ops, out=out[lo:hi])
         out = out.reshape(len(order), m, nu + rows)
         logw -= _mv(out[..., nu:], res)
@@ -341,7 +341,7 @@ def encode_block(
     syndrome H x[f] (real and imaginary parts apart) or the parity
     P_gen x[f]; returns the levels and each frame's number of clipped
     samples, those outside [lo, hi]."""
-    x = _frames(x, frame_length(code, approach), "source")
+    x = _frames(x, code, approach, "source")
     v = _mv(code.H if _is_syndrome(approach) else code.P_gen, x)
     parts = v.view(np.float64)  # a complex row's real and imaginary parts interleaved
     overloads = np.count_nonzero((parts < quantizer.lo) | (parts > quantizer.hi), axis=1)
@@ -363,17 +363,21 @@ class DecodedBlock(NamedTuple):
 def decode_block(
     code: DftCode, approach: str, values: np.ndarray, quantizer: QuantizerSpec, y: np.ndarray
 ) -> DecodedBlock:
-    """``syndrome_decode`` or ``parity_decode`` for a block: rows of the
-    quantized ``values`` (F, n - k) that ``encode_block`` sent against
-    rows of the side information y (F, frame length)."""
-    y = _frames(y, frame_length(code, approach), "side information")
+    """``decode`` for a block: rows of the quantized ``values`` (F, n - k)
+    that ``encode_block`` sent against rows of the side information y
+    (F, frame length). Values must be complex for the syndrome approach
+    and real for parity; the wrong kind raises ValueError."""
+    y = _frames(y, code, approach, "side information")
     values, expected = np.asarray(values), (len(y), code.n - code.k)
     if values.shape != expected:
         raise ValueError(f"message values have shape {values.shape}, expected {expected}")
-    cands, basis = _decoder(code.n, code.k, approach)
+    cands = _decoder(code.n, code.k, approach).cands
+    if np.iscomplexobj(values) != (cands is None):
+        kind = "complex" if cands is None else "real"
+        raise ValueError(f"{approach} message values must be {kind}, got {values.dtype}")
     if cands is None:
         syndromes = _mv(code.H, y) - values
-        noise_floor, index, t = syndrome_noise_floor(code, quantizer), slice(None), code.t
+        index, t = slice(None), code.t
 
         def residual(rows: np.ndarray) -> np.ndarray:
             return np.concatenate([syndromes[rows, :t].real, syndromes[rows, :t].imag], axis=1)
@@ -382,77 +386,54 @@ def decode_block(
         z[:, code.systematic] = y
         z[:, code.parity] = values
         syndromes = _mv(code.H, z)
-        noise_floor, index = parity_noise_floor(code, quantizer), cands
+        index = cands
 
         def residual(rows: np.ndarray) -> np.ndarray:
             return _mv(code.P_gen, y[rows]) - values[rows]
-    pgz = _pgz_decode_block(code, syndromes, cands, noise_floor=noise_floor)
+    floor = noise_floor(code, approach, quantizer)
+    pgz = _pgz_decode_block(code, syndromes, cands, noise_floor=floor)
     support = pgz.support[:, index]
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
         x_hat[fix] -= _weighted_errors(
-            basis, residual(fix), support[fix], pgz.count[fix], quantizer.sigma_q_sq)
+            (code.n, code.k, approach), residual(fix), support[fix], pgz.count[fix],
+            quantizer.sigma_q_sq)
     return DecodedBlock(x_hat, syndromes, pgz, support)
 
 
-def _encode(code: DftCode, approach: str, x: np.ndarray, quantizer: QuantizerSpec) -> Message:
+def encode(code: DftCode, approach: str, x: np.ndarray, quantizer: QuantizerSpec) -> Message:
+    """Quantize what ``approach`` sends of the frame x: the syndrome Hx,
+    real and imaginary parts apart, of a length-n frame, or the parity
+    P_gen x of a length-k one."""
     values, overloads = encode_block(code, approach, np.asarray(x)[None], quantizer)
     bits_used = tx_samples(code, approach) * quantizer.bits
     return Message(approach, values[0], quantizer, bits_used, int(overloads[0]))
 
 
-def _decode(code: DftCode, approach: str, msg: Message, y: np.ndarray) -> ReconstructionResult:
-    if msg.approach != approach:
-        raise ValueError(f"a {msg.approach} message given to the {approach} decoder")
-    decoded = decode_block(code, approach, msg.values[None], msg.quantizer, np.asarray(y)[None])
+def decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
+    """Decode ``msg`` against the side information y with the decoder of
+    ``msg.approach`` and undo the estimated channel error.
+
+    Syndrome: PGZ runs on s_e_tilde = Hy - s_x_hat over all n positions.
+    Parity: PGZ runs on the noisy codeword z_tilde, y at
+    ``code.systematic`` and p_hat at ``code.parity``, with candidates
+    restricted to the systematic positions (the parity samples carry only
+    quantization noise, which the noise floor absorbs); its locations are
+    message indices 0..k-1. PGZ gives the reported ``error_estimate``;
+    x_hat = y - e_hat, where e_hat is the likelihood-weighted average over
+    PGZ's support and its single swaps described in the module docstring.
+    A frame whose syndrome sits entirely below the quantization-noise
+    floor is declared clean and returned as y unchanged, preserving exact
+    recovery when source and side information coincide. Non-finite side
+    information raises ValueError.
+    """
+    decoded = decode_block(code, msg.approach, msg.values[None], msg.quantizer, np.asarray(y)[None])
     estimate = frame_estimate(code, decoded.syndromes, decoded.pgz)
     locations = tuple(np.flatnonzero(decoded.support[0]).tolist())
     return ReconstructionResult(
         x_hat=decoded.x_hat[0], error_estimate=replace(estimate, locations=locations)
     )
-
-
-def syndrome_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> Message:
-    """Quantize s_x = Hx componentwise on real and imaginary parts."""
-    return _encode(code, "syndrome", x, quantizer)
-
-
-def syndrome_decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
-    """Estimate the channel error from s_e_tilde = Hy - s_x_hat and undo it.
-
-    PGZ gives the reported ``error_estimate``; x_hat = y - e_hat, where
-    e_hat is the likelihood-weighted average over PGZ's support and its
-    single swaps described in the module docstring, fitted on the real
-    and imaginary parts of the first (n-k)/2 components of s_e_tilde.
-
-    Frames whose syndrome sits entirely below the quantization-noise
-    floor are declared clean and returned as y unchanged, preserving
-    exact recovery when source and side information coincide. Non-finite
-    side information raises ValueError.
-    """
-    return _decode(code, "syndrome", msg, y)
-
-
-def parity_encode(code: DftCode, x: np.ndarray, quantizer: QuantizerSpec) -> Message:
-    """Quantize the parity samples p = P_gen x of a length-k frame."""
-    return _encode(code, "parity", x, quantizer)
-
-
-def parity_decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
-    """Decode the noisy codeword z_tilde, y at ``code.systematic`` and
-    p_hat at ``code.parity``, and return the corrected message.
-
-    Candidate locations are restricted to the k systematic positions:
-    the parity samples of z_tilde carry only quantization noise, which the
-    noise floor absorbs. PGZ gives the reported ``error_estimate``, whose
-    locations are message indices 0..k-1;
-    x_hat = y - e_hat, where e_hat is the likelihood-weighted average over
-    PGZ's support and its single swaps described in the module docstring,
-    fitted on the parity residual P_gen y - p_hat. Non-finite side
-    information raises ValueError.
-    """
-    return _decode(code, "parity", msg, y)
 
 
 def compression_ratio(code: DftCode, approach: str) -> numbers.Rational:

@@ -16,14 +16,8 @@ from dftwz.harness import SweepConfig, sweep, write_csv
 from dftwz.pgz import decode_block, pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
-from dftwz.wyner_ziv import (
-    decode_block as wz_decode_block,
-    encode_block,
-    parity_decode,
-    parity_encode,
-    syndrome_decode,
-    syndrome_encode,
-)
+from dftwz.wyner_ziv import APPROACHES, decode, encode, encode_block, frame_length
+from dftwz.wyner_ziv import decode_block as wz_decode_block
 
 C75 = build_code(7, 5)
 C159 = build_code(15, 9)
@@ -73,23 +67,18 @@ def _assert_same(block, frame, i, parity=()):
 def test_block_decodes_as_its_frames(code, counts, seed):
     counts = [min(c, code.t) for c in counts]
     x, y = _block(code, counts, seed)
-    q_sy, q_pa = Q_SY[code.n], Q_PA[code.n]
-
-    values, _ = encode_block(code, "syndrome", x, q_sy)
-    block = wz_decode_block(code, "syndrome", values, q_sy, y)
-    assert set(block.pgz.count.tolist()) >= set(range(code.t + 1))  # gated and every nu-hat
-    for i in range(len(x)):
-        msg = syndrome_encode(code, x[i], q_sy)
-        np.testing.assert_array_equal(msg.values, values[i])
-        _assert_same(block, syndrome_decode(code, msg, y[i]), i)
-
-    k = code.k
-    values, _ = encode_block(code, "parity", x[:, :k], q_pa)
-    block = wz_decode_block(code, "parity", values, q_pa, y[:, :k])
-    for i in range(len(x)):
-        msg = parity_encode(code, x[i, :k], q_pa)
-        np.testing.assert_array_equal(msg.values, values[i])
-        _assert_same(block, parity_decode(code, msg, y[i, :k]), i, code.parity)
+    q = {"syndrome": Q_SY[code.n], "parity": Q_PA[code.n]}
+    for approach in APPROACHES:
+        length = frame_length(code, approach)
+        values, _ = encode_block(code, approach, x[:, :length], q[approach])
+        block = wz_decode_block(code, approach, values, q[approach], y[:, :length])
+        if approach == "syndrome":  # gated and every nu-hat
+            assert set(block.pgz.count.tolist()) >= set(range(code.t + 1))
+        for i in range(len(x)):
+            msg = encode(code, approach, x[i, :length], q[approach])
+            np.testing.assert_array_equal(msg.values, values[i])
+            parity = () if approach == "syndrome" else code.parity
+            _assert_same(block, decode(code, msg, y[i, :length]), i, parity)
 
 
 @given(

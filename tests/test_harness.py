@@ -23,7 +23,7 @@ from dftwz.harness import (
 )
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
-from dftwz.wyner_ziv import frame_length, tx_samples
+from dftwz.wyner_ziv import APPROACHES, frame_length, tx_samples
 
 C75 = build_code(7, 5)
 
@@ -60,9 +60,9 @@ def test_config_validation():
         SweepConfig(workers=0)
 
 
-# Knobs that only a block or a worker's initializer used to reject; in a
-# pool, that initializer failing makes the pool restart workers forever.
-# Each maps to its overrides and a pattern the error must hold, if any.
+# Knobs that a sweep's blocks would otherwise reject only once they run,
+# possibly in a pool's workers. Each maps to its overrides and a pattern
+# the error must hold, if any.
 _WORKER_KNOBS = {
     "reversed_parity_range": (dict(parity_range=(1.0, -1.0)), "^parity_range = "),
     "reversed_syndrome_range": (dict(syndrome_range=(1.0, -1.0)), "^syndrome_range = "),
@@ -125,6 +125,20 @@ def test_sweep_worker_count_invariance(tmp_path):
         assert p1.read_bytes() == p3.read_bytes()
 
 
+def test_list_fields_sweep_as_their_tuples(tmp_path):
+    # A caller may give a sequence field as a list; the sweep keys nothing
+    # on the configuration, so a list runs as its tuple does, here on two
+    # workers against the tuple twin's one.
+    fields = dict(approaches=["parity", "syndrome"], ceqnr_db=[0.0, 30.0], ref_range=[-4.0, 4.0],
+                  syndrome_range=[-1.0, 1.0], parity_range=[-4.75, 4.75])
+    lists = small_config(frames=2 * BLOCK_FRAMES + 17, workers=2, **fields)
+    tuples = replace(lists, workers=1, **{name: tuple(v) for name, v in fields.items()})
+    p_list, p_tuple = tmp_path / "list.csv", tmp_path / "tuple.csv"
+    write_csv(sweep(lists), str(p_list))
+    write_csv(sweep(tuples), str(p_tuple))
+    assert p_list.read_bytes() == p_tuple.read_bytes()
+
+
 def test_parity_sweep_of_a_code_with_fewer_candidates_than_t():
     # (11,3) counts up to t = 4 errors, but a parity frame has only k = 3
     # candidate positions; the count is capped at 3 instead of rejected.
@@ -154,9 +168,8 @@ class _InlinePool:
     """Stands in for multiprocessing.Pool: records the pool size asked for
     and runs the tasks in this process, starting none."""
 
-    def __init__(self, processes, initializer, initargs, started):
+    def __init__(self, processes, started):
         started.append(processes)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -239,7 +252,7 @@ def _block_trials(cfg, approach, ci, start):
     ``ci``, drawn alone from its own generator."""
     code = build_code(cfg.n, cfg.k)
     ch = ChannelSpec(cfg.errors_per_frame, cfg.sigma_e(cfg.ceqnr_db[ci]))
-    rng = np.random.default_rng((cfg.seed, ci, harness._APPROACH_ID[approach], start))
+    rng = np.random.default_rng((cfg.seed, ci, APPROACHES.index(approach), start))
     frames = draw_frames(SourceSpec(cfg.rho), frame_length(code, approach),
                          [(rng, ch, min(BLOCK_FRAMES, cfg.frames - start))])
     return harness._trials(code, approach, cfg.transmit_quantizer(approach), *frames)

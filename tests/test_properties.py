@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from dftwz.codes import DftCode, build_code
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec, quantize
-from dftwz.wyner_ziv import (
-    compression_ratio,
-    frame_length,
-    parity_encode,
-    syndrome_encode,
-    tx_samples,
-)
+from dftwz.wyner_ziv import APPROACHES, compression_ratio, encode, frame_length, tx_samples
 
 _CODES: dict[tuple[int, int], DftCode] = {}
 
@@ -136,8 +130,8 @@ def test_rate_accounting(pair, bits, seed):
     code = cached_code(n, k)
     rng = np.random.default_rng(seed)
     q = QuantizerSpec(bits, -4.0, 4.0)
-    sm = syndrome_encode(code, rng.standard_normal(n), q)
-    pm = parity_encode(code, rng.standard_normal(k), q)
+    sm = encode(code, "syndrome", rng.standard_normal(n), q)
+    pm = encode(code, "parity", rng.standard_normal(k), q)
     assert sm.bits_used == 2 * (n - k) * bits
     assert pm.bits_used == (n - k) * bits
     assert sm.values.shape == (n - k,)
@@ -155,10 +149,10 @@ def test_compression_ratios_are_exact_rationals(pair, bits):
     # Every count of what a frame sends agrees: the sent-sample count, the
     # message's bits and its values, two real parts per complex syndrome.
     q = QuantizerSpec(bits, -4.0, 4.0)
-    for approach, encode in (("syndrome", syndrome_encode), ("parity", parity_encode)):
+    for approach in APPROACHES:
         length = frame_length(code, approach)
         assert length == (n if approach == "syndrome" else k)
-        msg = encode(code, np.zeros(length), q)
+        msg = encode(code, approach, np.zeros(length), q)
         assert msg.approach == approach
         sent = len(msg.values) * (2 if np.iscomplexobj(msg.values) else 1)
         assert tx_samples(code, approach) == msg.bits_used / bits == sent

@@ -15,18 +15,17 @@ from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
-    _basis,
+    APPROACHES,
+    _decoder,
     _extension_fits,
     _weighted_errors,
     compression_ratio,
+    decode,
     decode_block,
+    encode,
     encode_block,
-    parity_decode,
-    parity_encode,
-    parity_noise_floor,
-    syndrome_decode,
-    syndrome_encode,
-    syndrome_noise_floor,
+    frame_length,
+    noise_floor,
 )
 
 C75 = build_code(7, 5)
@@ -37,6 +36,8 @@ Q_PA = QuantizerSpec(6, -4.75, 4.75)
 # Effectively transparent quantizers for no-quantization oracles.
 Q_FINE_SY = QuantizerSpec(28, -1.0, 1.0)
 Q_FINE_PA = QuantizerSpec(28, -8.0, 8.0)
+Q = {"syndrome": Q_SY, "parity": Q_PA}
+Q_FINE = {"syndrome": Q_FINE_SY, "parity": Q_FINE_PA}
 
 
 def _source_frame(length, rng):
@@ -46,26 +47,26 @@ def _source_frame(length, rng):
 
 def test_syndrome_encode_codeword_near_zero(rng):
     x = C75.G @ rng.standard_normal(5)
-    msg = syndrome_encode(C75, x, Q_SY)
+    msg = encode(C75, "syndrome", x, Q_SY)
     assert np.abs(msg.values.real).max() <= Q_SY.step
     assert np.abs(msg.values.imag).max() <= Q_SY.step
 
 
 def test_syndrome_rate_accounting(rng):
-    msg = syndrome_encode(C75, rng.standard_normal(7), Q_SY)
+    msg = encode(C75, "syndrome", rng.standard_normal(7), Q_SY)
     assert len(msg.values) == 2
     assert msg.bits_used == 2 * (7 - 5) * 6
     assert msg.bits_used // Q_SY.bits == 4  # transmitted real numbers
 
 
 def test_parity_rate_accounting(rng):
-    msg = parity_encode(C75, rng.standard_normal(5), Q_PA)
+    msg = encode(C75, "parity", rng.standard_normal(5), Q_PA)
     assert len(msg.values) == 2
     assert msg.bits_used == (7 - 5) * 6
 
 
 def test_parity_of_zero_frame_quantizes_near_zero():
-    msg = parity_encode(C75, np.zeros(5), Q_PA)
+    msg = encode(C75, "parity", np.zeros(5), Q_PA)
     assert np.abs(msg.values).max() <= Q_PA.step
 
 
@@ -76,85 +77,74 @@ def test_stacked_parity_is_codeword(rng):
     assert np.abs(C75.H @ z).max() < 1e-10
 
 
-def test_dimension_validation(rng):
-    with pytest.raises(ValueError):
-        syndrome_encode(C75, np.zeros(5), Q_SY)
-    with pytest.raises(ValueError):
-        parity_encode(C75, np.zeros(7), Q_PA)
-    msg = syndrome_encode(C75, np.zeros(7), Q_SY)
-    with pytest.raises(ValueError):
-        syndrome_decode(C75, msg, np.zeros(5))
-    pmsg = parity_encode(C75, np.zeros(5), Q_PA)
-    with pytest.raises(ValueError):
-        parity_decode(C75, pmsg, np.zeros(7))
+def test_dimension_validation():
+    # Each approach's coders refuse the other's frame length.
+    for approach, other in zip(APPROACHES, APPROACHES[::-1]):
+        wrong = np.zeros(frame_length(C75, other))
+        with pytest.raises(ValueError):
+            encode(C75, approach, wrong, Q[approach])
+        msg = encode(C75, approach, np.zeros(frame_length(C75, approach)), Q[approach])
+        with pytest.raises(ValueError):
+            decode(C75, msg, wrong)
+
+
+def _perfect_correlation_exact(approach, rng):
+    """Frames of 500 that ``approach`` recovers bit for bit when y = x."""
+    exact = 0
+    for _ in range(500):
+        x = _source_frame(frame_length(C75, approach), rng)
+        res = decode(C75, encode(C75, approach, x, Q[approach]), x.copy())
+        exact += bool(np.array_equal(res.x_hat, x))
+    return exact
 
 
 def test_syndrome_perfect_correlation_exact(rng):
-    exact = 0
-    for _ in range(500):
-        x = _source_frame(7, rng)
-        msg = syndrome_encode(C75, x, Q_SY)
-        res = syndrome_decode(C75, msg, x.copy())
-        exact += bool(np.array_equal(res.x_hat, x))
-    assert exact >= 495
+    assert _perfect_correlation_exact("syndrome", rng) >= 495
 
 
 def test_parity_perfect_correlation_exact(rng):
-    exact = 0
-    for _ in range(500):
-        x = _source_frame(5, rng)
-        msg = parity_encode(C75, x, Q_PA)
-        res = parity_decode(C75, msg, x.copy())
-        exact += bool(np.array_equal(res.x_hat, x))
-    assert exact >= 495
+    assert _perfect_correlation_exact("parity", rng) >= 495
+
+
+def _assert_single_errors_undone(approach, rng):
+    # Without quantization, one error anywhere in the frame is located and
+    # removed.
+    length = frame_length(C75, approach)
+    for _ in range(100):
+        x = _source_frame(length, rng)
+        pos = int(rng.integers(length))
+        mag = float(rng.normal())
+        if abs(mag) < 1e-3:
+            continue
+        y = x.copy()
+        y[pos] += mag
+        res = decode(C75, encode(C75, approach, x, Q_FINE[approach]), y)
+        assert res.error_estimate.locations == (pos,)
+        np.testing.assert_allclose(res.x_hat, x, atol=1e-6)
 
 
 def test_syndrome_single_error_no_quantization_exact(rng):
-    for _ in range(100):
-        x = _source_frame(7, rng)
-        pos = int(rng.integers(7))
-        mag = float(rng.normal())
-        if abs(mag) < 1e-3:
-            continue
-        y = x.copy()
-        y[pos] += mag
-        msg = syndrome_encode(C75, x, Q_FINE_SY)
-        res = syndrome_decode(C75, msg, y)
-        assert res.error_estimate.locations == (pos,)
-        np.testing.assert_allclose(res.x_hat, x, atol=1e-6)
+    _assert_single_errors_undone("syndrome", rng)
 
 
 def test_parity_single_error_no_quantization_exact(rng):
-    for _ in range(100):
-        x = _source_frame(5, rng)
-        pos = int(rng.integers(5))
-        mag = float(rng.normal())
-        if abs(mag) < 1e-3:
-            continue
-        y = x.copy()
-        y[pos] += mag
-        msg = parity_encode(C75, x, Q_FINE_PA)
-        res = parity_decode(C75, msg, y)
-        assert res.error_estimate.locations == (pos,)
-        np.testing.assert_allclose(res.x_hat, x, atol=1e-6)
+    _assert_single_errors_undone("parity", rng)
 
 
 def test_two_errors_15_9_no_quantization_exact(rng):
     # (15,9) parity entries reach ~160, so its transparent range is wide.
-    q_sy = QuantizerSpec(28, -2.0, 2.0)
-    q_pa = QuantizerSpec(36, -1000.0, 1000.0)
+    q = {"syndrome": QuantizerSpec(28, -2.0, 2.0), "parity": QuantizerSpec(36, -1000.0, 1000.0)}
     for _ in range(50):
         locs = tuple(sorted(int(i) for i in rng.choice(9, size=2, replace=False)))
         mags = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.1, 2.0, size=2)
         x = _source_frame(15, rng)
         y = x.copy()
         y[list(locs)] += mags
-        res = syndrome_decode(C159, syndrome_encode(C159, x, q_sy), y)
-        assert res.error_estimate.locations == locs
-        np.testing.assert_allclose(res.x_hat, x, atol=1e-6)
-        res = parity_decode(C159, parity_encode(C159, x[:9], q_pa), y[:9])
-        assert res.error_estimate.locations == locs
-        np.testing.assert_allclose(res.x_hat, x[:9], atol=1e-6)
+        for approach in APPROACHES:
+            length = frame_length(C159, approach)
+            res = decode(C159, encode(C159, approach, x[:length], q[approach]), y[:length])
+            assert res.error_estimate.locations == locs
+            np.testing.assert_allclose(res.x_hat, x[:length], atol=1e-6)
 
 
 def test_error_estimate_is_pgz_output(rng):
@@ -163,26 +153,26 @@ def test_error_estimate_is_pgz_output(rng):
         x = _source_frame(7, rng)
         y = x.copy()
         y[int(rng.integers(7))] += 0.05 * rng.normal()
-        msg = syndrome_encode(C75, x, Q_SY)
-        got = syndrome_decode(C75, msg, y).error_estimate
+        msg = encode(C75, "syndrome", x, Q_SY)
+        got = decode(C75, msg, y).error_estimate
         want = pgz_decode(
-            C75, C75.H @ y - msg.values, noise_floor=syndrome_noise_floor(C75, Q_SY)
+            C75, C75.H @ y - msg.values, noise_floor=noise_floor(C75, "syndrome", Q_SY)
         )
         assert got.locations == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
         np.testing.assert_array_equal(got.locator_coeffs, want.locator_coeffs)
 
-        pmsg = parity_encode(C75, x[:5], Q_PA)
-        got = parity_decode(C75, pmsg, y[:5]).error_estimate
+        pmsg = encode(C75, "parity", x[:5], Q_PA)
+        got = decode(C75, pmsg, y[:5]).error_estimate
         z = np.empty(7)
         z[C75.systematic], z[C75.parity] = y[:5], pmsg.values
         want = pgz_decode(
             C75,
             C75.H @ z,
             candidate_set=C75.systematic,
-            noise_floor=parity_noise_floor(C75, Q_PA),
+            noise_floor=noise_floor(C75, "parity", Q_PA),
         )
-        # parity_decode reports message indices, PGZ codeword positions
+        # decode reports a parity frame's message indices, PGZ codeword positions
         assert tuple(C75.systematic[list(got.locations)]) == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
         np.testing.assert_array_equal(got.locator_coeffs, want.locator_coeffs)
@@ -229,8 +219,8 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
             size=errors
         )
 
-        msg = syndrome_encode(code, x, Q_SY)
-        res = syndrome_decode(code, msg, y)
+        msg = encode(code, "syndrome", x, Q_SY)
+        res = decode(code, msg, y)
         if res.error_estimate.count:
             s_err = (code.H @ y - msg.values)[:t]
             r = np.concatenate([s_err.real, s_err.imag])
@@ -240,8 +230,8 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
             np.testing.assert_allclose(res.x_hat, want, **tol)
             counts.add(res.error_estimate.count)
 
-        pmsg = parity_encode(code, x[:k], q_pa)
-        res = parity_decode(code, pmsg, y[:k])
+        pmsg = encode(code, "parity", x[:k], q_pa)
+        res = decode(code, pmsg, y[:k])
         if res.error_estimate.count:
             r = code.P_gen @ y[:k] - pmsg.values
             want = y[:k] - _direct_correction(
@@ -252,10 +242,12 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
     assert counts >= {max(t - 1, 1), t}  # supports of t - 1 and t positions ran
 
 
-def _weigh_each_row(basis, supports, seed):
-    # Each row of one call over frames with these PGZ supports equals its
-    # one-row call bitwise and the decoders' rule written out.
+def _weigh_each_row(key, supports, seed):
+    # Each row of one call over frames with these PGZ supports, on the
+    # basis of the (n, k, approach) decoder ``key``, equals its one-row
+    # call bitwise and the decoders' rule written out.
     rng = np.random.default_rng(seed)
+    basis = _decoder(*key).matrix
     rows, cols = basis.shape
     residual = np.empty((len(supports), rows))
     mask = np.zeros((len(supports), cols), dtype=bool)
@@ -264,11 +256,10 @@ def _weigh_each_row(basis, supports, seed):
         e = np.zeros(cols)
         e[list(sup)] = rng.choice([0.05, 0.5], len(sup)) * rng.normal(size=len(sup))
         residual[f] = basis @ e + 0.3 * np.sqrt(Q_SY.sigma_q_sq) * rng.normal(size=rows)
-    fit = _basis(basis)
-    est = _weighted_errors(fit, residual, mask, mask.sum(axis=1), Q_SY.sigma_q_sq)
+    est = _weighted_errors(key, residual, mask, mask.sum(axis=1), Q_SY.sigma_q_sq)
     for f, sup in enumerate(supports):
         one = _weighted_errors(
-            fit, residual[f : f + 1], mask[f : f + 1], np.array([len(sup)]), Q_SY.sigma_q_sq)
+            key, residual[f : f + 1], mask[f : f + 1], np.array([len(sup)]), Q_SY.sigma_q_sq)
         np.testing.assert_array_equal(est[f], one[0])
         want = _direct_correction(basis, residual[f], sup, Q_SY.sigma_q_sq)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
@@ -279,10 +270,8 @@ def test_frames_sharing_a_core_through_different_positions():
     # so the weighting serves them with one operator; {1, 2, 7} and a
     # second {0, 1, 2} join that core too, {1, 2} is a smaller support, and
     # the one-position frames run beside them.
-    t = C159.t
-    basis = np.vstack([C159.H[:t].real, C159.H[:t].imag])
     supports = [(0, 1, 2), (2,), (1, 2, 5), (3, 4, 6), (1, 2, 7), (0, 1, 2), (1, 2), (9,)]
-    _weigh_each_row(basis, supports, 7)
+    _weigh_each_row((15, 9, "syndrome"), supports, 7)
 
 
 def test_weights_spanning_more_than_the_exponent_range(rng):
@@ -308,19 +297,17 @@ def test_weights_spanning_more_than_the_exponent_range(rng):
         assert max(rss) / (2 * noise_var) > 2e3  # swaps that drop sup[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        est = _weighted_errors(_basis(basis), residual, mask, mask.sum(axis=1), noise_var)
+        est = _weighted_errors((15, 9, "syndrome"), residual, mask, mask.sum(axis=1), noise_var)
     for f, sup in enumerate(supports):
         want = _direct_correction(basis, residual[f], sup, noise_var)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
 
 
-@pytest.mark.parametrize("approach", ["syndrome", "parity"])
+@pytest.mark.parametrize("approach", APPROACHES)
 def test_single_position_frames_weighted_in_place(approach):
     # One-position supports share the empty core and skip the grouping;
     # interleaved with two-position frames, each keeps its own row.
-    t = C159.t
-    basis = np.vstack([C159.H[:t].real, C159.H[:t].imag]) if approach == "syndrome" else C159.P_gen
-    _weigh_each_row(basis, [(4,), (1, 6), (0,), (4,), (2, 5), (8,), (1, 6), (3,)], 8)
+    _weigh_each_row((15, 9, approach), [(4,), (1, 6), (0,), (4,), (2, 5), (8,), (1, 6), (3,)], 8)
 
 
 def _best_single_rss(basis, r):
@@ -338,18 +325,18 @@ def test_unexplained_frame_gives_finite_reconstruction(rng):
     y[1] += 30.0
     y[3] -= 40.0
 
-    msg = syndrome_encode(C75, x, Q_SY)
+    msg = encode(C75, "syndrome", x, Q_SY)
     s_err = (C75.H @ y - msg.values)[0]
     basis = np.vstack([C75.H[0].real, C75.H[0].imag])
     assert _best_single_rss(basis, np.array([s_err.real, s_err.imag])) > 2e3 * Q_SY.sigma_q_sq
-    res = syndrome_decode(C75, msg, y)
+    res = decode(C75, msg, y)
     assert res.error_estimate.count == 1
     assert np.all(np.isfinite(res.x_hat))
 
-    pmsg = parity_encode(C75, x[:5], Q_PA)
+    pmsg = encode(C75, "parity", x[:5], Q_PA)
     r = C75.P_gen @ y[:5] - pmsg.values
     assert _best_single_rss(C75.P_gen, r) > 2e3 * Q_PA.sigma_q_sq
-    res = parity_decode(C75, pmsg, y[:5])
+    res = decode(C75, pmsg, y[:5])
     assert res.error_estimate.count == 1
     assert np.all(np.isfinite(res.x_hat))
 
@@ -359,14 +346,14 @@ def test_parity_candidates_restricted_to_systematic(rng):
         x = _source_frame(5, rng)
         y = x.copy()
         y[2] += 2.0
-        msg = parity_encode(C75, x, Q_PA)
-        res = parity_decode(C75, msg, y)
+        msg = encode(C75, "parity", x, Q_PA)
+        res = decode(C75, msg, y)
         assert all(loc < 5 for loc in res.error_estimate.locations)
 
 
 def test_noise_floor_values_frozen():
-    assert syndrome_noise_floor(C75, Q_SY) == pytest.approx(Q_SY.step / np.sqrt(2), rel=1e-6)
-    assert parity_noise_floor(C75, Q_PA) == pytest.approx(
+    assert noise_floor(C75, "syndrome", Q_SY) == pytest.approx(Q_SY.step / np.sqrt(2), rel=1e-6)
+    assert noise_floor(C75, "parity", Q_PA) == pytest.approx(
         2 * Q_PA.step / (2 * np.sqrt(7)), rel=1e-6
     )
 
@@ -384,14 +371,13 @@ def test_compression_ratios_frozen():
 def test_non_finite_frames_rejected(bad):
     frame = np.zeros(7)
     frame[2] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        syndrome_encode(C75, frame, Q_SY)
-    with pytest.raises(ValueError, match="non-finite"):
-        parity_encode(C75, frame[:5], Q_PA)
-    with pytest.raises(ValueError, match="non-finite"):
-        syndrome_decode(C75, syndrome_encode(C75, np.zeros(7), Q_SY), frame)
-    with pytest.raises(ValueError, match="non-finite"):
-        parity_decode(C75, parity_encode(C75, np.zeros(5), Q_PA), frame[:5])
+    for approach in APPROACHES:
+        length = frame_length(C75, approach)
+        with pytest.raises(ValueError, match="non-finite"):
+            encode(C75, approach, frame[:length], Q[approach])
+        msg = encode(C75, approach, np.zeros(length), Q[approach])
+        with pytest.raises(ValueError, match="non-finite"):
+            decode(C75, msg, frame[:length])
 
 
 def test_non_finite_frame_rejects_its_block(rng):
@@ -399,37 +385,52 @@ def test_non_finite_frame_rejects_its_block(rng):
     x = rng.standard_normal((4, 7))
     y = x.copy()
     y[2, 1] = np.nan
-    values, _ = encode_block(C75, "syndrome", x, Q_SY)
-    with pytest.raises(ValueError, match="non-finite"):
-        decode_block(C75, "syndrome", values, Q_SY, y)
-    values, _ = encode_block(C75, "parity", x[:, :5], Q_PA)
-    with pytest.raises(ValueError, match="non-finite"):
-        decode_block(C75, "parity", values, Q_PA, y[:, :5])
+    for approach in APPROACHES:
+        length = frame_length(C75, approach)
+        values, _ = encode_block(C75, approach, x[:, :length], Q[approach])
+        with pytest.raises(ValueError, match="non-finite"):
+            decode_block(C75, approach, values, Q[approach], y[:, :length])
 
 
-@pytest.mark.parametrize("encode, decode, length, quantizer", [
-    (syndrome_encode, syndrome_decode, 7, Q_SY), (parity_encode, parity_decode, 5, Q_PA),
-], ids=["syndrome", "parity"])
-def test_scalar_decoder_rejects_a_message_of_the_wrong_length(encode, decode, length, quantizer):
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_scalar_decoder_rejects_a_message_of_the_wrong_length(approach):
     # A message carries n - k values; one too few would be broadcast over
     # both syndrome components or both parity positions.
-    msg = encode(C75, np.zeros(length), quantizer)
+    length = frame_length(C75, approach)
+    msg = encode(C75, approach, np.zeros(length), Q[approach])
     short = dataclasses.replace(msg, values=msg.values[:1] + 0.3)
     with pytest.raises(ValueError, match=r"message values have shape \(1, 1\), expected \(1, 2\)"):
         decode(C75, short, np.zeros(length))
 
 
-@pytest.mark.parametrize("approach", ["syndrome", "parity"])
+@pytest.mark.parametrize("approach", APPROACHES)
 @pytest.mark.parametrize("shape", [(3, 1), (2,), (2, 2), (3, 3)],
                          ids=["one-column", "flat", "two-frames", "three-columns"])
 def test_block_decoder_rejects_values_of_the_wrong_shape(approach, shape):
     # Values (F, n - k) for F frames of side information: (3, 1) would be
     # broadcast over both columns and (2,) over every frame, and the
     # others would fail inside numpy with an error that names neither.
-    y = np.zeros((3, 7 if approach == "syndrome" else 5))
+    y = np.zeros((3, frame_length(C75, approach)))
     values = np.full(shape, 0.5, dtype=complex if approach == "syndrome" else float)
     with pytest.raises(ValueError, match=re.escape(f"message values have shape {shape}")):
-        decode_block(C75, approach, values, Q_SY if approach == "syndrome" else Q_PA, y)
+        decode_block(C75, approach, values, Q[approach], y)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_block_coders_reject_values_of_the_wrong_kind(approach):
+    # A syndrome message is complex and a parity message real; real
+    # syndrome values would decode as if every imaginary part were 0, and
+    # a complex parity message, source or side information would lose its
+    # imaginary parts.
+    x = np.zeros((3, frame_length(C75, approach)))
+    values, _ = encode_block(C75, approach, x, Q[approach])
+    wrong = values.real if np.iscomplexobj(values) else values + 0.5j
+    with pytest.raises(ValueError, match=f"^{approach} message values must be "):
+        decode_block(C75, approach, wrong, Q[approach], x)
+    with pytest.raises(ValueError, match=f"^{approach} source frames must be real"):
+        encode_block(C75, approach, x + 0.5j, Q[approach])
+    with pytest.raises(ValueError, match=f"^{approach} side information frames must be real"):
+        decode_block(C75, approach, values, Q[approach], x + 0.5j)
 
 
 def test_unknown_approach_raises_one_error():
@@ -449,14 +450,8 @@ def test_unknown_approach_raises_one_error():
     assert messages == {"unknown approach 'hybrid': expected one of ('syndrome', 'parity')"}
 
 
-def test_message_goes_to_its_own_decoder():
-    msg = parity_encode(C75, np.zeros(5), Q_PA)
-    with pytest.raises(ValueError, match="parity message given to the syndrome decoder"):
-        syndrome_decode(C75, msg, np.zeros(7))
-
-
 def test_reconstruction_result_is_frozen():
-    res = syndrome_decode(C75, syndrome_encode(C75, np.zeros(7), Q_SY), np.zeros(7))
+    res = decode(C75, encode(C75, "syndrome", np.zeros(7), Q_SY), np.zeros(7))
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.x_hat = np.ones(7)
 
