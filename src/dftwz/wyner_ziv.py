@@ -159,48 +159,6 @@ def _frames(a: np.ndarray, code: DftCode, approach: str, what: str) -> np.ndarra
     return a
 
 
-# One cache entry per (code, approach, noise variance, core). A code correcting t
-# errors has C(N,1) + ... + C(N,t-1) cores over its N candidate columns:
-# 1,561 for the (21,13) syndrome basis (N = 21, t = 4) and 377 for its
-# parity basis (N = 13). The bound is their sum, so a sweep of both
-# approaches of that code, or of one with fewer cores ((31,25): 496 + 325),
-# builds each core's fits once. An entry holds rows * M * (nu + rows)
-# floats: 5.6 KB for a (15,9) syndrome core of two positions, 13.8 KB
-# for a (21,13) one of three; the full (21,13) cache holds 24.6 MB. It
-# is not unbounded: (31,21) has 44,002 cores, and 1,938 of its entries of
-# up to 32.4 KB hold 63 MB.
-@functools.lru_cache(maxsize=1938)
-def _extension_fits(
-    n: int, k: int, approach: str, noise_var: float, core: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares fits of every support ``core + (c,)``, c not in ``core`` (non-empty).
-
-    The columns are those of the (rows, N) residual basis of the (n, k)
-    decoder of ``approach``; each core's fits are built once and then
-    reused. The M added columns c are the candidates not in ``core``,
-    ascending. For each support, with A its columns and P = I - A pinv(A)
-    the symmetric projector onto the residual of the fit, the returned
-    (rows, M * (nu + rows)) operator maps a residual r (as ``r @ op``) to
-    [the nu least-squares magnitudes, core positions first and c last;
-    P r / (2 noise_var)], whose dot product with r is rss / (2 noise_var).
-    The (M,) log-priors are -log(det(A^T A)) / 2. In both decoders' bases
-    every support of at most t positions has full column rank (the
-    syndrome basis holds t Vandermonde rows, and P_gen = -H_P^{-1} H_S
-    maps independent columns of H through the invertible H_P^{-1}), so
-    A^T A is invertible.
-    """
-    a_all = _decoder(n, k, approach).matrix
-    rows = len(a_all)
-    supports = [core + (c,) for c in range(a_all.shape[1]) if c not in core]
-    a = a_all[:, supports].transpose(1, 0, 2)  # (M, rows, nu)
-    pinv = np.linalg.pinv(a)
-    ops = np.concatenate([pinv, (np.eye(rows) - a @ pinv) / (2.0 * noise_var)], axis=1)
-    ops = np.ascontiguousarray(ops.transpose(2, 0, 1).reshape(rows, -1))
-    log_prior = -0.5 * np.linalg.slogdet(a.transpose(0, 2, 1) @ a)[1]
-    ops.flags.writeable = log_prior.flags.writeable = False
-    return ops, log_prior
-
-
 # Products over a block are stacks of per-frame matrix-vector products,
 # never one matrix-matrix product: BLAS rounds a matrix-matrix product
 # differently from a matrix-vector one, and a frame's result must not
@@ -226,12 +184,13 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
 
 class _Decoder(NamedTuple):
     """PGZ's candidate positions (None: all n), the residual basis
-    (rows, N) and what every fit on it reuses: the squared norms |a|^2 of
-    its columns, and the read-only nu = 1 operators basis / |a|^2 and
-    log(|a|^2) / 2."""
+    (rows, N) and what every fit on it reuses: its Gram matrix A^T A, the
+    squared norms |a|^2 of its columns, and the read-only nu = 1 operators
+    basis / |a|^2 and log(|a|^2) / 2."""
 
     cands: np.ndarray | None
     matrix: np.ndarray
+    gram: np.ndarray
     sq: np.ndarray
     unit: np.ndarray
     half_log_sq: np.ndarray
@@ -250,41 +209,46 @@ def _decoder(n: int, k: int, approach: str) -> _Decoder:
     else:
         cands, matrix = code.systematic, code.P_gen
     sq = (matrix * matrix).sum(axis=0)
-    arrays = (matrix, sq, matrix / sq, 0.5 * np.log(sq))
+    arrays = (matrix, matrix.T @ matrix, sq, matrix / sq, 0.5 * np.log(sq))
     for a in arrays:
         a.flags.writeable = False
     return _Decoder(cands, *arrays)
 
 
 def _weighted_errors(
-    key: tuple[int, int, str], residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
+    basis: _Decoder, residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
     noise_var: float,
 ) -> np.ndarray:
     """Error estimates (F, N) averaged over each frame's PGZ support and
     its single swaps.
 
-    ``key`` is (n, k, approach), naming the decoder whose basis B is
-    used. Row f of ``residual`` (F, rows) observes ``B @ e`` through
-    white noise of variance ``noise_var``; the candidate positions are the
-    N columns of B, and row f of ``support`` (F, N) marks
-    PGZ's ``sizes[f]`` positions. The supports are those that keep all but one
-    of PGZ's positions (the core) and add any other column. Each gets
-    least-squares magnitudes and the weight
-    exp(-rss / (2 noise_var)) / sqrt(det(A^T A)): the likelihood of the
-    residual with the magnitudes integrated out under a flat prior.
-    Weights are normalized after shifting each frame's largest log-weight
-    to 0, so a frame that no support explains still gives finite weights.
-    Frames are weighted together, one support size at a time. Support {j}
-    of a nu = 1 frame is a_j alone, fitted by g_j = a_j.r / |a_j|^2 with
-    rss |r|^2 - |a_j|^2 g_j^2, whose |r|^2 cancels in the normalization:
-    one product r @ (basis / |a|^2). For nu >= 2, (frame, dropped position)
-    pairs are sorted by core, one operator per contiguous slice, and a
-    frame's estimate is the sum of its nu pairs' weighted fits. Each pair
-    holds M (nu + rows) floats until the weights are known: bound F to
-    bound them.
+    Row f of ``residual`` (F, rows) observes ``A @ e`` through white noise
+    of variance ``noise_var``, A being ``basis.matrix``, whose N columns
+    are the candidates; row f of ``support`` (F, N) marks PGZ's
+    ``sizes[f]`` positions. The supports keep all but one of them (the
+    core C) and add any other column c. Each gets least-squares magnitudes
+    and the weight exp(-rss / (2 noise_var)) / sqrt(det(A_S^T A_S)), the
+    likelihood of the residual with the magnitudes integrated out under a
+    flat prior. Each frame's log-weights are shifted to a largest of 0
+    before they are normalized, so the per-frame |r|^2 in rss cancels and
+    a frame that no support explains still gives finite weights.
+
+    For nu = 1 the core is empty: g_j = a_j.r / |a_j|^2, one product
+    r @ (A / |a|^2). For nu >= 2, each (frame, dropped position) pair
+    orthonormalizes its core's columns, A_C = Q_C R_C, by nu - 1 rank-one
+    Gram-Schmidt steps on the Gram matrix. They leave, for every column c,
+    |P_C a_c|^2 = |a_c|^2 - |Q_C^T a_c|^2 and (P_C r).a_c = r.a_c -
+    (Q_C^T r).(Q_C^T a_c), P_C being I - Q_C Q_C^T. Support C + {c} fits
+    g_c = (P_C r).a_c / |P_C a_c|^2 at c and R_C^-1 Q_C^T (r - g_c a_c) on
+    C, with log-weight ((P_C r).a_c g_c + |Q_C^T r|^2) / (2 noise_var)
+    - log(|P_C a_c|^2) / 2 - log|det R_C|; so a pair's weighted core
+    magnitudes are one triangular solve R_C^-1 (Q_C^T r sum_c w_c -
+    Q_C^T A (w g)). Core columns weigh 0, PGZ's own support (which every
+    pair reaches) counts once, and a frame's estimate sums its nu pairs'.
+    Each pair holds Q_C^T A and five rows of N floats until its weights
+    are known: bound F to bound them.
     """
-    basis = _decoder(*key)
-    rows, cols = basis.matrix.shape
+    cols = basis.matrix.shape[1]
     est = np.empty((len(residual), cols))
     for nu in np.bincount(sizes).nonzero()[0]:
         group = (sizes == nu).nonzero()[0]
@@ -295,42 +259,41 @@ def _weighted_errors(
             continue
         locs = np.nonzero(support[group])[1].reshape(len(group), nu)
         frames = len(group)
-        m = cols - nu + 1  # supports per core
-        # Pair p = f * nu + i is frame f less its i-th position, keeping row i
-        # of ``kept``; in core order, the pairs that share a core are one slice
-        # and one operator
+        # Pair p = f * nu + i is frame f less its i-th position
         kept = np.nonzero(~np.eye(nu, dtype=bool))[1].reshape(nu, nu - 1)
         cores = locs[:, kept].reshape(-1, nu - 1)
-        keys = cores @ cols ** np.arange(nu - 1)
-        order = np.argsort(keys, kind="stable")
-        bounds = np.r_[0, np.diff(keys[order]).nonzero()[0] + 1, len(order)]
-        res = residual[group[order // nu]]
-        out = np.empty((len(order), 1, m * (nu + rows)))
-        logw = np.empty((len(order), m))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            core = tuple(cores[order[lo]].tolist())
-            ops, logw[lo:hi] = _extension_fits(*key, noise_var, core)
-            np.matmul(res[lo:hi, None], ops, out=out[lo:hi])
-        out = out.reshape(len(order), m, nu + rows)
-        logw -= _mv(out[..., nu:], res)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(order))
-        logw = logw[inverse].reshape(frames, nu * m)
-        # PGZ's support ends up in every core's list, at entry s_i - i of
-        # core i's block; count it once.
-        for i in range(1, nu):
-            logw[np.arange(frames), i * m + locs[:, i] - i] = -np.inf
-        # Pairs in frame order: a pair's fit is its weighted core magnitudes
-        # and, at each added column, that one support's weighted magnitude
-        w = _normalized(logw).reshape(-1, m)
-        mags = out[inverse, :, :nu]
-        del out  # before the frame-order estimates allocate their own
-        added = np.ones((len(order), cols), dtype=bool)
-        added[np.arange(len(order))[:, None], cores] = False
-        pairs = np.empty((len(order), cols))
-        pairs[~added] = _vm(w, mags[..., : nu - 1]).ravel()
-        pairs[added] = (w * mags[..., nu - 1]).ravel()
-        est[group] = pairs.reshape(frames, nu, cols).sum(axis=1)
+        pairs = np.arange(len(cores))
+        ra = np.repeat(_vm(residual[group], basis.matrix), nu, axis=0)  # becomes (P_C r).a_c
+        sq = np.tile(basis.sq, (len(cores), 1))  # becomes |P_C a_c|^2
+        qta = np.empty((len(cores), nu - 1, cols))
+        qtr = np.empty((len(cores), nu - 1))
+        base = np.zeros(len(cores))  # |Q_C^T r|^2 / (2 noise_var) - log|det R_C|
+        for i in range(nu - 1):
+            j = cores[:, i]
+            norm = np.sqrt(sq[pairs, j])
+            row = basis.gram[j]
+            for q in qta[:, :i].transpose(1, 0, 2):
+                row = row - q[pairs, j, None] * q
+            qta[:, i] = row = row / norm[:, None]
+            qtr[:, i] = ra[pairs, j] / norm
+            ra -= qtr[:, i, None] * row
+            sq -= row * row
+            sq[pairs, j] = np.inf  # a core column: fit 0, log-weight -inf
+            base += qtr[:, i] * qtr[:, i] / (2.0 * noise_var) - np.log(norm)
+        g = ra / sq
+        logw = ra * g / (2.0 * noise_var) + base[:, None] - 0.5 * np.log(sq)
+        # PGZ's support is core i plus position i for every i; count it once
+        logw[pairs.reshape(frames, nu)[:, 1:], locs[:, 1:]] = -np.inf
+        w = _normalized(logw.reshape(frames, -1)).reshape(-1, cols)
+        # A pair's fit: at each added column, that one support's weighted
+        # magnitude; at the core's own, the weighted core magnitudes
+        fit = w * g
+        rhs = qtr * w.sum(axis=1)[:, None] - _mv(qta, fit)
+        for i in reversed(range(nu - 1)):  # back-substitution through R_C
+            j = cores[:, i]
+            fit[pairs, j] = mag = rhs[:, i] / qta[pairs, i, j]
+            rhs[:, :i] -= qta[pairs, :i, j] * mag[:, None]
+        est[group] = fit.reshape(frames, nu, cols).sum(axis=1)
     return est
 
 
@@ -366,7 +329,7 @@ def decode_block(
     """``decode`` for a block: rows of the quantized ``values`` (F, n - k)
     that ``encode_block`` sent against rows of the side information y
     (F, frame length). Values must be complex for the syndrome approach
-    and real for parity; the wrong kind raises ValueError."""
+    and real for parity, and finite; others raise ValueError."""
     y = _frames(y, code, approach, "side information")
     values, expected = np.asarray(values), (len(y), code.n - code.k)
     if values.shape != expected:
@@ -375,6 +338,8 @@ def decode_block(
     if np.iscomplexobj(values) != (cands is None):
         kind = "complex" if cands is None else "real"
         raise ValueError(f"{approach} message values must be {kind}, got {values.dtype}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{approach} message values have non-finite samples")
     if cands is None:
         syndromes = _mv(code.H, y) - values
         index, t = slice(None), code.t
@@ -397,7 +362,7 @@ def decode_block(
     fix = pgz.count.nonzero()[0]
     if fix.size:
         x_hat[fix] -= _weighted_errors(
-            (code.n, code.k, approach), residual(fix), support[fix], pgz.count[fix],
+            _decoder(code.n, code.k, approach), residual(fix), support[fix], pgz.count[fix],
             quantizer.sigma_q_sq)
     return DecodedBlock(x_hat, syndromes, pgz, support)
 
@@ -426,7 +391,7 @@ def decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
     A frame whose syndrome sits entirely below the quantization-noise
     floor is declared clean and returned as y unchanged, preserving exact
     recovery when source and side information coincide. Non-finite side
-    information raises ValueError.
+    information or message values raise ValueError.
     """
     decoded = decode_block(code, msg.approach, msg.values[None], msg.quantizer, np.asarray(y)[None])
     estimate = frame_estimate(code, decoded.syndromes, decoded.pgz)

@@ -298,8 +298,8 @@ def _sweep_peak(cfg):
 def test_sweep_memory_does_not_grow_with_grid_or_frames():
     # A decode call holds a bounded number of frames, so the peak stays put
     # when the grid has 4x the points or each point 2x the frames. A
-    # first, untraced sweep fills the decoder's operator cache, which a
-    # later sweep reuses.
+    # first, untraced sweep builds the code and its decoder constants,
+    # which every later sweep reuses.
     cfg = small_config(n=15, k=9, errors_per_frame=2, approaches=("syndrome",),
                        ceqnr_db=(30.0, 40.0), frames=BLOCK_FRAMES)
     sweep(cfg)
@@ -308,13 +308,19 @@ def test_sweep_memory_does_not_grow_with_grid_or_frames():
     assert _sweep_peak(replace(cfg, frames=2 * cfg.frames)) <= 1.1 * peak
 
 
-def test_three_error_weighting_holds_only_each_supports_magnitudes():
-    # A (31,25) decode call of 2,048 three-error frames weighs 3 pairs of 29
-    # supports per frame. Holding each support's 3 magnitudes and 6
-    # projected residuals, not a fit over all 31 positions, keeps the peak
-    # near 21 MiB; 31-wide fits would take about 46 MiB. Allocation sizes do
-    # not depend on timing; an untraced sweep fills the operator cache first.
-    cfg = SweepConfig(n=31, k=25, errors_per_frame=3, ceqnr_db=(30.0,), frames=BLOCK_FRAMES,
+@pytest.mark.parametrize("n, k, errors", [
+    pytest.param(31, 25, 3, id="31-25-3"),
+    pytest.param(31, 21, 5, id="31-21-5"),
+])
+def test_three_error_weighting_holds_only_each_supports_magnitudes(n, k, errors):
+    # A decode call of 2,048 frames weighs nu (frame, dropped position)
+    # pairs per frame, each of which holds its core's nu - 1 projections
+    # Q^T A and five rows over the N = 31 positions, and no per-core
+    # operator: the peak reads about 16 MiB for (31,25) with 3 errors and
+    # 21 MiB for (31,21) with 5, where a cache of per-core operators held
+    # 21 and 95 MiB. Allocation sizes do not depend on timing; an untraced
+    # sweep builds the code and its decoder constants first.
+    cfg = SweepConfig(n=n, k=k, errors_per_frame=errors, ceqnr_db=(30.0,), frames=BLOCK_FRAMES,
                       approaches=("syndrome",), seed=3)
     sweep(cfg)
     assert _sweep_peak(cfg) < 30 * 2**20

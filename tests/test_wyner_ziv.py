@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from dftwz.codes import build_code
-from dftwz.harness import SweepConfig, sweep
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
     APPROACHES,
     _decoder,
-    _extension_fits,
     _weighted_errors,
     compression_ratio,
     decode,
@@ -247,7 +245,8 @@ def _weigh_each_row(key, supports, seed):
     # basis of the (n, k, approach) decoder ``key``, equals its one-row
     # call bitwise and the decoders' rule written out.
     rng = np.random.default_rng(seed)
-    basis = _decoder(*key).matrix
+    decoder = _decoder(*key)
+    basis = decoder.matrix
     rows, cols = basis.shape
     residual = np.empty((len(supports), rows))
     mask = np.zeros((len(supports), cols), dtype=bool)
@@ -256,10 +255,10 @@ def _weigh_each_row(key, supports, seed):
         e = np.zeros(cols)
         e[list(sup)] = rng.choice([0.05, 0.5], len(sup)) * rng.normal(size=len(sup))
         residual[f] = basis @ e + 0.3 * np.sqrt(Q_SY.sigma_q_sq) * rng.normal(size=rows)
-    est = _weighted_errors(key, residual, mask, mask.sum(axis=1), Q_SY.sigma_q_sq)
+    est = _weighted_errors(decoder, residual, mask, mask.sum(axis=1), Q_SY.sigma_q_sq)
     for f, sup in enumerate(supports):
         one = _weighted_errors(
-            key, residual[f : f + 1], mask[f : f + 1], np.array([len(sup)]), Q_SY.sigma_q_sq)
+            decoder, residual[f : f + 1], mask[f : f + 1], np.array([len(sup)]), Q_SY.sigma_q_sq)
         np.testing.assert_array_equal(est[f], one[0])
         want = _direct_correction(basis, residual[f], sup, Q_SY.sigma_q_sq)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
@@ -267,11 +266,26 @@ def _weigh_each_row(key, supports, seed):
 
 def test_frames_sharing_a_core_through_different_positions():
     # {0, 1, 2} dropping 0 and {1, 2, 5} dropping 5 both reach core (1, 2),
-    # so the weighting serves them with one operator; {1, 2, 7} and a
-    # second {0, 1, 2} join that core too, {1, 2} is a smaller support, and
-    # the one-position frames run beside them.
+    # each through its own rank-one steps, whose rows must not mix with
+    # the others'; {1, 2, 7} and a second {0, 1, 2} reach that core too,
+    # {1, 2} is a smaller support, and the one-position frames run beside
+    # them.
     supports = [(0, 1, 2), (2,), (1, 2, 5), (3, 4, 6), (1, 2, 7), (0, 1, 2), (1, 2), (9,)]
     _weigh_each_row((15, 9, "syndrome"), supports, 7)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("n, k, supports, seed", [
+    pytest.param(21, 13, [(0, 5, 9), (1, 2, 3, 12), (4, 7, 11), (0, 6, 8, 10), (1, 2, 3)], 9,
+                 id="21-13"),
+    pytest.param(31, 21, [(2, 9, 14, 20), (0, 1, 5, 11, 17), (3, 4, 6, 19), (7, 8, 10, 13, 16)],
+                 10, id="31-21"),
+])
+def test_deep_cores_weighted_as_the_rule_written_out(approach, n, k, supports, seed):
+    # Cores of 2 to 4 positions, orthonormalized by as many rank-one steps:
+    # (21,13) with supports of 3 and 4 positions and (31,21) with 4 and 5,
+    # some of them runs of adjacent positions.
+    _weigh_each_row((n, k, approach), supports, seed)
 
 
 def test_weights_spanning_more_than_the_exponent_range(rng):
@@ -297,7 +311,8 @@ def test_weights_spanning_more_than_the_exponent_range(rng):
         assert max(rss) / (2 * noise_var) > 2e3  # swaps that drop sup[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        est = _weighted_errors((15, 9, "syndrome"), residual, mask, mask.sum(axis=1), noise_var)
+        est = _weighted_errors(
+            _decoder(15, 9, "syndrome"), residual, mask, mask.sum(axis=1), noise_var)
     for f, sup in enumerate(supports):
         want = _direct_correction(basis, residual[f], sup, noise_var)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
@@ -433,6 +448,21 @@ def test_block_coders_reject_values_of_the_wrong_kind(approach):
         decode_block(C75, approach, values, Q[approach], x + 0.5j)
 
 
+@pytest.mark.parametrize("approach", APPROACHES)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_block_decoder_rejects_non_finite_values(approach, bad):
+    # Caught up front, with the message values named: inside the decoder an
+    # infinite parity value would first warn in a matmul and then fail as a
+    # non-finite syndrome.
+    x = np.zeros((3, frame_length(C75, approach)))
+    values, _ = encode_block(C75, approach, x, Q[approach])
+    values[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{approach} message values have non-finite"):
+            decode_block(C75, approach, values, Q[approach], x)
+
+
 def test_unknown_approach_raises_one_error():
     # Every layer passes the approach name through to wyner_ziv, whose one
     # check names the valid approaches.
@@ -454,28 +484,3 @@ def test_reconstruction_result_is_frozen():
     res = decode(C75, encode(C75, "syndrome", np.zeros(7), Q_SY), np.zeros(7))
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.x_hat = np.ones(7)
-
-
-def test_extension_fits_hold_every_core_of_a_t3_code():
-    # A (31,25) 3-error sweep meets hundreds of cores; each one's fits are
-    # built once, so no entry is evicted and rebuilt.
-    _extension_fits.cache_clear()
-    sweep(SweepConfig(n=31, k=25, errors_per_frame=3, ceqnr_db=(30.0,), frames=512,
-                      approaches=("syndrome",), seed=2))
-    info = _extension_fits.cache_info()
-    assert info.currsize > 256
-    assert info.misses == info.currsize
-
-
-def test_extension_fits_hold_every_core_of_a_t4_code():
-    # A (21,13) 4-error syndrome sweep meets over 1,300 cores. Under a smaller
-    # bound, a second identical sweep rebuilds the cores the first evicted;
-    # with every core held, it builds none.
-    cfg = SweepConfig(n=21, k=13, errors_per_frame=4, ceqnr_db=(30.0, 40.0), frames=512,
-                      approaches=("syndrome",), seed=3)
-    _extension_fits.cache_clear()
-    sweep(cfg)
-    first = _extension_fits.cache_info()
-    sweep(cfg)
-    assert _extension_fits.cache_info().misses == first.misses
-    assert first.currsize > 1300
