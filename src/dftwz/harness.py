@@ -192,6 +192,15 @@ def _trials(
     return np.mean(diff * diff, axis=1), localized, zero_error, overloads
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Free an untouched 16 MiB mmapped buffer once per process: glibc then
+    lifts its mmap and trim thresholds to 16 and 32 MiB (mallopt(3)), so a
+    block's freed temporaries stay in the heap instead of being trimmed and
+    faulted back in by the next block. Other C libraries ignore it."""
+    np.empty(1 << 24, np.uint8)
+
+
 def _run_block(
     cfg: SweepConfig, quantizers: dict[str, QuantizerSpec], channels: list[ChannelSpec],
     task: tuple[str, int, int],
@@ -201,6 +210,7 @@ def _run_block(
     ``quantizers`` holds each approach's transmit quantizer and
     ``channels`` each point's channel; the code comes from build_code's
     memo, built once per process."""
+    _keep_freed_heap()
     approach, start, count = task
     code, source = build_code(cfg.n, cfg.k), SourceSpec(cfg.rho)
     length, approach_id = frame_length(code, approach), APPROACHES.index(approach)

@@ -2,8 +2,13 @@
 
 import functools
 import multiprocessing
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +329,36 @@ def test_three_error_weighting_holds_only_each_supports_magnitudes(n, k, errors)
                       approaches=("syndrome",), seed=3)
     sweep(cfg)
     assert _sweep_peak(cfg) < 30 * 2**20
+
+
+_WARM_FAULTS = """
+import math, resource
+from dftwz.harness import SweepConfig, sweep
+cfg = SweepConfig(approaches=("syndrome",), {})
+sweep(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    sweep(cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's heap thresholds")
+@pytest.mark.parametrize("knobs", [
+    pytest.param("n=15, k=9, errors_per_frame=2, ceqnr_db=(20.0, 30.0, 40.0), frames=256",
+                 id="15-9-2"),
+    pytest.param("ceqnr_db=(-math.inf,), frames=2048", id="7-5-clean"),
+])
+def test_warm_sweeps_do_not_fault_freed_blocks_back_in(knobs):
+    # A fresh interpreter, since this one's earlier allocations may already
+    # have lifted glibc's mmap and trim thresholds. Under the default ones,
+    # glibc trims a block's freed temporaries and the next block faults
+    # them back in: 580–620 (15,9) and 84 (7,5) minor faults per call.
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_FAULTS.format(knobs)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 5
 
 
 @pytest.mark.parametrize("approach", ["syndrome", "parity"])
