@@ -90,7 +90,7 @@ def load_config_file(path: str) -> dict[str, str]:
 _KNOBS = {
     "code": (parse_code, ("n", "k"), "code parameters N,K (odd, N > K)"),
     "approach": (lambda text: APPROACHES if text == "both" else (text,), ("approaches",),
-                 "compression pipeline(s) to simulate: syndrome, parity or both"),
+                 f"compression pipeline(s) to simulate: {', '.join(APPROACHES)} or both"),
     "bits": (int, ("bits",), "quantizer bits per sample"),
     "range": (parse_pair, ("ref_range",), "reference quantizer range LO,HI (defines sigma_q^2)"),
     "syndrome_range": (parse_pair, ("syndrome_range",), "sent syndrome quantizer range LO,HI"),

@@ -189,10 +189,13 @@ def decode_pseudo_inverse(G: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
 
     Because G^T G = (n/k) I, the pseudo-inverse is just a scaled
     transpose; additive noise of variance s2 on the codeword lands on the
-    message with per-sample variance (k/n) s2.
+    message with per-sample variance (k/n) s2. A complex or non-finite
+    y_hat raises ValueError.
     """
-    y_hat = np.asarray(y_hat, dtype=np.float64)
+    y_hat = np.asarray(y_hat)
     n, k = G.shape
     if y_hat.shape != (n,):
         raise ValueError(f"received vector length {y_hat.shape} does not match n = {n}")
+    if np.iscomplexobj(y_hat) or not np.isfinite(y_hat).all():
+        raise ValueError("received vector must be real and finite")
     return (k / n) * (G.T @ y_hat)

@@ -5,17 +5,18 @@ blocks of BLOCK_FRAMES, and a point's block draws its innovations,
 error-position keys and error magnitudes, in that order, from one
 default_rng((master_seed, ceqnr_index, approach_id, start)), approach_id
 being the approach's index in wyner_ziv.APPROACHES and start the index
-of the block's first frame (sources.draw_frames). Blocks start
-at multiples of BLOCK_FRAMES, so it is part of the contract. A task is
-one block of F frames of one approach at every CEQNR point; it draws,
+of the block's first frame (sources.draw_frames). Blocks start at
+multiples of BLOCK_FRAMES, so it is part of the contract. A task is one
+block of F frames of one approach at every CEQNR point; it draws,
 encodes and decodes the blocks of max(1, BLOCK_FRAMES // F) points at a
-time, stacked as one array, through ``wyner_ziv``, which alone maps the approach's name
-to its frame length, what it sends and how it decodes. A task's partial
-sums are one array with a row per point (MSE sum, localized, zero-error
-and overload counts); each point's frames are added in frame order, and
-the tasks' arrays of an approach are added in submission order, so
-identical configuration and seed produce byte-identical CSV for any
-worker count.
+time, stacked as one array, through ``wyner_ziv``, which alone maps an
+approach's name to what it sends and how it decodes; this module names
+no approach and has one ``mse_<a>`` and ``loc_freq_<a>`` column per
+entry a of APPROACHES. A task's partial sums are one array with a row
+per point (MSE sum, localized, zero-error and overload counts); each
+point's frames are added in frame order, and the tasks' arrays of an
+approach are added in submission order, so identical configuration and
+seed produce byte-identical CSV for any worker count.
 
 CEQNR (channel-error-to-quantization-noise ratio) is
 10 log10(sigma_e^2 / sigma_q^2) where sigma_q^2 = step^2 / 12 of the
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import get_type_hints
+from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 
-from .codes import CodeSpec, DftCode, build_code
+from .codes import DftCode, build_code
 from .quantize import BitsError, QuantizerSpec
 from .sources import ChannelSpec, SourceSpec, draw_frames
 from .wyner_ziv import (
@@ -119,17 +119,19 @@ class SweepConfig:
                 raise ValueError(
                     f"CEQNR values must be -inf or finite with a finite sigma_e, got {db}"
                 )
-        t = CodeSpec(self.n, self.k).t  # validates n, k (odd, n > k)
-        if self.errors_per_frame > t:
+        code = build_code(self.n, self.k)  # validates n, k (odd, n > k)
+        if self.errors_per_frame > code.t:
             raise ValueError(
-                f"errors_per_frame = {self.errors_per_frame} exceeds t = {t} "
+                f"errors_per_frame = {self.errors_per_frame} exceeds t = {code.t} "
                 f"of the ({self.n}, {self.k}) code"
             )
-        if "parity" in self.approaches and self.errors_per_frame > self.k:
-            raise ValueError(
-                f"errors_per_frame = {self.errors_per_frame} exceeds the k = {self.k} "
-                "samples of a parity frame"
-            )
+        for approach in self.approaches:
+            length = frame_length(code, approach)
+            if self.errors_per_frame > length:
+                raise ValueError(
+                    f"errors_per_frame = {self.errors_per_frame} exceeds the {length} "
+                    f"samples of a {approach} frame"
+                )
 
     def _quantizer(self, name: str) -> QuantizerSpec:
         """``bits`` on the range field ``name``; an error names bits or the field."""
@@ -153,24 +155,18 @@ class SweepConfig:
         return float(np.sqrt(self.reference_quantizer.sigma_q_sq * 10.0 ** (ceqnr_db / 10.0)))
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One CSV row: aggregated metrics at a single CEQNR value."""
-
-    ceqnr_db: float
-    mse_syndrome: float
-    mse_parity: float
-    sigma_q_sq: float
-    loc_freq_syndrome: float
-    loc_freq_parity: float
-    zero_error_frac: float
-    overload_rate: float
-    frames: int
-
+# One CSV row: a field per column, with one mse_<a> and one loc_freq_<a>
+# per approach a in APPROACHES, in that order.
+SweepPoint = make_dataclass("SweepPoint", [
+    ("ceqnr_db", float), *((f"mse_{a}", float) for a in APPROACHES), ("sigma_q_sq", float),
+    *((f"loc_freq_{a}", float) for a in APPROACHES),
+    ("zero_error_frac", float), ("overload_rate", float), ("frames", int),
+], namespace={"__doc__": "One CSV row: aggregated metrics at a single CEQNR value."}, frozen=True)
+SweepPoint.__module__ = __name__  # make_dataclass's own before 3.12; pickle looks it up here
 
 # The CSV schema is SweepPoint's fields, in order.
 CSV_COLUMNS = tuple(f.name for f in fields(SweepPoint))
-_CELL_TYPES = get_type_hints(SweepPoint)
+_CELL_TYPES = {f.name: f.type for f in fields(SweepPoint)}
 
 
 @dataclass(frozen=True)
@@ -260,21 +256,21 @@ def sweep(config: SweepConfig) -> SweepResult:
         sums[approach] = sums.get(approach, 0.0) + part
     pooled = sum(sums.values())
     nan = np.full((len(config.ceqnr_db), 4), np.nan)
-    syndrome, parity = (sums.get(approach, nan) / config.frames for approach in APPROACHES)
+    columns = {}
+    for approach in APPROACHES:
+        rates = sums.get(approach, nan) / config.frames
+        columns[f"mse_{approach}"], columns[f"loc_freq_{approach}"] = rates[:, 0], rates[:, 1]
     zero = pooled[:, 2] / (config.frames * len(config.approaches))
     overload = pooled[:, 3] / (config.frames * sum(tx_samples(code, a) for a in config.approaches))
     sigma_q_sq = config.reference_quantizer.sigma_q_sq
     return SweepResult(points=tuple(
         SweepPoint(
             ceqnr_db=float(db),
-            mse_syndrome=float(syndrome[ci, 0]),
-            mse_parity=float(parity[ci, 0]),
             sigma_q_sq=sigma_q_sq,
-            loc_freq_syndrome=float(syndrome[ci, 1]),
-            loc_freq_parity=float(parity[ci, 1]),
             zero_error_frac=float(zero[ci]),
             overload_rate=float(overload[ci]),
             frames=config.frames,
+            **{column: float(values[ci]) for column, values in columns.items()},
         )
         for ci, db in enumerate(config.ceqnr_db)
     ))

@@ -35,11 +35,12 @@ x_hat = y - e_hat; they differ only in the basis and the residual that
 e_hat is fitted on.
 
 This module is the one place that maps an approach name to what it
-sends and how it decodes: ``APPROACHES``, ``frame_length``,
-``tx_samples``, ``noise_floor``, and ``encode_block`` and
-``decode_block``, which run a block of frames of either approach as
-arrays. ``encode`` and ``decode`` run them on a block of one frame and
-carry one ``Message`` type, which names its approach.
+sends and how it decodes, through one read-only record per (n, k,
+approach), ``_Approach``, built once per process. ``frame_length``,
+``tx_samples``, ``noise_floor``, ``encode_block`` and ``decode_block``
+(a block of frames as arrays) read its fields, never the name.
+``encode`` and ``decode`` run them on a block of one frame and carry
+one ``Message`` type, which names its approach.
 """
 
 from __future__ import annotations
@@ -117,21 +118,14 @@ class ReconstructionResult:
     error_estimate: ErrorEstimate
 
 
-def _is_syndrome(approach: str) -> bool:
-    """Whether ``approach`` is the syndrome one; a name outside APPROACHES raises."""
-    if approach not in APPROACHES:
-        raise ValueError(f"unknown approach {approach!r}: expected one of {APPROACHES}")
-    return approach == "syndrome"
-
-
 def frame_length(code: DftCode, approach: str) -> int:
     """Source samples per frame: n for the syndrome approach, k for parity."""
-    return code.n if _is_syndrome(approach) else code.k
+    return _approach(code.n, code.k, approach).length
 
 
 def tx_samples(code: DftCode, approach: str) -> int:
     """Real numbers sent per frame: 2(n-k) syndrome parts or n-k parity samples."""
-    return (code.n - code.k) * (2 if _is_syndrome(approach) else 1)
+    return _approach(code.n, code.k, approach).tx
 
 
 def noise_floor(code: DftCode, approach: str, quantizer: QuantizerSpec) -> float:
@@ -139,16 +133,12 @@ def noise_floor(code: DftCode, approach: str, quantizer: QuantizerSpec) -> float
     ``approach`` sends: a syndrome's real and imaginary errors are each
     <= step/2; parity's n - k errors enter through entries of magnitude
     1/sqrt(n)."""
-    if _is_syndrome(approach):
-        floor = quantizer.step / np.sqrt(2.0)
-    else:
-        floor = (code.n - code.k) * quantizer.step / (2.0 * np.sqrt(code.n))
-    return float(floor * _FLOOR_MARGIN)
+    return float(quantizer.step * _approach(code.n, code.k, approach).floor)
 
 
-def _frames(a: np.ndarray, code: DftCode, approach: str, what: str) -> np.ndarray:
-    """``a`` as a float64 (F, frame length) block of real, finite frames."""
-    a, length = np.asarray(a), frame_length(code, approach)
+def _frames(a: np.ndarray, length: int, approach: str, what: str) -> np.ndarray:
+    """``a`` as a float64 (F, length) block of real, finite frames."""
+    a = np.asarray(a)
     if np.iscomplexobj(a):
         raise ValueError(f"{approach} {what} frames must be real, got {a.dtype}")
     a = a.astype(np.float64, copy=False)
@@ -182,12 +172,18 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
     return w
 
 
-class _Decoder(NamedTuple):
-    """PGZ's candidate positions (None: all n), the residual basis
-    (rows, N) and what every fit on it reuses: its Gram matrix A^T A, the
-    squared norms |a|^2 of its columns, and the read-only nu = 1 operators
-    basis / |a|^2 and log(|a|^2) / 2."""
+class _Approach(NamedTuple):
+    """One approach on one (n, k) code: the frame length, the real
+    numbers sent per frame, ``sends`` (H or P_gen: its product with a
+    frame is what is sent), the clean gate's floor per quantizer step,
+    PGZ's candidates (None: all n), and the residual basis (rows, N) with
+    its Gram matrix A^T A, the squared norms |a|^2 of its columns, and the
+    nu = 1 operators basis / |a|^2 and log(|a|^2) / 2, all read-only."""
 
+    length: int
+    tx: int
+    sends: np.ndarray
+    floor: float
     cands: np.ndarray | None
     matrix: np.ndarray
     gram: np.ndarray
@@ -198,25 +194,27 @@ class _Decoder(NamedTuple):
 
 # Two entries per code that build_code keeps, one per approach.
 @functools.lru_cache(maxsize=16)
-def _decoder(n: int, k: int, approach: str) -> _Decoder:
-    """The (n, k) decoder of ``approach``, built once per process; its
-    basis is the real and imaginary parts of the first t rows of H, or
-    P_gen."""
+def _approach(n: int, k: int, approach: str) -> _Approach:
+    """``approach``'s record on the (n, k) code, built once per process;
+    a name outside APPROACHES raises ValueError."""
+    if approach not in APPROACHES:
+        raise ValueError(f"unknown approach {approach!r}: expected one of {APPROACHES}")
     code = build_code(n, k)
-    if _is_syndrome(approach):
+    if approach == "syndrome":
         h = code.H[: code.t]
-        cands, matrix = None, np.vstack([h.real, h.imag])
+        head = (n, 2 * (n - k), code.H, 1.0 / np.sqrt(2.0), None, np.vstack([h.real, h.imag]))
     else:
-        cands, matrix = code.systematic, code.P_gen
+        head = (k, n - k, code.P_gen, (n - k) / (2.0 * np.sqrt(n)), code.systematic, code.P_gen)
+    length, tx, sends, floor, cands, matrix = head
     sq = (matrix * matrix).sum(axis=0)
     arrays = (matrix, matrix.T @ matrix, sq, matrix / sq, 0.5 * np.log(sq))
     for a in arrays:
         a.flags.writeable = False
-    return _Decoder(cands, *arrays)
+    return _Approach(length, tx, sends, float(floor * _FLOOR_MARGIN), cands, *arrays)
 
 
 def _weighted_errors(
-    basis: _Decoder, residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
+    basis: _Approach, residual: np.ndarray, support: np.ndarray, sizes: np.ndarray,
     noise_var: float,
 ) -> np.ndarray:
     """Error estimates (F, N) averaged over each frame's PGZ support and
@@ -304,8 +302,8 @@ def encode_block(
     syndrome H x[f] (real and imaginary parts apart) or the parity
     P_gen x[f]; returns the levels and each frame's number of clipped
     samples, those outside [lo, hi]."""
-    x = _frames(x, code, approach, "source")
-    v = _mv(code.H if _is_syndrome(approach) else code.P_gen, x)
+    rec = _approach(code.n, code.k, approach)
+    v = _mv(rec.sends, _frames(x, rec.length, approach, "source"))
     parts = v.view(np.float64)  # a complex row's real and imaginary parts interleaved
     overloads = np.count_nonzero((parts < quantizer.lo) | (parts > quantizer.hi), axis=1)
     return quantize(quantizer, parts).view(v.dtype), overloads
@@ -330,17 +328,18 @@ def decode_block(
     that ``encode_block`` sent against rows of the side information y
     (F, frame length). Values must be complex for the syndrome approach
     and real for parity, and finite; others raise ValueError."""
-    y = _frames(y, code, approach, "side information")
+    rec = _approach(code.n, code.k, approach)
+    y = _frames(y, rec.length, approach, "side information")
     values, expected = np.asarray(values), (len(y), code.n - code.k)
     if values.shape != expected:
         raise ValueError(f"message values have shape {values.shape}, expected {expected}")
-    cands = _decoder(code.n, code.k, approach).cands
-    if np.iscomplexobj(values) != (cands is None):
-        kind = "complex" if cands is None else "real"
+    sends_complex = np.iscomplexobj(rec.sends)
+    if np.iscomplexobj(values) != sends_complex:
+        kind = "complex" if sends_complex else "real"
         raise ValueError(f"{approach} message values must be {kind}, got {values.dtype}")
     if not np.isfinite(values).all():
         raise ValueError(f"{approach} message values have non-finite samples")
-    if cands is None:
+    if sends_complex:
         syndromes = _mv(code.H, y) - values
         index, t = slice(None), code.t
 
@@ -351,19 +350,18 @@ def decode_block(
         z[:, code.systematic] = y
         z[:, code.parity] = values
         syndromes = _mv(code.H, z)
-        index = cands
+        index = rec.cands
 
         def residual(rows: np.ndarray) -> np.ndarray:
             return _mv(code.P_gen, y[rows]) - values[rows]
     floor = noise_floor(code, approach, quantizer)
-    pgz = _pgz_decode_block(code, syndromes, cands, noise_floor=floor)
+    pgz = _pgz_decode_block(code, syndromes, rec.cands, noise_floor=floor)
     support = pgz.support[:, index]
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
         x_hat[fix] -= _weighted_errors(
-            _decoder(code.n, code.k, approach), residual(fix), support[fix], pgz.count[fix],
-            quantizer.sigma_q_sq)
+            rec, residual(fix), support[fix], pgz.count[fix], quantizer.sigma_q_sq)
     return DecodedBlock(x_hat, syndromes, pgz, support)
 
 

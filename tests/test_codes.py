@@ -169,6 +169,17 @@ def test_decode_pseudo_inverse_dimension_mismatch():
         decode_pseudo_inverse(code.G, np.zeros(6))
 
 
+@pytest.mark.parametrize("y_hat", [
+    pytest.param(np.ones(7) + 1j, id="complex"),  # a cast would decode it as ones(7)
+    pytest.param(np.r_[np.ones(6), np.nan], id="nan"),
+    pytest.param(np.r_[np.inf, np.ones(6)], id="inf"),
+    pytest.param(np.r_[np.ones(3), -np.inf, np.ones(3)], id="-inf"),
+])
+def test_decode_pseudo_inverse_rejects_complex_or_non_finite_input(y_hat):
+    with pytest.raises(ValueError, match="must be real and finite"):
+        decode_pseudo_inverse(build_code(7, 5).G, y_hat)
+
+
 def test_arrays_are_readonly():
     code = build_code(7, 5)
     for arr in (code.G, code.H, code.G_sys, code.P_gen, code.systematic, code.parity):

@@ -1,10 +1,9 @@
 """Midrise quantizer: frozen levels, clipping, idempotence, noise power."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
+from dftwz.codes import build_code
 from dftwz.quantize import QuantizerSpec, quantize
 from dftwz.wyner_ziv import encode_block
 
@@ -26,17 +25,38 @@ def test_quantize_clips_to_edge_level():
     assert quantize(REF, -123.0) == -3.9375
 
 
+def _sent(matrix, x):
+    # What encode_block quantizes: the same stacked per-frame products.
+    return (matrix @ x[..., None])[..., 0]
+
+
 def test_encode_block_counts_clips_per_frame():
-    # A clip is a sample outside [lo, hi]; the edges themselves are in range.
-    # A stand-in code: the parity approach sends x, the syndrome (1+1j) x.
-    code = SimpleNamespace(n=3, k=3, P_gen=np.eye(3), H=(1.0 + 1.0j) * np.eye(3))
-    x = np.array([[5.0, 0.0, -4.5], [4.0, -4.0, 0.1], [9.0, 9.0, -9.0]])
-    values, overloads = encode_block(code, "parity", x, REF)
-    assert overloads.tolist() == [2, 0, 3]
-    np.testing.assert_array_equal(values, quantize(REF, x))
-    # A complex syndrome counts the real and the imaginary parts apart.
-    _, overloads = encode_block(code, "syndrome", x, REF)
-    assert overloads.tolist() == [4, 0, 6]
+    # A clip is a sample outside [lo, hi] = [-4, 4]. Frames of the (7,5)
+    # code are solved (least squares, minimum norm) to send chosen values.
+    code = build_code(7, 5)
+    parities = np.array([[5.0, 0.0], [1.0, -1.0], [9.0, -9.0]])
+    xp = np.linalg.lstsq(code.P_gen, parities.T, rcond=None)[0].T
+    values, overloads = encode_block(code, "parity", xp, REF)
+    assert overloads.tolist() == [1, 0, 2]
+    np.testing.assert_array_equal(values, quantize(REF, _sent(code.P_gen, xp)))
+    # A complex syndrome counts the real and the imaginary parts apart. A
+    # real frame's second syndrome component is the conjugate of its first.
+    first = np.array([5.0 + 0.5j, 1.0 - 1.0j, 0.5 - 5.0j, 5.0 + 5.0j])
+    h = code.H[0]
+    x = np.linalg.lstsq(np.vstack([h.real, h.imag]), np.vstack([first.real, first.imag]),
+                        rcond=None)[0].T
+    sent = _sent(code.H, x)
+    np.testing.assert_allclose(sent, np.column_stack([first, first.conj()]), atol=1e-12)
+    values, overloads = encode_block(code, "syndrome", x, REF)
+    assert overloads.tolist() == [2, 0, 2, 4]
+    np.testing.assert_array_equal(values.real, quantize(REF, sent.real))
+    np.testing.assert_array_equal(values.imag, quantize(REF, sent.imag))
+    # The edges themselves are in range. A code's products do not land on
+    # round edges, so a range is set to end exactly at a frame's parities.
+    lo, hi = sorted(_sent(code.P_gen, xp[1:2])[0])
+    assert encode_block(code, "parity", xp[1:2], QuantizerSpec(6, lo, hi))[1].tolist() == [0]
+    inside = QuantizerSpec(6, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0))
+    assert encode_block(code, "parity", xp[1:2], inside)[1].tolist() == [2]
 
 
 def test_levels_grid():

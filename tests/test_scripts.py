@@ -29,6 +29,17 @@ def test_reproduce_experiment_writes_csv(tmp_path, capsys):
     assert elapsed.endswith("s") and float(elapsed[:-1]) > 0.0
 
 
+def test_reproduce_experiment_prints_only_the_approaches_that_ran(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["--approach", "parity", "--frames", "64", "--out", str(out)]
+    assert _load("reproduce_experiment").main(argv) == 0
+    printed = capsys.readouterr().out
+    table = [ln for ln in printed.splitlines() if not ln.startswith("#")]
+    assert table[0].split() == ["CEQNR", "dB", "mse_par", "loc_par"]
+    assert len(table) == 12
+    assert "syn" not in printed and "nan" not in printed
+
+
 def test_reproduce_experiment_reports_a_bad_flag_as_dftwz_does(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert _load("reproduce_experiment").main(["--bits", "0", "--out", str(out)]) == 2

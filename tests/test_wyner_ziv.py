@@ -15,7 +15,7 @@ from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
     APPROACHES,
-    _decoder,
+    _approach,
     _weighted_errors,
     compression_ratio,
     decode,
@@ -245,7 +245,7 @@ def _weigh_each_row(key, supports, seed):
     # basis of the (n, k, approach) decoder ``key``, equals its one-row
     # call bitwise and the decoders' rule written out.
     rng = np.random.default_rng(seed)
-    decoder = _decoder(*key)
+    decoder = _approach(*key)
     basis = decoder.matrix
     rows, cols = basis.shape
     residual = np.empty((len(supports), rows))
@@ -312,7 +312,7 @@ def test_weights_spanning_more_than_the_exponent_range(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         est = _weighted_errors(
-            _decoder(15, 9, "syndrome"), residual, mask, mask.sum(axis=1), noise_var)
+            _approach(15, 9, "syndrome"), residual, mask, mask.sum(axis=1), noise_var)
     for f, sup in enumerate(supports):
         want = _direct_correction(basis, residual[f], sup, noise_var)
         np.testing.assert_allclose(est[f], want, rtol=1e-8, atol=1e-9)
