@@ -7,12 +7,14 @@ default_rng((master_seed, ceqnr_index, approach_id, start)), approach_id
 being the approach's index in wyner_ziv.APPROACHES and start the index
 of the block's first frame (sources.draw_frames). Blocks start at
 multiples of BLOCK_FRAMES, so it is part of the contract. A task is one
-block of F frames of one approach at every CEQNR point; it draws,
-encodes and decodes the blocks of max(1, BLOCK_FRAMES // F) points at a
-time, stacked as one array, through ``wyner_ziv``, which alone maps an
-approach's name to what it sends and how it decodes; this module names
-no approach and has one ``mse_<a>`` and ``loc_freq_<a>`` column per
-entry a of APPROACHES. A task's partial sums are one array with a row
+block of F frames of one approach at every CEQNR point. It draws the
+blocks of as many points as fit one call's byte budget (_CALL_BYTES),
+one at the least, as one stacked array, and encodes and decodes the
+stack in one call through ``wyner_ziv``, or in slices that fit when one
+block alone exceeds the budget. ``wyner_ziv`` alone maps an approach's
+name to what it sends and how it decodes; this module names no
+approach and has one ``mse_<a>`` and ``loc_freq_<a>`` column per entry
+a of APPROACHES. A task's partial sums are one array with a row
 per point (MSE sum, localized, zero-error and overload counts); each
 point's frames are added in frame order, and the tasks' arrays of an
 approach are added in submission order, so identical configuration and
@@ -60,10 +62,18 @@ __all__ = [
 # of the byte-determinism contract: it fixes which generator draws which
 # frame, and partial sums are accumulated within a block and blocks are
 # reduced in order, so results are independent of how blocks land on
-# workers. It also caps the frames one decode call holds, which is not
-# part of the contract: every product over a stack is a stack of
-# per-frame products.
+# workers.
 BLOCK_FRAMES = 2048
+
+# Bytes one draw-encode-decode call may hold, as _frame_bytes counts
+# them: a task stacks as many whole point blocks as fit, one at the
+# least, and a block that alone exceeds it is decoded in slices that fit.
+# Not part of the contract: every product over a stack is a stack of
+# per-frame products. Per-frame cost falls as a call grows to about
+# 4 MiB and is flat to 24 MiB; 8 MiB puts the default grid of 256
+# frames per point in one call and keeps each array far below the
+# 16 MiB that _keep_freed_heap sets, above which glibc maps it afresh.
+_CALL_BYTES = 8 << 20
 
 # Where the CLI writes the sweep CSV unless given a path.
 DEFAULT_CSV_PATH = "sweep.csv"
@@ -188,6 +198,16 @@ def _trials(
     return np.mean(diff * diff, axis=1), localized, zero_error, overloads
 
 
+def _frame_bytes(code: DftCode, approach: str) -> int:
+    """Bytes a call holds per frame of ``approach`` at its peak: a frame
+    of L samples that PGZ counts t errors in holds t (frame, dropped
+    position) pairs of t + 5 rows of L floats in the weighting, and the
+    draw, the codec and PGZ about 2t + 8 rows more. Within 0.74-1.14x of
+    tracemalloc's per-frame peak at the worst CEQNR, (7,5) to (63,51)."""
+    t = code.t
+    return 8 * frame_length(code, approach) * (t * (t + 7) + 8)
+
+
 @functools.cache
 def _keep_freed_heap() -> None:
     """Free an untouched 16 MiB mmapped buffer once per process: glibc then
@@ -210,14 +230,19 @@ def _run_block(
     approach, start, count = task
     code, source = build_code(cfg.n, cfg.k), SourceSpec(cfg.rho)
     length, approach_id = frame_length(code, approach), APPROACHES.index(approach)
-    points, per = len(channels), max(1, BLOCK_FRAMES // count)
+    fit = max(1, _CALL_BYTES // _frame_bytes(code, approach))  # frames per call
+    points, per = len(channels), max(1, fit // count)
     sums = np.empty((points, 4))
     for lo in range(0, points, per):
         stack = range(lo, min(lo + per, points))
         parts = [(np.random.default_rng((cfg.seed, ci, approach_id, start)), channels[ci], count)
                  for ci in stack]
-        frames = draw_frames(source, length, parts)
-        per_frame = np.column_stack(_trials(code, approach, quantizers[approach], *frames))
+        x, y, hit = draw_frames(source, length, parts)
+        per_frame = np.empty((len(x), 4))
+        for at in range(0, len(x), fit):  # more than one slice only for a lone block
+            rows = slice(at, at + fit)
+            per_frame[rows] = np.column_stack(
+                _trials(code, approach, quantizers[approach], x[rows], y[rows], hit[rows]))
         # one frame at a time, in frame order; np.sum would add pairwise
         sums[stack] = np.add.accumulate(per_frame.reshape(len(stack), count, 4), axis=1)[:, -1]
     return sums

@@ -72,12 +72,13 @@ def draw_frames(
     the stack, elementwise or per row, so a frame's values do not depend
     on the frames drawn beside it. The positions take E argmin passes,
     each masking its pick to +inf: the first minimum, then the next, ties
-    in index order as a stable sort.
+    in index order as a stable sort. No parts, like parts of no frames,
+    give (0, length) arrays.
     """
     errors = {ch.errors_per_frame for _rng, ch, _frames in parts}
-    if len(errors) != 1:
+    if len(errors) > 1:
         raise ValueError(f"parts must share one errors_per_frame, got {sorted(errors)}")
-    (e,) = errors
+    e = errors.pop() if errors else 0
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if e > length:

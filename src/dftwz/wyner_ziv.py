@@ -192,13 +192,18 @@ class _Approach(NamedTuple):
     half_log_sq: np.ndarray
 
 
-# Two entries per code that build_code keeps, one per approach.
-@functools.lru_cache(maxsize=16)
 def _approach(n: int, k: int, approach: str) -> _Approach:
     """``approach``'s record on the (n, k) code, built once per process;
     a name outside APPROACHES raises ValueError."""
-    if approach not in APPROACHES:
+    if approach not in APPROACHES:  # before the lookup, which cannot hash a list
         raise ValueError(f"unknown approach {approach!r}: expected one of {APPROACHES}")
+    return _build_approach(n, k, approach)
+
+
+# Two entries per code that build_code keeps, one per approach.
+@functools.lru_cache(maxsize=16)
+def _build_approach(n: int, k: int, approach: str) -> _Approach:
+    """``_approach``'s construction, for a name it has checked."""
     code = build_code(n, k)
     if approach == "syndrome":
         h = code.H[: code.t]

@@ -276,9 +276,10 @@ def test_point_mse_is_the_frame_order_sum(ceqnr_db, frames):
     # differently, and so does one running sum across blocks, at every
     # point; at seed 12 the blocks added in reverse order do too, at
     # one of the three. 600 frames make one block per point;
-    # 2 * BLOCK_FRAMES + 88 make two full blocks and one of 88. Over 11
-    # points, 600 frames stack 3 points per decode call, so one task
-    # makes 4 stacks, the last of 2 points.
+    # 2 * BLOCK_FRAMES + 88 make two full blocks and one of 88. A task's
+    # blocks at all 3 or 11 points fit one decode call's byte budget, and
+    # test_csv_bytes_do_not_depend_on_the_call_budget holds the bytes of
+    # stacks split or sliced otherwise to these.
     cfg = small_config(approaches=("syndrome",), ceqnr_db=ceqnr_db, frames=frames, seed=12)
     for ci, point in enumerate(sweep(cfg).points):
         total = 0.0
@@ -302,7 +303,7 @@ def _sweep_peak(cfg):
 
 
 def test_sweep_memory_does_not_grow_with_grid_or_frames():
-    # A decode call holds a bounded number of frames, so the peak stays put
+    # A decode call holds a bounded number of bytes, so the peak stays put
     # when the grid has 4x the points or each point 2x the frames. A
     # first, untraced sweep builds the code and its decoder constants,
     # which every later sweep reuses.
@@ -319,17 +320,65 @@ def test_sweep_memory_does_not_grow_with_grid_or_frames():
     pytest.param(31, 21, 5, id="31-21-5"),
 ])
 def test_three_error_weighting_holds_only_each_supports_magnitudes(n, k, errors):
-    # A decode call of 2,048 frames weighs nu (frame, dropped position)
-    # pairs per frame, each of which holds its core's nu - 1 projections
-    # Q^T A and five rows over the N = 31 positions, and no per-core
-    # operator: the peak reads about 16 MiB for (31,25) with 3 errors and
-    # 21 MiB for (31,21) with 5, where a cache of per-core operators held
-    # 21 and 95 MiB. Allocation sizes do not depend on timing; an untraced
+    # The weighting holds, for nu (frame, dropped position) pairs per
+    # frame, its core's nu - 1 projections Q^T A and five rows over the
+    # N = 31 positions, and no per-core operator. Decoded in one call, a
+    # 2,048-frame block peaked at about 16 MiB for (31,25) with 3 errors
+    # and 21 MiB for (31,21) with 5, where a cache of per-core operators
+    # held 21 and 95 MiB; in slices that fit the call budget it peaks at
+    # 7.5 and 6.1 MiB. Allocation sizes do not depend on timing; an untraced
     # sweep builds the code and its decoder constants first.
     cfg = SweepConfig(n=n, k=k, errors_per_frame=errors, ceqnr_db=(30.0,), frames=BLOCK_FRAMES,
                       approaches=("syndrome",), seed=3)
     sweep(cfg)
     assert _sweep_peak(cfg) < 30 * 2**20
+
+
+@pytest.mark.parametrize("n, k, errors", [
+    pytest.param(63, 57, 3, id="63-57-3"),
+    pytest.param(31, 21, 5, id="31-21-5"),
+])
+def test_a_block_above_the_call_budget_decodes_in_slices(n, k, errors):
+    # A 2,048-frame block of these codes holds more than the budget; decoded
+    # whole it peaked at about 31 and 21 MiB, sliced it stays near the budget.
+    cfg = SweepConfig(n=n, k=k, errors_per_frame=errors, ceqnr_db=(30.0,), frames=BLOCK_FRAMES,
+                      approaches=("syndrome",), seed=3)
+    sweep(cfg)
+    assert _sweep_peak(cfg) <= 1.5 * harness._CALL_BYTES
+
+
+def test_default_grid_decodes_in_one_call_per_approach(monkeypatch):
+    # 11 points of 256 frames fit one call's byte budget, so a sweep pays
+    # the fixed cost of a decode call once per approach.
+    calls, decode = [], harness.decode_block
+
+    def counted(code, approach, *args):
+        calls.append(approach)
+        return decode(code, approach, *args)
+
+    monkeypatch.setattr(harness, "decode_block", counted)
+    sweep(SweepConfig(frames=256))
+    assert sorted(calls) == sorted(APPROACHES)
+
+
+@pytest.mark.parametrize("knobs", [
+    pytest.param(dict(), id="7-5-grid"),
+    pytest.param(dict(n=31, k=21, errors_per_frame=5, ceqnr_db=(30.0,)), id="31-21-5"),
+])
+def test_csv_bytes_do_not_depend_on_the_call_budget(monkeypatch, tmp_path, knobs):
+    # A tiny budget decodes every block in slices of 5 to 156 frames; a
+    # huge one decodes a task's blocks at every point in one call. Two full
+    # blocks per point start a pool on 2 workers, whose forked workers
+    # inherit the budget. None of it moves a bit of the CSV.
+    cfg = SweepConfig(frames=2 * BLOCK_FRAMES + 17, seed=4, **knobs)
+    want = tmp_path / "want.csv"
+    write_csv(sweep(cfg), str(want))
+    for budget in (100_003, 1 << 40):
+        monkeypatch.setattr(harness, "_CALL_BYTES", budget)
+        for workers in (1, 2):
+            got = tmp_path / f"{budget}-{workers}.csv"
+            write_csv(sweep(replace(cfg, workers=workers)), str(got))
+            assert got.read_bytes() == want.read_bytes()
 
 
 _WARM_FAULTS = """

@@ -159,8 +159,14 @@ def test_single_error_position_is_the_first_stable_argsort_entry():
 def test_stacked_parts_must_share_errors_per_frame(rng):
     with pytest.raises(ValueError, match="errors_per_frame"):
         draw_frames(SourceSpec(0.9), 7, [(rng, ChannelSpec(1), 4), (rng, ChannelSpec(2), 4)])
-    with pytest.raises(ValueError, match="errors_per_frame"):
-        draw_frames(SourceSpec(0.9), 7, [])
+
+
+def test_no_parts_draw_no_frames(rng):
+    # As a part of no frames does: x, y and the mask, each (0, length).
+    for parts in ([], [(rng, ChannelSpec(2, 1.0), 0)]):
+        x, y, hit = draw_frames(SourceSpec(0.9), 7, parts)
+        assert x.shape == y.shape == hit.shape == (0, 7)
+        assert hit.dtype == bool
 
 
 # sha256 of x, y and hit bytes, concatenated, of the three-part draw below,

@@ -24,6 +24,7 @@ from dftwz.wyner_ziv import (
     encode_block,
     frame_length,
     noise_floor,
+    tx_samples,
 )
 
 C75 = build_code(7, 5)
@@ -465,19 +466,24 @@ def test_block_decoder_rejects_non_finite_values(approach, bad):
 
 def test_unknown_approach_raises_one_error():
     # Every layer passes the approach name through to wyner_ziv, whose one
-    # check names the valid approaches.
+    # check names the valid approaches, also for a name that cannot be
+    # hashed, which the record's cache would reject with a TypeError.
     x = np.zeros((1, 7))
-    calls = (
-        lambda: encode_block(C75, "hybrid", x, Q_SY),
-        lambda: decode_block(C75, "hybrid", np.zeros((1, 2)), Q_SY, x),
-        lambda: compression_ratio(C75, "hybrid"),
-    )
-    messages = set()
-    for call in calls:
-        with pytest.raises(ValueError) as info:
-            call()
-        messages.add(str(info.value))
-    assert messages == {"unknown approach 'hybrid': expected one of ('syndrome', 'parity')"}
+    for name in ("hybrid", ["syndrome"], {"syndrome": 0}):
+        calls = (
+            lambda: frame_length(C75, name),
+            lambda: tx_samples(C75, name),
+            lambda: noise_floor(C75, name, Q_SY),
+            lambda: encode_block(C75, name, x, Q_SY),
+            lambda: decode_block(C75, name, np.zeros((1, 2)), Q_SY, x),
+            lambda: compression_ratio(C75, name),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {f"unknown approach {name!r}: expected one of ('syndrome', 'parity')"}
 
 
 def test_reconstruction_result_is_frozen():
