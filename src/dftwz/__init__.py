@@ -17,7 +17,7 @@ the import of ``codes`` alone. A submodule's name is the submodule, so
 __version__ = "0.1.0"
 
 _SUBMODULE = {name: module for module, names in {
-    "codes": ("CodeSpec", "DftCode", "build_code", "decode_pseudo_inverse"),
+    "codes": ("DftCode", "build_code", "decode_pseudo_inverse"),
     "pgz": ("ErrorEstimate", "pgz_decode"),
     "quantize": ("QuantizerSpec",),
     "sources": ("SourceSpec", "ChannelSpec"),

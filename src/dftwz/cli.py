@@ -21,7 +21,7 @@ from collections.abc import Callable
 from .harness import DEFAULT_CSV_PATH, SweepConfig, sweep, write_csv
 from .wyner_ziv import APPROACHES
 
-__all__ = ["main", "run", "entry", "config_from_argv", "parse_ceqnr_grid", "parse_pair",
+__all__ = ["main", "run", "config_from_argv", "parse_ceqnr_grid", "parse_pair",
            "load_config_file"]
 
 
@@ -184,10 +184,6 @@ def run(argv: "list[str] | None", action: Callable[[SweepConfig, str], None]) ->
 
 def main(argv: "list[str] | None" = None) -> int:
     return run(argv, lambda config, out: write_csv(sweep(config), out))
-
-
-def entry() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

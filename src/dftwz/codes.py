@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CodeSpec",
     "DftCode",
     "build_code",
     "decode_pseudo_inverse",
@@ -52,23 +51,9 @@ def _validate_odd_pair(n: int, k: int) -> None:
 
 
 @dataclass(frozen=True)
-class CodeSpec:
-    """Code parameters: odd n > odd k >= 1, correcting t = (n - k)/2 errors."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        _validate_odd_pair(self.n, self.k)
-
-    @property
-    def t(self) -> int:
-        return (self.n - self.k) // 2
-
-
-@dataclass(frozen=True)
 class DftCode:
-    """A constructed code: all derived matrices and the systematic layout.
+    """A constructed code: the odd pair n > k, correcting t = (n - k)/2
+    errors, with all derived matrices and the systematic layout.
 
     Arrays are read-only, and ``build_code`` hands out one shared instance
     per (n, k), which pickling rebuilds through it; instances are safe to
@@ -79,7 +64,8 @@ class DftCode:
     ``parity``.
     """
 
-    spec: CodeSpec
+    n: int
+    k: int
     G: np.ndarray
     H: np.ndarray
     G_sys: np.ndarray
@@ -89,16 +75,8 @@ class DftCode:
     parity: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def k(self) -> int:
-        return self.spec.k
-
-    @property
     def t(self) -> int:
-        return self.spec.t
+        return (self.n - self.k) // 2
 
     def __reduce__(self):
         # Unpickled arrays would come back writable: rebuild the code instead.
@@ -153,7 +131,6 @@ def build_code(n: int, k: int) -> DftCode:
 @functools.lru_cache(maxsize=8)
 def _build(n: int, k: int) -> DftCode:
     """``build_code``'s construction, for a pair it has validated."""
-    spec = CodeSpec(n, k)
     half = (k - 1) // 2
     occupied = [*range(half + 1), *range(n - half, n)]  # Sigma's nonzero rows, by column
     zero_rows = tuple(range(half + 1, n - half))
@@ -173,7 +150,8 @@ def _build(n: int, k: int) -> DftCode:
             f"max |H G_sys| = {residue:.3e} > {_REAL_TOL:.0e}"
         )
     return DftCode(
-        spec=spec,
+        n=n,
+        k=k,
         G=_freeze(g),
         H=_freeze(h),
         G_sys=_freeze(g_sys),

@@ -318,7 +318,9 @@ def write_csv(result: SweepResult, path: str) -> None:
 
 
 def read_csv(path: str) -> SweepResult:
-    """Inverse of write_csv (up to serialization precision)."""
+    """Inverse of write_csv (up to serialization precision). A foreign
+    header, a row of the wrong length or a cell that does not parse raises
+    ValueError naming the path (and the data row and column)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -327,9 +329,15 @@ def read_csv(path: str) -> SweepResult:
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise ValueError(f"{path!r} does not carry the expected sweep header")
     points = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], 1):
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(f"malformed sweep row: {ln!r}")
-        points.append(SweepPoint(*(_CELL_TYPES[c](v) for c, v in zip(CSV_COLUMNS, cells))))
+            raise ValueError(f"{path!r} row {row}: malformed sweep row {ln!r}")
+        values = []
+        for column, cell in zip(CSV_COLUMNS, cells):
+            try:
+                values.append(_CELL_TYPES[column](cell))
+            except ValueError as exc:
+                raise ValueError(f"{path!r} row {row}, column {column}: {exc}") from None
+        points.append(SweepPoint(*values))
     return SweepResult(points=tuple(points))

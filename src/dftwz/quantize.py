@@ -59,14 +59,12 @@ class QuantizerSpec:
         return self.lo + self.step * (np.arange(self.n_levels) + 0.5)
 
 
-def quantize(q: QuantizerSpec, v: "float | np.ndarray") -> "float | np.ndarray":
-    """Nearest midrise reconstruction level; out-of-range clips to the edge
+def quantize(q: QuantizerSpec, v: "float | np.ndarray") -> np.ndarray:
+    """Nearest midrise reconstruction level of each entry, as a float64
+    array of v's shape (0-d for a scalar); out-of-range clips to the edge
     level. Exact ties between levels resolve upward (floor indexing)."""
     values = np.asarray(v, dtype=np.float64)
     idx = np.floor((values - q.lo) / q.step)
     idx = np.clip(idx, 0, q.n_levels - 1)
-    out = q.lo + (idx + 0.5) * q.step
-    if np.isscalar(v) or np.ndim(v) == 0:
-        return float(out)
-    return out
+    return np.asarray(q.lo + (idx + 0.5) * q.step)
 

@@ -43,8 +43,9 @@ class ChannelSpec:
             raise ValueError(f"errors_per_frame must be an integer, got {e!r}")
         if e < 0:
             raise ValueError(f"errors_per_frame must be >= 0, got {e}")
-        if not self.sigma_e >= 0.0:
-            raise ValueError(f"sigma_e must be >= 0, got {self.sigma_e}")
+        s = self.sigma_e
+        if isinstance(s, (bool, np.bool_)) or not 0.0 <= s < np.inf:
+            raise ValueError(f"sigma_e must be a finite number >= 0, got {s!r}")
 
 
 def draw_frames(

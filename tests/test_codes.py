@@ -8,7 +8,6 @@ import pytest
 
 from dftwz import codes
 from dftwz.codes import (
-    CodeSpec,
     _parity_generator,
     build_code,
     decode_pseudo_inverse,
@@ -33,13 +32,13 @@ def sigma_pattern(n, k):
 @pytest.mark.parametrize("n,k", [(6, 4), (7, 4), (8, 5), (5, 5), (3, 5), (7, 0), (7, -1)])
 def test_spec_rejects_invalid_pairs(n, k):
     with pytest.raises(ValueError):
-        CodeSpec(n, k)
+        build_code(n, k)
 
 
 def test_spec_t():
-    assert CodeSpec(7, 5).t == 1
-    assert CodeSpec(15, 9).t == 3
-    assert CodeSpec(31, 25).t == 3
+    for n, k, t in ((7, 5, 1), (15, 9, 3), (31, 25, 3)):
+        code = build_code(n, k)
+        assert (code.n, code.k, code.t) == (n, k, t)
 
 
 def test_sigma_pattern_7_5_frozen():
@@ -192,7 +191,7 @@ def test_pickled_code_stays_readonly_and_equal(n, k):
     # A spawned pool worker receives the sweep's code pickled.
     code = build_code(n, k)
     copy = pickle.loads(pickle.dumps(code))
-    assert (copy.spec, copy.zero_rows) == (code.spec, code.zero_rows)
+    assert (copy.n, copy.k, copy.zero_rows) == (code.n, code.k, code.zero_rows)
     for name in ("G", "H", "G_sys", "P_gen", "systematic", "parity"):
         arr = getattr(copy, name)
         np.testing.assert_array_equal(arr, getattr(code, name))

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -319,15 +320,17 @@ def test_sweep_memory_does_not_grow_with_grid_or_frames():
     pytest.param(31, 25, 3, id="31-25-3"),
     pytest.param(31, 21, 5, id="31-21-5"),
 ])
-def test_three_error_weighting_holds_only_each_supports_magnitudes(n, k, errors):
+def test_three_error_weighting_holds_only_each_supports_magnitudes(monkeypatch, n, k, errors):
     # The weighting holds, for nu (frame, dropped position) pairs per
     # frame, its core's nu - 1 projections Q^T A and five rows over the
-    # N = 31 positions, and no per-core operator. Decoded in one call, a
-    # 2,048-frame block peaked at about 16 MiB for (31,25) with 3 errors
-    # and 21 MiB for (31,21) with 5, where a cache of per-core operators
-    # held 21 and 95 MiB; in slices that fit the call budget it peaks at
-    # 7.5 and 6.1 MiB. Allocation sizes do not depend on timing; an untraced
-    # sweep builds the code and its decoder constants first.
+    # N = 31 positions, and no per-core operator. A budget no block
+    # reaches decodes the 2,048-frame block in one call, as slices that
+    # fit 8 MiB would hide a heavier weighting: it peaks at 15.7 MiB for
+    # (31,25) with 3 errors and 20.9 MiB for (31,21) with 5, where a
+    # cache of per-core operators held 21 and 95 MiB. Allocation sizes do
+    # not depend on timing; an untraced sweep builds the code and its
+    # decoder constants first.
+    monkeypatch.setattr(harness, "_CALL_BYTES", 2**40)
     cfg = SweepConfig(n=n, k=k, errors_per_frame=errors, ceqnr_db=(30.0,), frames=BLOCK_FRAMES,
                       approaches=("syndrome",), seed=3)
     sweep(cfg)
@@ -534,8 +537,18 @@ def test_sweep_result_pickles_equal_to_itself():
 def test_csv_read_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha,beta\n1,2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
         read_csv(str(bad))
+    # A cell that does not parse names the file, the data row and the column.
+    good = tmp_path / "good.csv"
+    write_csv(sweep(SweepConfig(ceqnr_db=(0.0, 10.0), frames=8)), str(good))
+    header, first, second = good.read_text().splitlines()
+    for column, cell in (("frames", "2.5"), ("mse_syndrome", "abc")):
+        cells = second.split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        bad.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}' row 2, column {column}: ")):
+            read_csv(str(bad))
     with pytest.raises(OSError):
         read_csv(str(tmp_path / "missing.csv"))
 

@@ -108,6 +108,8 @@ def test_spec_validation():
 
 
 def test_scalar_and_array_shapes():
-    assert isinstance(quantize(REF, 1.0), float)
-    out = quantize(REF, np.array([1.0, 2.0]))
-    assert out.shape == (2,)
+    # One return type: a float64 array of the input's shape, 0-d included.
+    for v in (1.0, np.array(1.0), np.array([1.0, 2.0])):
+        out = quantize(REF, v)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.shape == np.shape(v)

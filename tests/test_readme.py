@@ -1,6 +1,7 @@
 """The README's quick start runs as documented, its flag table lists
-exactly the CLI's flags, every public name and its annotations resolve,
-and a fresh interpreter imports only the submodules it uses."""
+exactly the CLI's flags, it names every public name, every public name
+and its annotations resolve, and a fresh interpreter imports only the
+submodules it uses."""
 
 import importlib
 import json
@@ -39,6 +40,13 @@ def test_flag_table_lists_every_cli_flag():
 
 
 _MODULES = ["dftwz"] + [f"dftwz.{m.name}" for m in pkgutil.iter_modules(dftwz.__path__)]
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in dftwz.__all__
+               if name != "__version__" and not re.search(rf"\b{name}\b", text)]
+    assert not missing, f"README.md does not name {missing}"
 
 
 @pytest.mark.parametrize("module", _MODULES)

@@ -2,6 +2,7 @@
 correlation, error model."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ def test_source_spec_validation():
 def test_channel_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(errors_per_frame=-1)
-    with pytest.raises(ValueError):
-        ChannelSpec(sigma_e=-0.1)
+    for sigma_e in (-0.1, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="sigma_e"):
+            ChannelSpec(sigma_e=sigma_e)
 
 
 # 10^6 source samples each, as 1,000 frames of 1,000.
