@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields, make_dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -68,11 +69,12 @@ BLOCK_FRAMES = 2048
 # Bytes one draw-encode-decode call may hold, as _frame_bytes counts
 # them: a task stacks as many whole point blocks as fit, one at the
 # least, and a block that alone exceeds it is decoded in slices that fit.
-# Not part of the contract: every product over a stack is a stack of
-# per-frame products. Per-frame cost falls as a call grows to about
-# 4 MiB and is flat to 24 MiB; 8 MiB puts the default grid of 256
-# frames per point in one call and keeps each array far below the
-# 16 MiB that _keep_freed_heap sets, above which glibc maps it afresh.
+# Not part of the contract: a frame's products, in einsum's loop or one
+# BLAS matrix-vector call per frame (wyner_ziv._mv), are bitwise the same
+# in a call of any size. Per-frame cost falls as a call grows to 4 MiB and
+# is flat to 24 MiB; 8 MiB puts the default grid (256 frames a point) in
+# one call and keeps each array below _keep_freed_heap's 16 MiB, above
+# which glibc maps it afresh.
 _CALL_BYTES = 8 << 20
 
 # Where the CLI writes the sweep CSV unless given a path.
@@ -122,12 +124,13 @@ class SweepConfig:
             raise ValueError("CEQNR grid must be nonempty")
         for db in self.ceqnr_db:  # -inf gives sigma_e = 0
             try:
-                finite = math.isfinite(self.sigma_e(db))
+                real = isinstance(db, Real) and type(db) is not bool
+                finite = real and math.isfinite(self.sigma_e(db))
             except OverflowError:
                 finite = False
             if not finite:
                 raise ValueError(
-                    f"CEQNR values must be -inf or finite with a finite sigma_e, got {db}"
+                    f"CEQNR values must be -inf or finite with a finite sigma_e, got {db!r}"
                 )
         code = build_code(self.n, self.k)  # validates n, k (odd, n > k)
         if self.errors_per_frame > code.t:

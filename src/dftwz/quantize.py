@@ -10,6 +10,7 @@ every MSE reported by the simulation harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -31,6 +32,8 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.bits, (int, np.integer)) or type(self.bits) is bool or self.bits < 1:
             raise BitsError(f"bits = {self.bits!r}: must be a positive integer")
+        if not all(isinstance(e, Real) and type(e) is not bool for e in (self.lo, self.hi)):
+            raise ValueError(f"lo and hi must be real numbers, got {self.lo!r} and {self.hi!r}")
         if not np.isfinite(self.lo) or not np.isfinite(self.hi) or self.hi <= self.lo:
             raise ValueError(f"need finite hi > lo, got [{self.lo}, {self.hi}]")
         try:

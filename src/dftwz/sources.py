@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -25,8 +26,8 @@ class SourceSpec:
     rho: float = 0.9
 
     def __post_init__(self) -> None:
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
+        if type(self.rho) is bool or not isinstance(self.rho, Real) or not abs(self.rho) < 1:
+            raise ValueError(f"rho must be a number in (-1, 1), got {self.rho!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class ChannelSpec:
         if e < 0:
             raise ValueError(f"errors_per_frame must be >= 0, got {e}")
         s = self.sigma_e
-        if isinstance(s, (bool, np.bool_)) or not 0.0 <= s < np.inf:
+        if not isinstance(s, Real) or type(s) is bool or not 0.0 <= s < np.inf:
             raise ValueError(f"sigma_e must be a finite number >= 0, got {s!r}")
 
 

@@ -125,7 +125,7 @@ def frame_length(code: DftCode, approach: str) -> int:
 
 def tx_samples(code: DftCode, approach: str) -> int:
     """Real numbers sent per frame: 2(n-k) syndrome parts or n-k parity samples."""
-    return _approach(code.n, code.k, approach).tx
+    return len(_approach(code.n, code.k, approach).sends)
 
 
 def noise_floor(code: DftCode, approach: str, quantizer: QuantizerSpec) -> float:
@@ -137,11 +137,11 @@ def noise_floor(code: DftCode, approach: str, quantizer: QuantizerSpec) -> float
 
 
 def _frames(a: np.ndarray, length: int, approach: str, what: str) -> np.ndarray:
-    """``a`` as a float64 (F, length) block of real, finite frames."""
+    """``a`` as a C-contiguous float64 (F, length) block of real, finite frames."""
     a = np.asarray(a)
     if np.iscomplexobj(a):
         raise ValueError(f"{approach} {what} frames must be real, got {a.dtype}")
-    a = a.astype(np.float64, copy=False)
+    a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != length:
         raise ValueError(f"{what} frames have shape {a.shape[1:]}, expected ({length},)")
     if not np.isfinite(a).all():
@@ -149,17 +149,24 @@ def _frames(a: np.ndarray, length: int, approach: str, what: str) -> np.ndarray:
     return a
 
 
-# Products over a block are stacks of per-frame matrix-vector products,
-# never one matrix-matrix product: BLAS rounds a matrix-matrix product
-# differently from a matrix-vector one, and a frame's result must not
-# depend on how many frames are decoded beside it.
+# Each frame's product is computed on its own, so its bits never depend on
+# the frames beside it; one BLAS matrix-matrix product's rows would. A
+# matrix of at most _EINSUM_ENTRIES entries per frame takes einsum's loop,
+# faster there than the BLAS matrix-vector call per frame a larger one takes.
+_EINSUM_ENTRIES = 64
+
+
 def _mv(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     """matrix @ v[f] for each row v[f] of v (matrix may be a stack too)."""
+    if matrix.shape[-2] * matrix.shape[-1] <= _EINSUM_ENTRIES:
+        return np.einsum("...ij,...j->...i", matrix, v)
     return (matrix @ v[..., None])[..., 0]
 
 
 def _vm(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """v[f] @ matrix for each row v[f] of v (matrix may be a stack too)."""
+    if matrix.shape[-2] * matrix.shape[-1] <= _EINSUM_ENTRIES:
+        return np.einsum("...i,...ij->...j", v, matrix)
     return (v[..., None, :] @ matrix)[..., 0, :]
 
 
@@ -173,16 +180,18 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
 
 
 class _Approach(NamedTuple):
-    """One approach on one (n, k) code: the frame length, the real
-    numbers sent per frame, ``sends`` (H or P_gen: its product with a
-    frame is what is sent), the clean gate's floor per quantizer step,
-    PGZ's candidates (None: all n), and the residual basis (rows, N) with
-    its Gram matrix A^T A, the squared norms |a|^2 of its columns, and the
-    nu = 1 operators basis / |a|^2 and log(|a|^2) / 2, all read-only."""
+    """One approach on one (n, k) code, all read-only: the frame length;
+    ``sends``, a real row per number sent, whose product with a frame read
+    as type ``sent`` is what is sent; ``parts``, H as rows Re h_0; Im h_0;
+    ..., whose product with a real frame read as complex is its syndrome;
+    the clean gate's floor per quantizer step, PGZ's candidates (None: all
+    n), and the residual basis A (rows, N) with A^T A, the squared norms
+    |a|^2 of its columns and the nu = 1 operators A / |a|^2 and log(|a|^2) / 2."""
 
     length: int
-    tx: int
     sends: np.ndarray
+    sent: type
+    parts: np.ndarray
     floor: float
     cands: np.ndarray | None
     matrix: np.ndarray
@@ -205,17 +214,18 @@ def _approach(n: int, k: int, approach: str) -> _Approach:
 def _build_approach(n: int, k: int, approach: str) -> _Approach:
     """``_approach``'s construction, for a name it has checked."""
     code = build_code(n, k)
+    parts = np.stack([code.H.real, code.H.imag], axis=1).reshape(2 * (n - k), n)
     if approach == "syndrome":
         h = code.H[: code.t]
-        head = (n, 2 * (n - k), code.H, 1.0 / np.sqrt(2.0), None, np.vstack([h.real, h.imag]))
+        head = (n, parts, complex, 1.0 / np.sqrt(2.0), None, np.vstack([h.real, h.imag]))
     else:
-        head = (k, n - k, code.P_gen, (n - k) / (2.0 * np.sqrt(n)), code.systematic, code.P_gen)
-    length, tx, sends, floor, cands, matrix = head
+        head = (k, code.P_gen, float, (n - k) / (2.0 * np.sqrt(n)), code.systematic, code.P_gen)
+    length, sends, sent, floor, cands, matrix = head
     sq = (matrix * matrix).sum(axis=0)
     arrays = (matrix, matrix.T @ matrix, sq, matrix / sq, 0.5 * np.log(sq))
-    for a in arrays:
+    for a in (parts, *arrays):
         a.flags.writeable = False
-    return _Approach(length, tx, sends, float(floor * _FLOOR_MARGIN), cands, *arrays)
+    return _Approach(length, sends, sent, parts, float(floor * _FLOOR_MARGIN), cands, *arrays)
 
 
 def _weighted_errors(
@@ -308,10 +318,9 @@ def encode_block(
     P_gen x[f]; returns the levels and each frame's number of clipped
     samples, those outside [lo, hi]."""
     rec = _approach(code.n, code.k, approach)
-    v = _mv(rec.sends, _frames(x, rec.length, approach, "source"))
-    parts = v.view(np.float64)  # a complex row's real and imaginary parts interleaved
+    parts = _mv(rec.sends, _frames(x, rec.length, approach, "source"))
     overloads = np.count_nonzero((parts < quantizer.lo) | (parts > quantizer.hi), axis=1)
-    return quantize(quantizer, parts).view(v.dtype), overloads
+    return quantize(quantizer, parts).view(rec.sent), overloads
 
 
 class DecodedBlock(NamedTuple):
@@ -338,14 +347,13 @@ def decode_block(
     values, expected = np.asarray(values), (len(y), code.n - code.k)
     if values.shape != expected:
         raise ValueError(f"message values have shape {values.shape}, expected {expected}")
-    sends_complex = np.iscomplexobj(rec.sends)
-    if np.iscomplexobj(values) != sends_complex:
-        kind = "complex" if sends_complex else "real"
+    if np.iscomplexobj(values) != (rec.sent is complex):
+        kind = "complex" if rec.sent is complex else "real"
         raise ValueError(f"{approach} message values must be {kind}, got {values.dtype}")
     if not np.isfinite(values).all():
         raise ValueError(f"{approach} message values have non-finite samples")
-    if sends_complex:
-        syndromes = _mv(code.H, y) - values
+    if rec.sent is complex:
+        syndromes = _mv(rec.parts, y).view(np.complex128) - values
         index, t = slice(None), code.t
 
         def residual(rows: np.ndarray) -> np.ndarray:
@@ -354,7 +362,7 @@ def decode_block(
         z = np.empty((len(y), code.n))
         z[:, code.systematic] = y
         z[:, code.parity] = values
-        syndromes = _mv(code.H, z)
+        syndromes = _mv(rec.parts, z).view(np.complex128)
         index = rec.cands
 
         def residual(rows: np.ndarray) -> np.ndarray:

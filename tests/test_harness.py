@@ -95,6 +95,25 @@ def test_config_rejects_what_a_worker_would(overrides, match):
         SweepConfig(**overrides)
 
 
+# A knob that is no real number, or a bool, raises ValueError naming it,
+# not a TypeError from the arithmetic it would reach.
+@pytest.mark.parametrize("knob, value, match", [
+    ("rho", "0.5", "^rho "),
+    ("rho", False, "^rho "),
+    ("ceqnr_db", (True,), "^CEQNR values"),
+    ("ceqnr_db", (0.0, "10"), "^CEQNR values"),
+    ("ceqnr_db", (None,), "^CEQNR values"),
+    ("ceqnr_db", (1j,), "^CEQNR values"),
+    ("ref_range", (True, 4.0), "^ref_range = "),
+    ("ref_range", ("-4", 4.0), "^ref_range = "),
+    ("syndrome_range", (-1.0, None), "^syndrome_range = "),
+    ("parity_range", (np.True_, 4.0), "^parity_range = "),
+])
+def test_config_rejects_a_knob_that_is_no_real_number(knob, value, match):
+    with pytest.raises(ValueError, match=match):
+        SweepConfig(**{knob: value})
+
+
 def test_config_allows_more_errors_than_k_without_parity():
     assert SweepConfig(n=11, k=3, errors_per_frame=4, approaches=("syndrome",)).k == 3
 

@@ -5,7 +5,7 @@ import pytest
 
 from dftwz.codes import build_code
 from dftwz.quantize import QuantizerSpec, quantize
-from dftwz.wyner_ziv import encode_block
+from dftwz.wyner_ziv import _approach, _mv, encode_block
 
 REF = QuantizerSpec(6, -4.0, 4.0)
 
@@ -25,9 +25,11 @@ def test_quantize_clips_to_edge_level():
     assert quantize(REF, -123.0) == -3.9375
 
 
-def _sent(matrix, x):
-    # What encode_block quantizes: the same stacked per-frame products.
-    return (matrix @ x[..., None])[..., 0]
+def _sent(code, approach, x):
+    # What encode_block quantizes: the package's own per-frame products of
+    # C-contiguous frames, read as the type the approach sends.
+    rec = _approach(code.n, code.k, approach)
+    return _mv(rec.sends, np.ascontiguousarray(x)).view(rec.sent)
 
 
 def test_encode_block_counts_clips_per_frame():
@@ -38,14 +40,14 @@ def test_encode_block_counts_clips_per_frame():
     xp = np.linalg.lstsq(code.P_gen, parities.T, rcond=None)[0].T
     values, overloads = encode_block(code, "parity", xp, REF)
     assert overloads.tolist() == [1, 0, 2]
-    np.testing.assert_array_equal(values, quantize(REF, _sent(code.P_gen, xp)))
+    np.testing.assert_array_equal(values, quantize(REF, _sent(code, "parity", xp)))
     # A complex syndrome counts the real and the imaginary parts apart. A
     # real frame's second syndrome component is the conjugate of its first.
     first = np.array([5.0 + 0.5j, 1.0 - 1.0j, 0.5 - 5.0j, 5.0 + 5.0j])
     h = code.H[0]
     x = np.linalg.lstsq(np.vstack([h.real, h.imag]), np.vstack([first.real, first.imag]),
                         rcond=None)[0].T
-    sent = _sent(code.H, x)
+    sent = _sent(code, "syndrome", x)
     np.testing.assert_allclose(sent, np.column_stack([first, first.conj()]), atol=1e-12)
     values, overloads = encode_block(code, "syndrome", x, REF)
     assert overloads.tolist() == [2, 0, 2, 4]
@@ -53,7 +55,7 @@ def test_encode_block_counts_clips_per_frame():
     np.testing.assert_array_equal(values.imag, quantize(REF, sent.imag))
     # The edges themselves are in range. A code's products do not land on
     # round edges, so a range is set to end exactly at a frame's parities.
-    lo, hi = sorted(_sent(code.P_gen, xp[1:2])[0])
+    lo, hi = sorted(_sent(code, "parity", xp[1:2])[0])
     assert encode_block(code, "parity", xp[1:2], QuantizerSpec(6, lo, hi))[1].tolist() == [0]
     inside = QuantizerSpec(6, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0))
     assert encode_block(code, "parity", xp[1:2], inside)[1].tolist() == [2]

@@ -35,6 +35,18 @@ def test_channel_spec_validation():
             ChannelSpec(sigma_e=sigma_e)
 
 
+@pytest.mark.parametrize("rho", [False, True, np.True_, "0.5", None, 0.5j])
+def test_source_spec_rejects_a_rho_that_is_no_real_number(rho):
+    with pytest.raises(ValueError, match="^rho must be a number"):
+        SourceSpec(rho=rho)
+
+
+@pytest.mark.parametrize("sigma_e", ["1", None, np.True_, 1j])
+def test_channel_spec_rejects_a_sigma_e_that_is_no_real_number(sigma_e):
+    with pytest.raises(ValueError, match="^sigma_e must be a finite number"):
+        ChannelSpec(1, sigma_e)
+
+
 # 10^6 source samples each, as 1,000 frames of 1,000.
 def test_gauss_markov_iid_when_rho_zero(rng):
     assert abs(_lag1(_source(0.0, 1000, rng, 1000))) < 0.02

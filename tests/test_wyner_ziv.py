@@ -15,7 +15,10 @@ from dftwz.quantize import QuantizerSpec
 from dftwz.sources import ChannelSpec, SourceSpec, draw_frames
 from dftwz.wyner_ziv import (
     APPROACHES,
+    _EINSUM_ENTRIES,
     _approach,
+    _mv,
+    _vm,
     _weighted_errors,
     compression_ratio,
     decode,
@@ -146,6 +149,11 @@ def test_two_errors_15_9_no_quantization_exact(rng):
             np.testing.assert_allclose(res.x_hat, x[:length], atol=1e-6)
 
 
+def _syndrome(code, frame):
+    # H @ frame as the decoders form it: the package's own per-frame product.
+    return _mv(_approach(code.n, code.k, "syndrome").parts, frame[None]).view(complex)[0]
+
+
 def test_error_estimate_is_pgz_output(rng):
     # The reported estimate is PGZ's own; only x_hat uses the weighting.
     for _ in range(100):
@@ -155,7 +163,7 @@ def test_error_estimate_is_pgz_output(rng):
         msg = encode(C75, "syndrome", x, Q_SY)
         got = decode(C75, msg, y).error_estimate
         want = pgz_decode(
-            C75, C75.H @ y - msg.values, noise_floor=noise_floor(C75, "syndrome", Q_SY)
+            C75, _syndrome(C75, y) - msg.values, noise_floor=noise_floor(C75, "syndrome", Q_SY)
         )
         assert got.locations == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
@@ -167,7 +175,7 @@ def test_error_estimate_is_pgz_output(rng):
         z[C75.systematic], z[C75.parity] = y[:5], pmsg.values
         want = pgz_decode(
             C75,
-            C75.H @ z,
+            _syndrome(C75, z),
             candidate_set=C75.systematic,
             noise_floor=noise_floor(C75, "parity", Q_PA),
         )
@@ -175,6 +183,63 @@ def test_error_estimate_is_pgz_output(rng):
         assert tuple(C75.systematic[list(got.locations)]) == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
         np.testing.assert_array_equal(got.locator_coeffs, want.locator_coeffs)
+
+
+def _matrices():
+    # name: (product, a 2-D matrix or None, or else the per-frame shape of
+    # a stack): real matrices of the records and H's interleaved parts, on
+    # both sides of the einsum / BLAS size rule, 2-D and stacked.
+    syn75, syn159 = _approach(7, 5, "syndrome"), _approach(15, 9, "syndrome")
+    return {
+        "P_gen (7,5)": (_mv, _approach(7, 5, "parity").sends, None),
+        "P_gen (31,21)": (_mv, _approach(31, 21, "parity").sends, None),
+        "parts of H (7,5)": (_mv, syn75.parts, None),
+        "parts of H (15,9)": (_mv, syn159.parts, None),
+        "unit (7,5)": (_vm, syn75.unit, None),
+        "unit (15,9)": (_vm, syn159.unit, None),
+        "stack 2x15": (_mv, None, (2, 15)),
+        "stack 4x31": (_mv, None, (4, 31)),
+        "stack 15x2": (_vm, None, (15, 2)),
+        "stack 31x4": (_vm, None, (31, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", _matrices())
+def test_each_product_row_equals_its_one_row_call(name):
+    # Every row of a product over a stack of 1-64 frames, at offsets 0-3
+    # into the arrays, equals the call on that row alone bitwise: neither
+    # einsum's loop nor the BLAS matrix-vector stack lets a frame's bits
+    # depend on the frames beside it or on where its row sits in memory.
+    product, matrix, stacked = _matrices()[name]
+    rng = np.random.default_rng(11)
+    if stacked:
+        matrix = rng.normal(size=(67, *stacked))
+    rows, cols = matrix.shape[-2:]
+    v = rng.normal(size=(67, cols if product is _mv else rows))
+
+    def call(i, j):  # the product of frames i to j - 1
+        m = matrix[i:j] if stacked else matrix
+        return _mv(m, v[i:j]) if product is _mv else _vm(v[i:j], m)
+
+    one = np.stack([call(i, i + 1)[0] for i in range(67)])
+    for frames in range(1, 65):
+        for offset in range(4):
+            np.testing.assert_array_equal(call(offset, offset + frames), one[offset:][:frames])
+
+
+def test_products_cover_both_paths_and_read_h_as_complex():
+    # The cases above put _mv and _vm, 2-D and stacked, on both sides of
+    # the size rule, and H's interleaved parts read as complex are H's
+    # products.
+    sides = {
+        (product, stacked is None, np.prod(stacked or matrix.shape) <= _EINSUM_ENTRIES)
+        for product, matrix, stacked in _matrices().values()
+    }
+    assert len(sides) == 8
+    for code in (C75, C159):
+        x = np.random.default_rng(3).normal(size=(5, code.n))
+        parts = _approach(code.n, code.k, "parity").parts
+        np.testing.assert_allclose(_mv(parts, x).view(complex), x @ code.H.T, atol=1e-14)
 
 
 def _direct_correction(basis, r, support, noise_var):
