@@ -150,10 +150,11 @@ class SweepConfig:
         """``bits`` on the range field ``name``; an error names bits or the field."""
         lo_hi = getattr(self, name)
         try:
-            return QuantizerSpec(self.bits, *lo_hi)
+            lo, hi = lo_hi  # TypeError or ValueError unless a pair
+            return QuantizerSpec(self.bits, lo, hi)
         except BitsError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{name} = {lo_hi}: {exc}") from None
 
     @property

@@ -1,18 +1,24 @@
 """Syndrome- and parity-based Wyner-Ziv compression pipelines.
 
-Syndrome approach: the encoder sends the quantized complex syndrome
-s_x = Hx of a length-n source frame (2(n-k) real numbers). The decoder
-holds side information y = x + e, forms s_e_tilde = Hy - s_x_hat, and
-runs PGZ over all n positions.
-
-Parity approach: the encoder sends the quantized parity p = P_gen x of a
-length-k source frame (n-k real numbers). The decoder places y at the
-code's systematic positions and p_hat at its parity positions to form a
-noisy codeword z_tilde, and runs PGZ with candidates restricted to the
-systematic positions (parity samples never carry channel errors). This
-module owns the mapping: message index i is codeword position
-``code.systematic[i]``, and every support or location it returns for a
-parity frame is a message index.
+The encoder sends the quantized complex syndrome s_x = Hx of a length-n
+source frame (syndrome approach, 2(n-k) real numbers) or the quantized
+parity p = P_gen x of a length-k one (parity approach, n-k real
+numbers). Both decoders hold side information y = x + e and the message
+v, and decode the same DFT-code error from one residual
+r = A y - v[pick] = A e - q, q being v's quantization noise, white with
+variance step^2/12. For syndrome, A is the real, then the imaginary
+parts of H's first t = (n-k)/2 rows, and r is the first half of
+Hy - s_x_hat: H's row i is the conjugate of its row 2t-1-i, so the
+decoder never reads the message's last t components. For parity,
+A = P_gen and r = P_gen y - p_hat. PGZ decodes r's ``lift``, a fixed
+real map: for syndrome, the t components of r and then their conjugates
+in reverse order; for parity, -H_P r, H_P being H's columns at the
+parity positions, which is the syndrome H_S y + H_P p_hat of the noisy
+codeword since H_S + H_P P_gen = 0. PGZ searches all n positions for
+syndrome and only the systematic ones for parity (parity samples never
+carry channel errors). This module owns the mapping: message index i is
+codeword position ``code.systematic[i]``, and every support or location
+it returns for a parity frame is a message index.
 
 Both pipelines declare a frame clean when every syndrome component sits
 below a worst-case quantization-noise bound, and then return the side
@@ -22,17 +28,12 @@ source exactly, which is the whole point of binning.
 Otherwise PGZ's support is only the centre of the correction, not the
 correction itself. When the error is small, a neighbouring support fits
 the quantized data almost as well, and committing to the wrong one costs
-about twice the error it should have removed. The decoder therefore
-writes the residual in coordinates where the transmitted quantization
-noise is white with variance step^2/12 (parity: P_gen y - p_hat;
-syndrome: real and imaginary parts of the first (n-k)/2 components of
-Hy - s_x_hat, the rest being their conjugates), fits least-squares
-magnitudes on PGZ's support and on every support that swaps one of its
-positions for another candidate, and takes as e_hat the average of those
-corrections weighted by each support's likelihood
-exp(-rss / (2 step^2/12)) / sqrt(det(A^T A)). Both pipelines reconstruct
-x_hat = y - e_hat; they differ only in the basis and the residual that
-e_hat is fitted on.
+about twice the error it should have removed. The decoder therefore fits
+least-squares magnitudes to r on A's columns, over PGZ's support and
+every support that swaps one of its positions for another candidate, and
+takes as e_hat the average of those corrections weighted by each
+support's likelihood exp(-rss / (2 step^2/12)) / sqrt(det(A^T A)). Both
+pipelines reconstruct x_hat = y - e_hat.
 
 This module is the one place that maps an approach name to what it
 sends and how it decodes, through one read-only record per (n, k,
@@ -182,18 +183,20 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
 class _Approach(NamedTuple):
     """One approach on one (n, k) code, all read-only: the frame length;
     ``sends``, a real row per number sent, whose product with a frame read
-    as type ``sent`` is what is sent; ``parts``, H as rows Re h_0; Im h_0;
-    ..., whose product with a real frame read as complex is its syndrome;
-    the clean gate's floor per quantizer step, PGZ's candidates (None: all
-    n), and the residual basis A (rows, N) with A^T A, the squared norms
-    |a|^2 of its columns and the nu = 1 operators A / |a|^2 and log(|a|^2) / 2."""
+    as type ``sent`` is what is sent; ``pick``, the indices into a
+    message's real view that the residual r = A y - v[pick] reads;
+    ``lift``, real rows whose product with r read as complex is PGZ's
+    syndrome; the clean gate's floor per quantizer step, PGZ's candidates,
+    and A (rows, N) with A^T A, the squared norms |a|^2 of its columns and
+    the nu = 1 operators A / |a|^2 and log(|a|^2) / 2."""
 
     length: int
     sends: np.ndarray
     sent: type
-    parts: np.ndarray
+    pick: np.ndarray
+    lift: np.ndarray
     floor: float
-    cands: np.ndarray | None
+    cands: np.ndarray
     matrix: np.ndarray
     gram: np.ndarray
     sq: np.ndarray
@@ -214,18 +217,26 @@ def _approach(n: int, k: int, approach: str) -> _Approach:
 def _build_approach(n: int, k: int, approach: str) -> _Approach:
     """``_approach``'s construction, for a name it has checked."""
     code = build_code(n, k)
-    parts = np.stack([code.H.real, code.H.imag], axis=1).reshape(2 * (n - k), n)
     if approach == "syndrome":
-        h = code.H[: code.t]
-        head = (n, parts, complex, 1.0 / np.sqrt(2.0), None, np.vstack([h.real, h.imag]))
-    else:
-        head = (k, code.P_gen, float, (n - k) / (2.0 * np.sqrt(n)), code.systematic, code.P_gen)
-    length, sends, sent, floor, cands, matrix = head
+        h, eye = code.H[: code.t], np.eye(code.t)
+        pick = np.concatenate([np.arange(0, n - k, 2), np.arange(1, n - k, 2)])
+        lift = np.block([[eye, 1j * eye], [eye[::-1], -1j * eye[::-1]]])  # s_i; conj(s_i) at 2t-1-i
+        head = (n, _rows(code.H), complex, 1.0 / np.sqrt(2.0), np.arange(n),
+                np.vstack([h.real, h.imag]), pick, _rows(lift))
+    else:  # -H_P r = H_S y + H_P p_hat, as H_S + H_P P_gen = 0
+        head = (k, code.P_gen, float, (n - k) / (2.0 * np.sqrt(n)), code.systematic,
+                code.P_gen, np.arange(n - k), _rows(-code.H[:, code.parity]))
+    length, sends, sent, floor, cands, matrix, pick, lift = head
     sq = (matrix * matrix).sum(axis=0)
     arrays = (matrix, matrix.T @ matrix, sq, matrix / sq, 0.5 * np.log(sq))
-    for a in (parts, *arrays):
+    for a in (sends, pick, lift, cands, *arrays):
         a.flags.writeable = False
-    return _Approach(length, sends, sent, parts, float(floor * _FLOOR_MARGIN), cands, *arrays)
+    return _Approach(length, sends, sent, pick, lift, float(floor * _FLOOR_MARGIN), cands, *arrays)
+
+
+def _rows(m: np.ndarray) -> np.ndarray:
+    """Complex ``m`` as rows Re m_0; Im m_0; ..., a product with which read as complex is m's."""
+    return np.stack([m.real, m.imag], axis=1).reshape(2 * len(m), m.shape[1])
 
 
 def _weighted_errors(
@@ -325,9 +336,9 @@ def encode_block(
 
 class DecodedBlock(NamedTuple):
     """Reconstructions (F, frame length), the syndromes PGZ decoded
-    (F, n - k), its decisions, and its support (F, frame length) over the
-    frame's own indices: codeword positions for the syndrome approach,
-    message indices for the parity approach."""
+    (F, n - k), lifted from the residual, its decisions, and its support
+    (F, frame length) over the frame's own indices: codeword positions for
+    the syndrome approach, message indices for the parity approach."""
 
     x_hat: np.ndarray
     syndromes: np.ndarray
@@ -352,29 +363,18 @@ def decode_block(
         raise ValueError(f"{approach} message values must be {kind}, got {values.dtype}")
     if not np.isfinite(values).all():
         raise ValueError(f"{approach} message values have non-finite samples")
-    if rec.sent is complex:
-        syndromes = _mv(rec.parts, y).view(np.complex128) - values
-        index, t = slice(None), code.t
-
-        def residual(rows: np.ndarray) -> np.ndarray:
-            return np.concatenate([syndromes[rows, :t].real, syndromes[rows, :t].imag], axis=1)
-    else:
-        z = np.empty((len(y), code.n))
-        z[:, code.systematic] = y
-        z[:, code.parity] = values
-        syndromes = _mv(rec.parts, z).view(np.complex128)
-        index = rec.cands
-
-        def residual(rows: np.ndarray) -> np.ndarray:
-            return _mv(code.P_gen, y[rows]) - values[rows]
+    # A Fortran-ordered or strided block has no real view until it is contiguous
+    v = np.ascontiguousarray(values, rec.sent).view(np.float64)
+    residual = _mv(rec.matrix, y) - v[:, rec.pick]
+    syndromes = _mv(rec.lift, residual).view(np.complex128)
     floor = noise_floor(code, approach, quantizer)
     pgz = _pgz_decode_block(code, syndromes, rec.cands, noise_floor=floor)
-    support = pgz.support[:, index]
+    support = pgz.support[:, rec.cands]
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
     if fix.size:
         x_hat[fix] -= _weighted_errors(
-            rec, residual(fix), support[fix], pgz.count[fix], quantizer.sigma_q_sq)
+            rec, residual[fix], support[fix], pgz.count[fix], quantizer.sigma_q_sq)
     return DecodedBlock(x_hat, syndromes, pgz, support)
 
 
@@ -391,12 +391,11 @@ def decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
     """Decode ``msg`` against the side information y with the decoder of
     ``msg.approach`` and undo the estimated channel error.
 
-    Syndrome: PGZ runs on s_e_tilde = Hy - s_x_hat over all n positions.
-    Parity: PGZ runs on the noisy codeword z_tilde, y at
-    ``code.systematic`` and p_hat at ``code.parity``, with candidates
-    restricted to the systematic positions (the parity samples carry only
-    quantization noise, which the noise floor absorbs); its locations are
-    message indices 0..k-1. PGZ gives the reported ``error_estimate``;
+    PGZ runs on the lift of the residual r = A y - v[pick] (module
+    docstring), over all n positions for syndrome and over the systematic
+    positions for parity (the parity samples carry only quantization
+    noise, which the noise floor absorbs), whose locations are message
+    indices 0..k-1. PGZ gives the reported ``error_estimate``;
     x_hat = y - e_hat, where e_hat is the likelihood-weighted average over
     PGZ's support and its single swaps described in the module docstring.
     A frame whose syndrome sits entirely below the quantization-noise

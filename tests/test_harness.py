@@ -95,8 +95,9 @@ def test_config_rejects_what_a_worker_would(overrides, match):
         SweepConfig(**overrides)
 
 
-# A knob that is no real number, or a bool, raises ValueError naming it,
-# not a TypeError from the arithmetic it would reach.
+# A knob that is no real number, or a bool, or a range that is no pair,
+# raises ValueError naming it, not a TypeError from the arithmetic or the
+# unpacking it would reach.
 @pytest.mark.parametrize("knob, value, match", [
     ("rho", "0.5", "^rho "),
     ("rho", False, "^rho "),
@@ -108,6 +109,9 @@ def test_config_rejects_what_a_worker_would(overrides, match):
     ("ref_range", ("-4", 4.0), "^ref_range = "),
     ("syndrome_range", (-1.0, None), "^syndrome_range = "),
     ("parity_range", (np.True_, 4.0), "^parity_range = "),
+    ("ref_range", (-1.0, 0.0, 4.0), "^ref_range = "),
+    ("ref_range", 4.0, "^ref_range = "),
+    ("parity_range", (1.0,), "^parity_range = "),
 ])
 def test_config_rejects_a_knob_that_is_no_real_number(knob, value, match):
     with pytest.raises(ValueError, match=match):

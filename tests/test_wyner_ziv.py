@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dftwz import wyner_ziv
 from dftwz.codes import build_code
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec
@@ -149,22 +150,26 @@ def test_two_errors_15_9_no_quantization_exact(rng):
             np.testing.assert_allclose(res.x_hat, x[:length], atol=1e-6)
 
 
-def _syndrome(code, frame):
-    # H @ frame as the decoders form it: the package's own per-frame product.
-    return _mv(_approach(code.n, code.k, "syndrome").parts, frame[None]).view(complex)[0]
+def _lifted(code, approach, y, values):
+    # PGZ's input as the decoder forms it: the record's residual and lift.
+    rec = _approach(code.n, code.k, approach)
+    residual = _mv(rec.matrix, y[None]) - values.view(float)[None, rec.pick]
+    return _mv(rec.lift, residual).view(complex)[0]
 
 
 def test_error_estimate_is_pgz_output(rng):
     # The reported estimate is PGZ's own; only x_hat uses the weighting.
+    # PGZ's input, lifted from the residual, is Hy - s_x_hat for syndrome
+    # and the noisy codeword's syndrome Hz for parity, up to rounding.
     for _ in range(100):
         x = _source_frame(7, rng)
         y = x.copy()
         y[int(rng.integers(7))] += 0.05 * rng.normal()
         msg = encode(C75, "syndrome", x, Q_SY)
         got = decode(C75, msg, y).error_estimate
-        want = pgz_decode(
-            C75, _syndrome(C75, y) - msg.values, noise_floor=noise_floor(C75, "syndrome", Q_SY)
-        )
+        syndrome = _lifted(C75, "syndrome", y, msg.values)
+        np.testing.assert_allclose(syndrome, C75.H @ y - msg.values, rtol=0, atol=1e-14)
+        want = pgz_decode(C75, syndrome, noise_floor=noise_floor(C75, "syndrome", Q_SY))
         assert got.locations == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
         np.testing.assert_array_equal(got.locator_coeffs, want.locator_coeffs)
@@ -173,9 +178,11 @@ def test_error_estimate_is_pgz_output(rng):
         got = decode(C75, pmsg, y[:5]).error_estimate
         z = np.empty(7)
         z[C75.systematic], z[C75.parity] = y[:5], pmsg.values
+        syndrome = _lifted(C75, "parity", y[:5], pmsg.values)
+        np.testing.assert_allclose(syndrome, C75.H @ z, rtol=0, atol=1e-14)
         want = pgz_decode(
             C75,
-            _syndrome(C75, z),
+            syndrome,
             candidate_set=C75.systematic,
             noise_floor=noise_floor(C75, "parity", Q_PA),
         )
@@ -187,14 +194,18 @@ def test_error_estimate_is_pgz_output(rng):
 
 def _matrices():
     # name: (product, a 2-D matrix or None, or else the per-frame shape of
-    # a stack): real matrices of the records and H's interleaved parts, on
-    # both sides of the einsum / BLAS size rule, 2-D and stacked.
+    # a stack): real matrices of the records, H's interleaved parts and
+    # the lifts among them, on both sides of the einsum / BLAS size rule,
+    # 2-D and stacked.
     syn75, syn159 = _approach(7, 5, "syndrome"), _approach(15, 9, "syndrome")
     return {
         "P_gen (7,5)": (_mv, _approach(7, 5, "parity").sends, None),
         "P_gen (31,21)": (_mv, _approach(31, 21, "parity").sends, None),
-        "parts of H (7,5)": (_mv, syn75.parts, None),
-        "parts of H (15,9)": (_mv, syn159.parts, None),
+        "parts of H (7,5)": (_mv, syn75.sends, None),
+        "parts of H (15,9)": (_mv, syn159.sends, None),
+        "syndrome lift (7,5)": (_mv, syn75.lift, None),
+        "syndrome lift (15,9)": (_mv, syn159.lift, None),
+        "parity lift (15,9)": (_mv, _approach(15, 9, "parity").lift, None),
         "unit (7,5)": (_vm, syn75.unit, None),
         "unit (15,9)": (_vm, syn159.unit, None),
         "stack 2x15": (_mv, None, (2, 15)),
@@ -238,7 +249,7 @@ def test_products_cover_both_paths_and_read_h_as_complex():
     assert len(sides) == 8
     for code in (C75, C159):
         x = np.random.default_rng(3).normal(size=(5, code.n))
-        parts = _approach(code.n, code.k, "parity").parts
+        parts = _approach(code.n, code.k, "syndrome").sends
         np.testing.assert_allclose(_mv(parts, x).view(complex), x @ code.H.T, atol=1e-14)
 
 
@@ -527,6 +538,59 @@ def test_block_decoder_rejects_non_finite_values(approach, bad):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=f"^{approach} message values have non-finite"):
             decode_block(C75, approach, values, Q[approach], x)
+
+
+def _two_error_block(approach, rng, frames=48):
+    # (15,9) frames, what approach sends of them, and side information
+    # with two errors each, small enough to be gated clean or large enough
+    # to be weighted.
+    length = frame_length(C159, approach)
+    x = draw_frames(SourceSpec(0.9), length, [(rng, ChannelSpec(0), frames)])[0]
+    y = x.copy()
+    locs = np.argsort(rng.random((frames, length)), axis=1)[:, :2]
+    sizes = rng.choice([0.01, 0.1, 1.0], (frames, 1)) * rng.normal(size=(frames, 2))
+    np.put_along_axis(y, locs, np.take_along_axis(y, locs, axis=1) + sizes, axis=1)
+    return x, encode_block(C159, approach, x, Q[approach])[0], y
+
+
+def _assert_blocks_equal(got, want):
+    # Every array of two DecodedBlocks, PGZ's decisions among them, bitwise.
+    for a, b in zip((*got[:2], *got.pgz, got.support), (*want[:2], *want.pgz, want.support)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_non_contiguous_blocks_decode_as_contiguous_ones(rng, approach):
+    # A Fortran-ordered or strided block has no real view of its own; the
+    # decoder reads it as its C-ordered copy, bit for bit.
+    _, values, y = _two_error_block(approach, rng)
+    want = decode_block(C159, approach, values, Q[approach], y)
+    strided_values = np.repeat(values, 2, axis=1)[:, ::2]
+    strided_y = np.repeat(y, 3, axis=0)[::3]
+    for v, side in ((np.asfortranarray(values), np.asfortranarray(y)), (strided_values, strided_y)):
+        assert not (v.flags.c_contiguous and side.flags.c_contiguous)
+        _assert_blocks_equal(decode_block(C159, approach, v, Q[approach], side), want)
+
+
+def test_a_third_approach_runs_through_the_record(monkeypatch, rng):
+    # A name that _build_approach builds as it builds parity's record
+    # encodes and decodes through the record alone, with no change to the
+    # code, and bit for bit as parity does.
+    monkeypatch.setattr(wyner_ziv, "APPROACHES", (*APPROACHES, "relay"))
+    x, values, y = _two_error_block("parity", rng)
+    for code in (C75, C159):
+        for f in (frame_length, tx_samples, compression_ratio):
+            assert f(code, "relay") == f(code, "parity")
+        assert noise_floor(code, "relay", Q_PA) == noise_floor(code, "parity", Q_PA)
+    sent = [encode_block(C159, a, x, Q_PA) for a in ("relay", "parity")]
+    for got, want in zip(*sent):
+        np.testing.assert_array_equal(got, want)
+    want = decode_block(C159, "parity", values, Q_PA, y)
+    _assert_blocks_equal(decode_block(C159, "relay", values, Q_PA, y), want)
+    got, want = (decode(C159, encode(C159, a, x[0], Q_PA), y[0]) for a in ("relay", "parity"))
+    np.testing.assert_array_equal(got.x_hat, want.x_hat)
+    assert got.error_estimate.locations == want.error_estimate.locations
+    np.testing.assert_array_equal(got.error_estimate.magnitudes, want.error_estimate.magnitudes)
 
 
 def test_unknown_approach_raises_one_error():
