@@ -1,20 +1,21 @@
 """Syndrome- and parity-based Wyner-Ziv compression pipelines.
 
-The encoder sends the quantized complex syndrome s_x = Hx of a length-n
-source frame (syndrome approach, 2(n-k) real numbers) or the quantized
-parity p = P_gen x of a length-k one (parity approach, n-k real
-numbers). Both decoders hold side information y = x + e and the message
-v, and decode the same DFT-code error from one residual
-r = A y - v[pick] = A e - q, q being v's quantization noise, white with
-variance step^2/12. For syndrome, A is the real, then the imaginary
-parts of H's first t = (n-k)/2 rows, and r is the first half of
-Hy - s_x_hat: H's row i is the conjugate of its row 2t-1-i, so the
-decoder never reads the message's last t components. For parity,
-A = P_gen and r = P_gen y - p_hat. PGZ decodes r's ``lift``, a fixed
-real map: for syndrome, the t components of r and then their conjugates
-in reverse order; for parity, -H_P r, H_P being H's columns at the
-parity positions, which is the syndrome H_S y + H_P p_hat of the noisy
-codeword since H_S + H_P P_gen = 0. PGZ searches all n positions for
+A message is a frame's real numbers ``sends @ x``, quantized: for the
+syndrome approach, the complex syndrome s_x = Hx of a length-n frame as
+the real, then the imaginary parts of its first t = (n-k)/2 components,
+and then the same of its last t (2(n-k) numbers); for the parity
+approach, the parity p = P_gen x of a length-k frame (n-k numbers).
+Both decoders hold side information y = x + e and the message v, and
+decode the same DFT-code error from one residual
+r = A y - v[:n-k] = A e - q, A being ``sends``' first n-k rows and q
+v's quantization noise, white with variance step^2/12. For syndrome,
+r is the first half of Hy - s_x_hat: H's row i is the conjugate of its
+row 2t-1-i, so the decoder never reads the message's last t
+components. For parity, r = P_gen y - p_hat. PGZ decodes r's ``lift``,
+a fixed real map: for syndrome, the t components of r and then their
+conjugates in reverse order; for parity, -H_P r, H_P being H's columns
+at the parity positions, which is the syndrome H_S y + H_P p_hat of the
+noisy codeword since H_S + H_P P_gen = 0. PGZ searches all n positions for
 syndrome and only the systematic ones for parity (parity samples never
 carry channel errors). This module owns the mapping: message index i is
 codeword position ``code.systematic[i]``, and every support or location
@@ -38,7 +39,7 @@ pipelines reconstruct x_hat = y - e_hat.
 This module is the one place that maps an approach name to what it
 sends and how it decodes, through one read-only record per (n, k,
 approach), ``_Approach``, built once per process. ``frame_length``,
-``tx_samples``, ``noise_floor``, ``encode_block`` and ``decode_block``
+``tx_samples``, ``encode_block`` and ``decode_block``
 (a block of frames as arrays) read its fields, never the name.
 ``encode`` and ``decode`` run them on a block of one frame and carry
 one ``Message`` type, which names its approach.
@@ -70,7 +71,6 @@ __all__ = [
     "encode_block",
     "decode_block",
     "DecodedBlock",
-    "noise_floor",
     "DEFAULT_SYNDROME_RANGE",
     "DEFAULT_PARITY_RANGE",
 ]
@@ -95,9 +95,9 @@ _FLOOR_MARGIN = 1.0 + 1e-9
 
 @dataclass(frozen=True)
 class Message:
-    """One frame's quantized samples, n - k of them: the complex syndrome
-    Hx for the syndrome approach, its real and imaginary parts each
-    reconstruction levels of ``quantizer``, or the parity P_gen x."""
+    """One frame's quantized real numbers, ``tx_samples`` of them, each a
+    reconstruction level of ``quantizer``: the parts of the syndrome Hx
+    in the order the module docstring gives, or the parity P_gen x."""
 
     approach: str
     values: np.ndarray
@@ -127,14 +127,6 @@ def frame_length(code: DftCode, approach: str) -> int:
 def tx_samples(code: DftCode, approach: str) -> int:
     """Real numbers sent per frame: 2(n-k) syndrome parts or n-k parity samples."""
     return len(_approach(code.n, code.k, approach).sends)
-
-
-def noise_floor(code: DftCode, approach: str, quantizer: QuantizerSpec) -> float:
-    """Worst-case |syndrome component| of the quantization noise on what
-    ``approach`` sends: a syndrome's real and imaginary errors are each
-    <= step/2; parity's n - k errors enter through entries of magnitude
-    1/sqrt(n)."""
-    return float(quantizer.step * _approach(code.n, code.k, approach).floor)
 
 
 def _frames(a: np.ndarray, length: int, approach: str, what: str) -> np.ndarray:
@@ -182,18 +174,18 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
 
 class _Approach(NamedTuple):
     """One approach on one (n, k) code, all read-only: the frame length;
-    ``sends``, a real row per number sent, whose product with a frame read
-    as type ``sent`` is what is sent; ``pick``, the indices into a
-    message's real view that the residual r = A y - v[pick] reads;
-    ``lift``, real rows whose product with r read as complex is PGZ's
-    syndrome; the clean gate's floor per quantizer step, PGZ's candidates,
-    and A (rows, N) with A^T A, the squared norms |a|^2 of its columns and
-    the nu = 1 operators A / |a|^2 and log(|a|^2) / 2."""
+    ``sends``, a real row per number sent, whose product with a frame is
+    what is sent; ``lift``, real rows whose product with the residual
+    r = A y - v[:n-k] read as complex is PGZ's syndrome; the clean gate's
+    worst-case |syndrome component| of the quantization noise per
+    quantizer step (a syndrome's real and imaginary errors are each
+    <= step/2; parity's n - k errors enter through entries of magnitude
+    1/sqrt(n)); PGZ's candidates; and A = sends[:n-k] (n-k, N) with A^T A,
+    the squared norms |a|^2 of its columns and the nu = 1 operators
+    A / |a|^2 and log(|a|^2) / 2."""
 
     length: int
     sends: np.ndarray
-    sent: type
-    pick: np.ndarray
     lift: np.ndarray
     floor: float
     cands: np.ndarray
@@ -217,26 +209,27 @@ def _approach(n: int, k: int, approach: str) -> _Approach:
 def _build_approach(n: int, k: int, approach: str) -> _Approach:
     """``_approach``'s construction, for a name it has checked."""
     code = build_code(n, k)
-    if approach == "syndrome":
-        h, eye = code.H[: code.t], np.eye(code.t)
-        pick = np.concatenate([np.arange(0, n - k, 2), np.arange(1, n - k, 2)])
+    if approach == "syndrome":  # Re, Im of H's first t rows, then of its last t
+        eye = np.eye(code.t)
         lift = np.block([[eye, 1j * eye], [eye[::-1], -1j * eye[::-1]]])  # s_i; conj(s_i) at 2t-1-i
-        head = (n, _rows(code.H), complex, 1.0 / np.sqrt(2.0), np.arange(n),
-                np.vstack([h.real, h.imag]), pick, _rows(lift))
+        head = (n, _rows(code.H.reshape(2, code.t, n)), 1.0 / np.sqrt(2.0), np.arange(n),
+                _rows(lift))
     else:  # -H_P r = H_S y + H_P p_hat, as H_S + H_P P_gen = 0
-        head = (k, code.P_gen, float, (n - k) / (2.0 * np.sqrt(n)), code.systematic,
-                code.P_gen, np.arange(n - k), _rows(-code.H[:, code.parity]))
-    length, sends, sent, floor, cands, matrix, pick, lift = head
+        head = (k, code.P_gen, (n - k) / (2.0 * np.sqrt(n)), code.systematic,
+                _rows(-code.H[:, code.parity]))
+    length, sends, floor, cands, lift = head
+    matrix = sends[: n - k]
     sq = (matrix * matrix).sum(axis=0)
     arrays = (matrix, matrix.T @ matrix, sq, matrix / sq, 0.5 * np.log(sq))
-    for a in (sends, pick, lift, cands, *arrays):
+    for a in (sends, lift, cands, *arrays):
         a.flags.writeable = False
-    return _Approach(length, sends, sent, pick, lift, float(floor * _FLOOR_MARGIN), cands, *arrays)
+    return _Approach(length, sends, lift, float(floor * _FLOOR_MARGIN), cands, *arrays)
 
 
 def _rows(m: np.ndarray) -> np.ndarray:
-    """Complex ``m`` as rows Re m_0; Im m_0; ..., a product with which read as complex is m's."""
-    return np.stack([m.real, m.imag], axis=1).reshape(2 * len(m), m.shape[1])
+    """Complex ``m``, rows or blocks of rows, as real rows Re m_0; Im m_0; Re m_1; ...;
+    for rows, a product with them read as complex is m's."""
+    return np.stack([m.real, m.imag], axis=1).reshape(-1, m.shape[-1])
 
 
 def _weighted_errors(
@@ -324,14 +317,15 @@ def _weighted_errors(
 def encode_block(
     code: DftCode, approach: str, x: np.ndarray, quantizer: QuantizerSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize what ``approach`` sends of each row x[f] of x: the complex
-    syndrome H x[f] (real and imaginary parts apart) or the parity
-    P_gen x[f]; returns the levels and each frame's number of clipped
-    samples, those outside [lo, hi]."""
+    """Quantize what ``approach`` sends of each row x[f] of x, the real
+    numbers ``sends @ x[f]``: the parts of the syndrome H x[f] or the
+    parity P_gen x[f]; returns the levels, a C-contiguous float64
+    (F, tx_samples) block, and each frame's number of clipped samples,
+    those outside [lo, hi]."""
     rec = _approach(code.n, code.k, approach)
     parts = _mv(rec.sends, _frames(x, rec.length, approach, "source"))
     overloads = np.count_nonzero((parts < quantizer.lo) | (parts > quantizer.hi), axis=1)
-    return quantize(quantizer, parts).view(rec.sent), overloads
+    return quantize(quantizer, parts), overloads
 
 
 class DecodedBlock(NamedTuple):
@@ -349,26 +343,18 @@ class DecodedBlock(NamedTuple):
 def decode_block(
     code: DftCode, approach: str, values: np.ndarray, quantizer: QuantizerSpec, y: np.ndarray
 ) -> DecodedBlock:
-    """``decode`` for a block: rows of the quantized ``values`` (F, n - k)
-    that ``encode_block`` sent against rows of the side information y
-    (F, frame length). Values must be complex for the syndrome approach
-    and real for parity, and finite; others raise ValueError."""
+    """``decode`` for a block: rows of the quantized ``values``
+    (F, tx_samples) that ``encode_block`` sent against rows of the side
+    information y (F, frame length). Both must be real and finite, and
+    hold as many frames; others raise ValueError."""
     rec = _approach(code.n, code.k, approach)
     y = _frames(y, rec.length, approach, "side information")
-    values, expected = np.asarray(values), (len(y), code.n - code.k)
-    if values.shape != expected:
-        raise ValueError(f"message values have shape {values.shape}, expected {expected}")
-    if np.iscomplexobj(values) != (rec.sent is complex):
-        kind = "complex" if rec.sent is complex else "real"
-        raise ValueError(f"{approach} message values must be {kind}, got {values.dtype}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{approach} message values have non-finite samples")
-    # A Fortran-ordered or strided block has no real view until it is contiguous
-    v = np.ascontiguousarray(values, rec.sent).view(np.float64)
-    residual = _mv(rec.matrix, y) - v[:, rec.pick]
+    v = _frames(values, len(rec.sends), approach, "message")
+    if len(v) != len(y):
+        raise ValueError(f"message has {len(v)} frames, side information {len(y)}")
+    residual = _mv(rec.matrix, y) - v[:, : code.n - code.k]
     syndromes = _mv(rec.lift, residual).view(np.complex128)
-    floor = noise_floor(code, approach, quantizer)
-    pgz = _pgz_decode_block(code, syndromes, rec.cands, noise_floor=floor)
+    pgz = _pgz_decode_block(code, syndromes, rec.cands, noise_floor=quantizer.step * rec.floor)
     support = pgz.support[:, rec.cands]
     x_hat = y.copy()
     fix = pgz.count.nonzero()[0]
@@ -391,7 +377,7 @@ def decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
     """Decode ``msg`` against the side information y with the decoder of
     ``msg.approach`` and undo the estimated channel error.
 
-    PGZ runs on the lift of the residual r = A y - v[pick] (module
+    PGZ runs on the lift of the residual r = A y - v[:n-k] (module
     docstring), over all n positions for syndrome and over the systematic
     positions for parity (the parity samples carry only quantization
     noise, which the noise floor absorbs), whose locations are message

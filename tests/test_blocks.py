@@ -155,6 +155,10 @@ GOLDEN_CONFIGS = {
     "golden_31_25.csv": dict(
         n=31, k=25, errors_per_frame=3, ceqnr_db=(20.0, 40.0), frames=512
     ),
+    # t = 5: 5x5 locator solves and cores of up to four positions
+    "golden_31_21.csv": dict(
+        n=31, k=21, errors_per_frame=5, ceqnr_db=(20.0, 40.0), frames=256
+    ),
 }
 
 

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from dftwz.codes import DftCode, build_code
 from dftwz.pgz import pgz_decode
 from dftwz.quantize import QuantizerSpec, quantize
-from dftwz.wyner_ziv import APPROACHES, compression_ratio, encode, frame_length, tx_samples
+from dftwz.wyner_ziv import (
+    APPROACHES,
+    compression_ratio,
+    decode_block,
+    encode,
+    encode_block,
+    frame_length,
+    tx_samples,
+)
 
 _CODES: dict[tuple[int, int], DftCode] = {}
 
@@ -134,8 +142,33 @@ def test_rate_accounting(pair, bits, seed):
     pm = encode(code, "parity", rng.standard_normal(k), q)
     assert sm.bits_used == 2 * (n - k) * bits
     assert pm.bits_used == (n - k) * bits
-    assert sm.values.shape == (n - k,)
+    assert sm.values.shape == (2 * (n - k),)
     assert pm.values.shape == (n - k,)
+
+
+@given(
+    pair=odd_pairs(), frames=st.integers(1, 4), bits=st.integers(1, 8),
+    seed=st.integers(0, 2**10),
+)
+def test_messages_are_real_blocks_of_what_is_sent(pair, frames, bits, seed):
+    # Both approaches send real numbers: encode_block returns a real,
+    # C-contiguous (F, tx_samples) block, a message holds tx_samples values
+    # of bits each, and decode_block refuses a complex message by name.
+    n, k = pair
+    code = cached_code(n, k)
+    rng = np.random.default_rng(seed)
+    q = QuantizerSpec(bits, -4.0, 4.0)
+    for approach in APPROACHES:
+        sent = tx_samples(code, approach)
+        x = rng.standard_normal((frames, frame_length(code, approach)))
+        values, _ = encode_block(code, approach, x, q)
+        assert values.dtype == np.float64
+        assert values.shape == (frames, sent)
+        assert values.flags.c_contiguous
+        msg = encode(code, approach, x[0], q)
+        assert msg.values.size == sent == msg.bits_used / bits
+        with pytest.raises(ValueError, match=f"^{approach} message frames must be real"):
+            decode_block(code, approach, values + 0j, q, x)
 
 
 @given(pair=odd_pairs(), bits=st.integers(1, 8))
@@ -147,13 +180,13 @@ def test_compression_ratios_are_exact_rationals(pair, bits):
     assert compression_ratio(code, "syndrome") == Fraction(n, 2 * (n - k))
     assert compression_ratio(code, "parity") == Fraction(k, n - k)
     # Every count of what a frame sends agrees: the sent-sample count, the
-    # message's bits and its values, two real parts per complex syndrome.
+    # message's bits and its values.
     q = QuantizerSpec(bits, -4.0, 4.0)
     for approach in APPROACHES:
         length = frame_length(code, approach)
         assert length == (n if approach == "syndrome" else k)
         msg = encode(code, approach, np.zeros(length), q)
         assert msg.approach == approach
-        sent = len(msg.values) * (2 if np.iscomplexobj(msg.values) else 1)
+        sent = len(msg.values)
         assert tx_samples(code, approach) == msg.bits_used / bits == sent
         assert compression_ratio(code, approach) == Fraction(length, sent)

@@ -27,9 +27,9 @@ def test_quantize_clips_to_edge_level():
 
 def _sent(code, approach, x):
     # What encode_block quantizes: the package's own per-frame products of
-    # C-contiguous frames, read as the type the approach sends.
+    # C-contiguous frames.
     rec = _approach(code.n, code.k, approach)
-    return _mv(rec.sends, np.ascontiguousarray(x)).view(rec.sent)
+    return _mv(rec.sends, np.ascontiguousarray(x))
 
 
 def test_encode_block_counts_clips_per_frame():
@@ -41,18 +41,19 @@ def test_encode_block_counts_clips_per_frame():
     values, overloads = encode_block(code, "parity", xp, REF)
     assert overloads.tolist() == [1, 0, 2]
     np.testing.assert_array_equal(values, quantize(REF, _sent(code, "parity", xp)))
-    # A complex syndrome counts the real and the imaginary parts apart. A
-    # real frame's second syndrome component is the conjugate of its first.
+    # A syndrome is sent as the real and the imaginary parts of its first
+    # component, then of its second, each counted apart. A real frame's
+    # second syndrome component is the conjugate of its first.
     first = np.array([5.0 + 0.5j, 1.0 - 1.0j, 0.5 - 5.0j, 5.0 + 5.0j])
     h = code.H[0]
     x = np.linalg.lstsq(np.vstack([h.real, h.imag]), np.vstack([first.real, first.imag]),
                         rcond=None)[0].T
     sent = _sent(code, "syndrome", x)
-    np.testing.assert_allclose(sent, np.column_stack([first, first.conj()]), atol=1e-12)
+    parts = np.column_stack([first.real, first.imag, first.real, -first.imag])
+    np.testing.assert_allclose(sent, parts, atol=1e-12)
     values, overloads = encode_block(code, "syndrome", x, REF)
     assert overloads.tolist() == [2, 0, 2, 4]
-    np.testing.assert_array_equal(values.real, quantize(REF, sent.real))
-    np.testing.assert_array_equal(values.imag, quantize(REF, sent.imag))
+    np.testing.assert_array_equal(values, quantize(REF, sent))
     # The edges themselves are in range. A code's products do not land on
     # round edges, so a range is set to end exactly at a frame's parities.
     lo, hi = sorted(_sent(code, "parity", xp[1:2])[0])

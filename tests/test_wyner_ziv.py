@@ -27,7 +27,6 @@ from dftwz.wyner_ziv import (
     encode,
     encode_block,
     frame_length,
-    noise_floor,
     tx_samples,
 )
 
@@ -48,16 +47,23 @@ def _source_frame(length, rng):
     return draw_frames(SourceSpec(0.9), length, [(rng, ChannelSpec(0), 1)])[0][0]
 
 
+def _complex(values):
+    # The complex syndrome that syndrome message values (..., 2(n - k))
+    # carry: the real, then the imaginary parts of the first t components,
+    # then the same of the last t.
+    parts = values.reshape(*values.shape[:-1], 2, 2, -1)
+    return (parts[..., 0, :] + 1j * parts[..., 1, :]).reshape(*values.shape[:-1], -1)
+
+
 def test_syndrome_encode_codeword_near_zero(rng):
     x = C75.G @ rng.standard_normal(5)
     msg = encode(C75, "syndrome", x, Q_SY)
-    assert np.abs(msg.values.real).max() <= Q_SY.step
-    assert np.abs(msg.values.imag).max() <= Q_SY.step
+    assert np.abs(msg.values).max() <= Q_SY.step
 
 
 def test_syndrome_rate_accounting(rng):
     msg = encode(C75, "syndrome", rng.standard_normal(7), Q_SY)
-    assert len(msg.values) == 2
+    assert len(msg.values) == 4
     assert msg.bits_used == 2 * (7 - 5) * 6
     assert msg.bits_used // Q_SY.bits == 4  # transmitted real numbers
 
@@ -153,7 +159,7 @@ def test_two_errors_15_9_no_quantization_exact(rng):
 def _lifted(code, approach, y, values):
     # PGZ's input as the decoder forms it: the record's residual and lift.
     rec = _approach(code.n, code.k, approach)
-    residual = _mv(rec.matrix, y[None]) - values.view(float)[None, rec.pick]
+    residual = _mv(rec.matrix, y[None]) - values[None, : code.n - code.k]
     return _mv(rec.lift, residual).view(complex)[0]
 
 
@@ -168,8 +174,9 @@ def test_error_estimate_is_pgz_output(rng):
         msg = encode(C75, "syndrome", x, Q_SY)
         got = decode(C75, msg, y).error_estimate
         syndrome = _lifted(C75, "syndrome", y, msg.values)
-        np.testing.assert_allclose(syndrome, C75.H @ y - msg.values, rtol=0, atol=1e-14)
-        want = pgz_decode(C75, syndrome, noise_floor=noise_floor(C75, "syndrome", Q_SY))
+        np.testing.assert_allclose(syndrome, C75.H @ y - _complex(msg.values), rtol=0, atol=1e-14)
+        floor = Q_SY.step * _approach(7, 5, "syndrome").floor
+        want = pgz_decode(C75, syndrome, noise_floor=floor)
         assert got.locations == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
         np.testing.assert_array_equal(got.locator_coeffs, want.locator_coeffs)
@@ -184,12 +191,31 @@ def test_error_estimate_is_pgz_output(rng):
             C75,
             syndrome,
             candidate_set=C75.systematic,
-            noise_floor=noise_floor(C75, "parity", Q_PA),
+            noise_floor=Q_PA.step * _approach(7, 5, "parity").floor,
         )
         # decode reports a parity frame's message indices, PGZ codeword positions
         assert tuple(C75.systematic[list(got.locations)]) == want.locations
         np.testing.assert_array_equal(got.magnitudes, want.magnitudes)
         np.testing.assert_array_equal(got.locator_coeffs, want.locator_coeffs)
+
+
+@pytest.mark.parametrize("n, k", [(7, 5), (15, 9), (31, 21)])
+def test_syndrome_pgz_input_is_exactly_conjugate_symmetric(rng, n, k):
+    # The lift copies the residual's t components and writes their
+    # conjugates into the last t in reverse order, bit for bit; the first
+    # t are H y - s_hat's, rebuilt from the real message, whose residual
+    # rows A are H's first t rows' real and then imaginary parts.
+    code = build_code(n, k)
+    t, rec = code.t, _approach(n, k, "syndrome")
+    np.testing.assert_array_equal(rec.matrix, np.vstack([code.H[:t].real, code.H[:t].imag]))
+    x, y, _ = draw_frames(SourceSpec(0.9), n, [(rng, ChannelSpec(t, 0.5), 64)])
+    values, _ = encode_block(code, "syndrome", x, Q_SY)
+    syndromes = decode_block(code, "syndrome", values, Q_SY, y).syndromes
+    np.testing.assert_array_equal(syndromes[:, t:], syndromes[:, t - 1 :: -1].conj())
+    hy = _mv(rec.matrix, y)
+    first = hy[:, :t] + 1j * hy[:, t:] - _complex(values)[:, :t]
+    np.testing.assert_array_equal(syndromes[:, :t], first)
+    np.testing.assert_allclose(first, (y @ code.H.T - _complex(values))[:, :t], rtol=0, atol=1e-14)
 
 
 def _matrices():
@@ -240,7 +266,7 @@ def test_each_product_row_equals_its_one_row_call(name):
 
 def test_products_cover_both_paths_and_read_h_as_complex():
     # The cases above put _mv and _vm, 2-D and stacked, on both sides of
-    # the size rule, and H's interleaved parts read as complex are H's
+    # the size rule, and the syndrome's sent parts read as complex are H's
     # products.
     sides = {
         (product, stacked is None, np.prod(stacked or matrix.shape) <= _EINSUM_ENTRIES)
@@ -250,7 +276,7 @@ def test_products_cover_both_paths_and_read_h_as_complex():
     for code in (C75, C159):
         x = np.random.default_rng(3).normal(size=(5, code.n))
         parts = _approach(code.n, code.k, "syndrome").sends
-        np.testing.assert_allclose(_mv(parts, x).view(complex), x @ code.H.T, atol=1e-14)
+        np.testing.assert_allclose(_complex(_mv(parts, x)), x @ code.H.T, atol=1e-14)
 
 
 def _direct_correction(basis, r, support, noise_var):
@@ -297,7 +323,7 @@ def test_weighted_correction_matches_direct_fits(rng, code, errors, q_pa):
         msg = encode(code, "syndrome", x, Q_SY)
         res = decode(code, msg, y)
         if res.error_estimate.count:
-            s_err = (code.H @ y - msg.values)[:t]
+            s_err = (code.H @ y - _complex(msg.values))[:t]
             r = np.concatenate([s_err.real, s_err.imag])
             want = y - _direct_correction(
                 syn_basis, r, res.error_estimate.locations, Q_SY.sigma_q_sq
@@ -418,7 +444,7 @@ def test_unexplained_frame_gives_finite_reconstruction(rng):
     y[3] -= 40.0
 
     msg = encode(C75, "syndrome", x, Q_SY)
-    s_err = (C75.H @ y - msg.values)[0]
+    s_err = (C75.H @ y - _complex(msg.values))[0]
     basis = np.vstack([C75.H[0].real, C75.H[0].imag])
     assert _best_single_rss(basis, np.array([s_err.real, s_err.imag])) > 2e3 * Q_SY.sigma_q_sq
     res = decode(C75, msg, y)
@@ -444,8 +470,10 @@ def test_parity_candidates_restricted_to_systematic(rng):
 
 
 def test_noise_floor_values_frozen():
-    assert noise_floor(C75, "syndrome", Q_SY) == pytest.approx(Q_SY.step / np.sqrt(2), rel=1e-6)
-    assert noise_floor(C75, "parity", Q_PA) == pytest.approx(
+    # The clean gate's bound on a syndrome component, per quantizer step
+    floor = {a: _approach(7, 5, a).floor for a in APPROACHES}
+    assert Q_SY.step * floor["syndrome"] == pytest.approx(Q_SY.step / np.sqrt(2), rel=1e-6)
+    assert Q_PA.step * floor["parity"] == pytest.approx(
         2 * Q_PA.step / (2 * np.sqrt(7)), rel=1e-6
     )
 
@@ -486,39 +514,42 @@ def test_non_finite_frame_rejects_its_block(rng):
 
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_scalar_decoder_rejects_a_message_of_the_wrong_length(approach):
-    # A message carries n - k values; one too few would be broadcast over
-    # both syndrome components or both parity positions.
-    length = frame_length(C75, approach)
+    # A message carries tx_samples values; one would be broadcast over the
+    # residual's n - k entries.
+    length, sent = frame_length(C75, approach), tx_samples(C75, approach)
     msg = encode(C75, approach, np.zeros(length), Q[approach])
     short = dataclasses.replace(msg, values=msg.values[:1] + 0.3)
-    with pytest.raises(ValueError, match=r"message values have shape \(1, 1\), expected \(1, 2\)"):
+    with pytest.raises(ValueError, match=rf"^message frames have shape \(1,\), expected \({sent},\)"):
         decode(C75, short, np.zeros(length))
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
-@pytest.mark.parametrize("shape", [(3, 1), (2,), (2, 2), (3, 3)],
-                         ids=["one-column", "flat", "two-frames", "three-columns"])
+@pytest.mark.parametrize("shape", ["one-column", "flat", "two-frames", "three-columns"])
 def test_block_decoder_rejects_values_of_the_wrong_shape(approach, shape):
-    # Values (F, n - k) for F frames of side information: (3, 1) would be
-    # broadcast over both columns and (2,) over every frame, and the
-    # others would fail inside numpy with an error that names neither.
+    # Values (F, tx_samples) for F frames of side information: (3, 1)
+    # would be broadcast over every column and (tx_samples,) over every
+    # frame, and the others would fail inside numpy with an error that
+    # names neither.
     y = np.zeros((3, frame_length(C75, approach)))
-    values = np.full(shape, 0.5, dtype=complex if approach == "syndrome" else float)
-    with pytest.raises(ValueError, match=re.escape(f"message values have shape {shape}")):
-        decode_block(C75, approach, values, Q[approach], y)
+    sent = tx_samples(C75, approach)
+    size, match = {
+        "one-column": ((3, 1), f"message frames have shape (1,), expected ({sent},)"),
+        "flat": ((sent,), f"message frames have shape (), expected ({sent},)"),
+        "two-frames": ((2, sent), "message has 2 frames, side information 3"),
+        "three-columns": ((3, 3), f"message frames have shape (3,), expected ({sent},)"),
+    }[shape]
+    with pytest.raises(ValueError, match="^" + re.escape(match)):
+        decode_block(C75, approach, np.full(size, 0.5), Q[approach], y)
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_block_coders_reject_values_of_the_wrong_kind(approach):
-    # A syndrome message is complex and a parity message real; real
-    # syndrome values would decode as if every imaginary part were 0, and
-    # a complex parity message, source or side information would lose its
-    # imaginary parts.
+    # Every message, source and side information is real: a complex one
+    # would lose its imaginary parts.
     x = np.zeros((3, frame_length(C75, approach)))
     values, _ = encode_block(C75, approach, x, Q[approach])
-    wrong = values.real if np.iscomplexobj(values) else values + 0.5j
-    with pytest.raises(ValueError, match=f"^{approach} message values must be "):
-        decode_block(C75, approach, wrong, Q[approach], x)
+    with pytest.raises(ValueError, match=f"^{approach} message frames must be real"):
+        decode_block(C75, approach, values + 0.5j, Q[approach], x)
     with pytest.raises(ValueError, match=f"^{approach} source frames must be real"):
         encode_block(C75, approach, x + 0.5j, Q[approach])
     with pytest.raises(ValueError, match=f"^{approach} side information frames must be real"):
@@ -536,7 +567,7 @@ def test_block_decoder_rejects_non_finite_values(approach, bad):
     values[1, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=f"^{approach} message values have non-finite"):
+        with pytest.raises(ValueError, match="^message has non-finite samples"):
             decode_block(C75, approach, values, Q[approach], x)
 
 
@@ -561,8 +592,8 @@ def _assert_blocks_equal(got, want):
 
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_non_contiguous_blocks_decode_as_contiguous_ones(rng, approach):
-    # A Fortran-ordered or strided block has no real view of its own; the
-    # decoder reads it as its C-ordered copy, bit for bit.
+    # A Fortran-ordered or strided block decodes as its C-ordered copy, bit
+    # for bit.
     _, values, y = _two_error_block(approach, rng)
     want = decode_block(C159, approach, values, Q[approach], y)
     strided_values = np.repeat(values, 2, axis=1)[:, ::2]
@@ -581,7 +612,7 @@ def test_a_third_approach_runs_through_the_record(monkeypatch, rng):
     for code in (C75, C159):
         for f in (frame_length, tx_samples, compression_ratio):
             assert f(code, "relay") == f(code, "parity")
-        assert noise_floor(code, "relay", Q_PA) == noise_floor(code, "parity", Q_PA)
+        assert _approach(code.n, code.k, "relay").floor == _approach(code.n, code.k, "parity").floor
     sent = [encode_block(C159, a, x, Q_PA) for a in ("relay", "parity")]
     for got, want in zip(*sent):
         np.testing.assert_array_equal(got, want)
@@ -602,7 +633,6 @@ def test_unknown_approach_raises_one_error():
         calls = (
             lambda: frame_length(C75, name),
             lambda: tx_samples(C75, name),
-            lambda: noise_floor(C75, name, Q_SY),
             lambda: encode_block(C75, name, x, Q_SY),
             lambda: decode_block(C75, name, np.zeros((1, 2)), Q_SY, x),
             lambda: compression_ratio(C75, name),
