@@ -16,9 +16,14 @@ The solver follows the shape of the problem. A t = 1 code's Hankel
 matrix is 1x1, with singular value |s_0|, and a one-unknown locator
 (nu = 1, any t) is the scalar least-squares fit a^H b / a^H a, formed
 on a scaled copy so that its decisions do not depend on the syndrome's
-scale. Every larger count runs an SVD (a Gram matrix would square its
-condition number). A nu = t locator is solved by LU on that spectrum,
-and a 1 < nu < t one by Householder QR, whose rank test the SVD's implies.
+scale. A t = 2 or t = 3 count compares the closed-form eigenvalues of
+the Hankel matrix's Gram matrix with the threshold, and sends to the SVD
+only the rows whose eigenvalues lie too close to it or to each other to
+decide (``_closed_form_count``); t >= 4 and small blocks run the SVD on
+every live row. Either way the count is the one LAPACK's singular values
+give. A nu = t locator is solved by LU once the count's rank test
+passes, and a 1 < nu < t one by Householder QR, whose rank test the
+SVD's implies.
 
 ``decode_block`` runs the count, locator and location steps on a block
 of F syndromes at once and is the one way into the chain; ``pgz_decode``
@@ -30,6 +35,7 @@ a reconstruction.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,14 +59,27 @@ DEFAULT_REL_TOL = 1e-2
 # Relative floor under which the locator system counts as singular.
 _LOCATOR_SINGULAR_RTOL = 1e-10
 
+# Live rows from which a t = 2 or t = 3 count takes the closed form: on
+# fewer, its few dozen numpy calls cost more than the SVD they save. Both
+# routes give the same count, so this only picks the faster one.
+_CLOSED_FORM_ROWS = 24
+
+# The closed form's error allowance per unit e_1^t (4096 eps); see
+# _closed_form_count.
+_BAND = 2.0**-40
+
+# Angles of the trigonometric cubic formula's roots, largest root first.
+_CUBIC_TURNS = np.array([[2.0], [4.0], [0.0]]) * np.pi / 3.0
+
 
 @dataclass(frozen=True)
 class PgzDiagnostics:
     """Per-decode numerical health record. ``singular_values`` are the
-    Hankel singular values of the count step, empty for a frame the clean
-    gate passed without an SVD; ``magnitude_residual`` is the norm of the
-    syndrome left over by the least-squares magnitudes, 0 for nu = 0;
-    ``retries`` counts the steps down the retry ladder."""
+    Hankel singular values of the frame's count step, from an SVD of its
+    own (|s_0| for t = 1), empty for a frame the clean gate passed;
+    ``magnitude_residual`` is the norm of the syndrome left over by the
+    least-squares magnitudes, 0 for nu = 0; ``retries`` counts the steps
+    down the retry ladder."""
 
     singular_values: np.ndarray
     magnitude_residual: float
@@ -81,16 +100,13 @@ class ErrorEstimate:
 class PgzBlock(NamedTuple):
     """PGZ decisions for a block of F syndromes.
 
-    ``gated`` (F,) marks frames the clean gate passed; ``singular_values``
-    (F, t) holds the count step's Hankel singular values (NaN rows for
-    gated frames); ``count`` (F,) is nu after the retry ladder, with
-    ``retries`` (F,) steps down; ``locator`` (F, t) holds the locator
-    coefficients in its first ``count`` columns; ``support`` (F, n) marks
-    the chosen locations.
+    ``gated`` (F,) marks frames the clean gate passed; ``count`` (F,) is
+    nu after the retry ladder, with ``retries`` (F,) steps down;
+    ``locator`` (F, t) holds the locator coefficients in its first
+    ``count`` columns; ``support`` (F, n) marks the chosen locations.
     """
 
     gated: np.ndarray
-    singular_values: np.ndarray
     count: np.ndarray
     retries: np.ndarray
     locator: np.ndarray
@@ -119,25 +135,123 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(v, v).real))
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+@functools.lru_cache(maxsize=None)
+def _gram_tables(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (4, K) of the K = (t choose 2)^2 2x2 minors s_a s_b - s_c s_d
+    of the t x t Hankel matrix S, the minor of S without row 0 and column
+    j at -1 - j for t = 3; and the number of times (2t - 1, 1) each s_m
+    appears in S."""
+    pairs = list(itertools.combinations(range(t), 2))
+    minors = np.array([(i + j, k + l, i + l, k + j) for i, k in pairs for j, l in pairs]).T
+    weights = np.minimum(np.arange(1, 2 * t), np.arange(2 * t - 1, 0, -1))[:, None]
+    return _frozen(minors), _frozen(weights.astype(float))
+
+
+def _closed_form_count(
+    values: np.ndarray, mag: np.ndarray, t: int, rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hankel rank of each row of ``values`` (L, 2t), t = 2 or 3, and
+    whether the closed form decided it: (count, decided), both (L,), with
+    ``mag`` = |values|. A row it does not decide goes to the SVD.
+
+    The rank counts the singular values sigma_i >= rel_tol sigma_0 of the
+    Hankel matrix S, so the eigenvalues lambda_i = sigma_i^2 of S^H S at
+    or above tau = rel_tol^2 lambda_0. They are the roots of
+    p(x) = x^t - e_1 x^(t-1) + e_2 x^(t-2) - e_3, where by Cauchy-Binet
+    e_1 = ||S||_F^2, e_2 is the sum of the squared 2x2 minors of S and
+    e_3 = |det S|^2 (t = 3); the quadratic formula or the trigonometric
+    cubic formula gives them, largest first. Each row is first scaled by
+    the power of two that brings its largest |s_m|, m < 2t - 1, into
+    [1/2, 1): this changes no decision, nothing over- or underflows at
+    any scale, and e_1 lies in [1/4, t^2).
+
+    The band. Each rounding in forming the e_k moves e_k by a few
+    eps e_1^k (|s_m|^2 and every 2x2 minor are at most e_1), and each in
+    the formula moves a root by a few eps e_1, which is p with e_k moved
+    by at most 3 eps e_1^k. So the computed roots l_i are the exact roots
+    of a polynomial q with |q(z) - p(z)| <= Delta = _BAND e_1^t on
+    |z| <= 2 e_1: some hundreds of eps against _BAND's 4096, and more
+    than 600 times the largest |l_i - lambda_i| prod_j |l_i - l_j| /
+    (eps e_1^t) met against LAPACK, clustered roots included. On the
+    circle |z - l_i| = r_i <= g_i / 2, g_i the gap to the nearest other
+    l_j, |q(z)| >= r_i prod_(j != i) |l_i - l_j| / 2^(t-1); by Rouche's
+    theorem, with r_i = 2^(t-1) Delta / prod_(j != i) |l_i - l_j| < g_i / 2
+    for every i, each disc holds exactly one lambda_i, in order. Near a
+    double or a triple root the formula's error grows to sqrt(eps) or
+    cbrt(eps) times lambda_0 and the radii pass g_i / 2: such a row is not
+    decided. Otherwise tau lies within rel_tol^2 r_0 of rel_tol^2 l_0, and
+    the row is decided when every |l_i - rel_tol^2 l_0|, i >= 1, exceeds
+    r_i + rel_tol^2 r_0 + _BAND e_1. The last term covers LAPACK's own
+    error, a small multiple of eps sigma_0 in each sigma_i, so that its
+    test decides these rows as the exact one does. lambda_0 always counts
+    (rel_tol < 1). A decided count of t has lambda_(t-1) >= _BAND e_1, so
+    sigma_(t-1) >= 2^-20 sigma_0 also passes the nu = t locator's test."""
+    top = functools.reduce(np.maximum, mag[:, : 2 * t - 1].T)
+    scaled = np.ldexp(values.view(np.float64), -np.frexp(top)[1][:, None])
+    s = scaled.view(np.complex128).T
+    minors, weights = _gram_tables(t)
+    a, b, c, d = s[minors]
+    m = a * b - c * d
+    e1 = (weights * _abs2(s[: 2 * t - 1])).sum(axis=0)
+    e2 = _abs2(m).sum(axis=0)
+    if t == 2:
+        gap = np.sqrt(np.maximum(e1 * e1 - 4.0 * e2, 0.0))
+        lam = np.array([e1 + gap, e1 - gap]) * 0.5
+        prods = nearest = np.array([gap, gap])
+    else:
+        e3 = _abs2(s[0] * m[-1] - s[1] * m[-2] + s[2] * m[-3])  # along row 0
+        third = e1 / 3.0
+        q = np.maximum(third * third - e2 / 3.0, 0.0)
+        r = third * (0.5 * e2 - third * third) - 0.5 * e3
+        root = np.sqrt(q)  # q = 0 is a triple root, which the gaps leave undecided
+        cos3 = np.minimum(np.maximum(r / np.maximum(q * root, 2.0**-1000), -1.0), 1.0)
+        lam = third - 2.0 * root * np.cos(np.arccos(cos3) / 3.0 + _CUBIC_TURNS)
+        g01, g12 = np.maximum(lam[0] - lam[1], 0.0), np.maximum(lam[1] - lam[2], 0.0)
+        prods = np.array([g01 * (g01 + g12), g01 * g12, (g01 + g12) * g12])
+        nearest = np.array([g01, np.minimum(g01, g12), g12])
+    tol2 = rel_tol * rel_tol
+    tau = tol2 * lam[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # gaps near 0: inf, NaN
+        rad = 2.0 ** (t - 1) * _BAND * e1**t / prods
+        clear = np.abs(lam[1:] - tau) > rad[1:] + tol2 * rad[0] + _BAND * e1
+        decided = (rad < 0.5 * nearest).all(axis=0) & clear.all(axis=0)
+    return 1 + (lam[1:] >= tau).sum(axis=0), decided
+
+
 def _count(
     values: np.ndarray, t: int, rel_tol: float, noise_floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clean gate and Hankel rank of each row of ``values`` (F, 2t):
-    (gated, singular values, count). Gated rows run no SVD, and neither
-    does t = 1, whose 1x1 Hankel matrix [s_0] has singular value |s_0|."""
+    """Clean gate, Hankel rank and the nu = t locator's rank test of each
+    row of ``values`` (F, 2t): (gated, count, full). The rank counts the
+    Hankel singular values sigma_i >= rel_tol sigma_0, 0 when sigma_0 = 0;
+    ``full`` is sigma_(t-1) >= _LOCATOR_SINGULAR_RTOL sigma_0, read only
+    where the count is t. Gated rows count 0, and t = 1, whose 1x1 Hankel
+    matrix [s_0] has singular value |s_0|, runs no SVD. A t = 2 or t = 3
+    block of at least _CLOSED_FORM_ROWS live rows counts them in closed
+    form; one SVD counts the rows it leaves undecided, or every live row."""
     mag = np.abs(values)
     gated = functools.reduce(np.maximum, mag.T) <= noise_floor  # exact, fast on short rows
-    sing = np.full((len(values), t), np.nan)
     live = (~gated).nonzero()[0]
+    count, full = np.zeros(len(values), dtype=int), np.zeros(len(values), dtype=bool)
     if t == 1:
-        sing[live] = mag[live, :1]
-    elif live.size:
-        sing[live] = np.linalg.svd(values[live[:, None, None], _hankel_index(t)], compute_uv=False)
-    # NaN rows count 0, and so does an all-zero Hankel matrix. Integer
-    # columns added are fast on short rows; bool columns would OR.
-    above = (sing >= rel_tol * sing[:, :1]).T.astype(int)
-    count = functools.reduce(np.add, above) * (sing[:, 0] > 0.0)
-    return gated, sing, count
+        count[live] = mag[live, 0] > 0.0
+        return gated, count, full
+    if t <= 3 and live.size >= _CLOSED_FORM_ROWS:
+        count[live], decided = _closed_form_count(values[live], mag[live], t, rel_tol)
+        full[live] = True
+        live = live[~decided]
+    if live.size:
+        sing = np.linalg.svd(values[live[:, None, None], _hankel_index(t)], compute_uv=False)
+        # An all-zero Hankel matrix counts 0. Integer columns added are
+        # fast on short rows; bool columns would OR.
+        above = (sing >= rel_tol * sing[:, :1]).T.astype(int)
+        count[live] = functools.reduce(np.add, above) * (sing[:, 0] > 0.0)
+        full[live] = sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0]
+    return gated, count, full
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,7 +268,7 @@ def _locator_system(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _solve_locators(
-    values: np.ndarray, nu: int, sing: np.ndarray | None = None
+    values: np.ndarray, nu: int, full: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares locator coefficients (F, nu) of each row of
     ``values``, and whether its system has full rank. One Householder QR
@@ -162,9 +276,10 @@ def _solve_locators(
     (implied by the SVD's, as sing_min <= |R_jj| <= sing_max) and the
     solve R x = Q^H b; a rank-deficient row's coefficients are meaningless.
 
-    For nu = t the caller passes the count's singular values ``sing``:
+    For nu = t the caller passes the count's rank test ``full``:
     A[m, c] = S[m, t-1-c] is the Hankel matrix with its columns reversed,
-    so they serve the rank test, and LU solves the full-rank rows.
+    so the count's singular values serve its rank test, and LU solves the
+    full-rank rows.
 
     One unknown (nu = 1) needs no QR: its one column a = s_0..s_{2t-2}
     has full rank when max |a| > 0 and max |a| >= rtol max |b|, and
@@ -180,8 +295,7 @@ def _solve_locators(
         a, b = a[:, :, 0] / scale[:, None], b / scale[:, None]
         aa = (a.real * a.real + a.imag * a.imag).sum(axis=1)
         return ((a.conj() * b).sum(axis=1) / np.where(full, aa, 1.0))[:, None], full
-    if sing is not None:  # a count of t > 0 implies sing[:, 0] > 0
-        full = sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0]
+    if full is not None:
         coeffs = np.zeros(b.shape, dtype=np.complex128)
         coeffs[full] = np.linalg.solve(a[full], b[full, :, None])[..., 0]
         return coeffs, full
@@ -274,14 +388,14 @@ def decode_block(
     if not np.isfinite(values).all():
         raise ValueError("syndrome has non-finite components")
     cands = _candidates(candidate_set, n)
-    gated, sing, count = _count(values, t, rel_tol, noise_floor)
+    gated, count, full_t = _count(values, t, rel_tol, noise_floor)
     retries = np.maximum(count - len(cands), 0)  # no more errors than candidates
     count -= retries
     locator = np.zeros((len(values), t), dtype=np.complex128)
     for nu in range(count.max(initial=0), 0, -1):  # a frame failing at nu retries at nu - 1
         rows = (count == nu).nonzero()[0]
         if rows.size:
-            coeffs, full = _solve_locators(values[rows], nu, sing[rows] if nu == t else None)
+            coeffs, full = _solve_locators(values[rows], nu, full_t[rows] if nu == t else None)
             locator[rows, :nu] = coeffs
             failed = rows[~full]
             locator[failed] = 0.0
@@ -291,21 +405,28 @@ def decode_block(
     live = count.nonzero()[0]
     if live.size:
         support[live[:, None], cands] = _grid(locator[live], count[live], cands, n)
-    return PgzBlock(gated, sing, count, retries, locator, support)
+    return PgzBlock(gated, count, retries, locator, support)
 
 
 def frame_estimate(code: DftCode, syndromes: np.ndarray, block: PgzBlock) -> ErrorEstimate:
     """The ErrorEstimate of a one-frame block: ``block``'s decisions plus
-    least-squares magnitudes and their residual."""
+    least-squares magnitudes and their residual, and the singular values
+    of its count step."""
     nu, locs, values = int(block.count[0]), block.support[0].nonzero()[0], syndromes[0]
     mags = _magnitudes(code, values, locs)
+    if block.gated[0]:
+        sing = np.zeros(0)
+    elif code.t == 1:
+        sing = np.abs(values[:1])
+    else:
+        sing = np.linalg.svd(values[_hankel_index(code.t)], compute_uv=False)
     return ErrorEstimate(
         count=nu,
         locations=tuple(locs.tolist()),
         magnitudes=mags,
         locator_coeffs=block.locator[0, :nu],
         diagnostics=PgzDiagnostics(
-            singular_values=np.zeros(0) if block.gated[0] else block.singular_values[0],
+            singular_values=sing,
             magnitude_residual=_norm(code.H[:, locs] @ mags - values) if nu else 0.0,
             retries=int(block.retries[0]),
         ),

@@ -136,7 +136,7 @@ def _frames(a: np.ndarray, length: int, approach: str, what: str) -> np.ndarray:
         raise ValueError(f"{approach} {what} frames must be real, got {a.dtype}")
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != length:
-        raise ValueError(f"{what} frames have shape {a.shape[1:]}, expected ({length},)")
+        raise ValueError(f"{what} frames have shape {a.shape}, expected (F, {length})")
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has non-finite samples")
     return a

@@ -144,6 +144,10 @@ def test_draw_frames_block_statistics():
 # sub-block, which the package used before.
 GOLDEN_CONFIGS = {
     "golden_7_5.csv": dict(ceqnr_db=(-math.inf, 0.0, 30.0), frames=2000),
+    # t = 2: the 2x2 Hankel count
+    "golden_11_7.csv": dict(
+        n=11, k=7, errors_per_frame=2, ceqnr_db=(20.0, 40.0), frames=512
+    ),
     "golden_15_9.csv": dict(
         n=15, k=9, errors_per_frame=2, ceqnr_db=(20.0, 30.0, 40.0), frames=512
     ),

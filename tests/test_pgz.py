@@ -1,15 +1,20 @@
 """PGZ decoder oracles: closed-form syndromes, Hankel count, locator
 algebra, grid location, least-squares magnitudes, retry ladder,
 noiseless exactness and scale invariance, all read off ``pgz_decode``,
-the closed-form one-unknown solves, the 1 < nu < t QR solves and the
-nu = t LU solves against LAPACK, the rank test of a one-unknown system
-far below its right side, and the domain of the tolerances."""
+the closed-form t = 2 and t = 3 counts against LAPACK's on rows near
+the edges of their band, the closed-form one-unknown solves, the
+1 < nu < t QR solves and the nu = t LU solves against LAPACK, the rank
+test of a one-unknown system far below its right side, and the domain
+of the tolerances."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dftwz import pgz
 from dftwz.codes import build_code
 from dftwz.pgz import _grid, _grid_points, _locator_system, _solve_locators, decode_block, pgz_decode
 
@@ -17,6 +22,7 @@ C75 = build_code(7, 5)
 C159 = build_code(15, 9)
 C2113 = build_code(21, 13)
 C3125 = build_code(31, 25)
+C117 = build_code(11, 7)
 
 
 def unit_error_syndrome(code, pos, mag=1.0):
@@ -322,6 +328,87 @@ def test_block_count_is_each_rows_hankel_rank(rng):
     assert sorted(set(ranks)) == [0, 1, 2, 3]
 
 
+def _hankel_syndrome(sing, rng):
+    """A syndrome of length 2t, t = len(sing) = 2 or 3, whose t x t Hankel
+    matrix has the singular values ``sing``, largest first. Its first
+    2t - 1 components, with the odd ones zero, make the Hankel matrix a
+    block diagonal of [[a, c], [c, b]] = R diag(x, -y) R^T, R a rotation,
+    and of c = z (t = 3); a phase e^{j psi} times w^m on component m
+    (|w| = 1) keeps the singular values."""
+    if len(sing) == 2:
+        parts = [sing[0], 0.0, -sing[1]]
+    else:
+        x, y, z = sing
+        half = 0.5 * np.arcsin(min(1.0, 2.0 * z / (x + y))) if x + y > 0.0 else 0.0
+        c, s = np.cos(half), np.sin(half)
+        parts = [x * c * c - y * s * s, 0.0, z, 0.0, x * s * s - y * c * c]
+    turn = np.exp(2j * np.pi * rng.uniform(size=2))
+    return np.append(np.array(parts) * turn[0] * turn[1] ** np.arange(len(parts)), rng.normal())
+
+
+def _count_cases(code, rel_tol, rng):
+    """Rows of a block whose count the closed form must get right: one
+    singular value within 1e-6 relative of rel_tol sigma_0; near-double
+    and near-triple eigenvalues; noiseless syndromes of 0 to t errors
+    (rank-deficient Hankel matrices) and noisy ones; complex normal rows;
+    the same scaled by 1e300 and 1e-300, and a subnormal one; an all-zero
+    row, and a row whose Hankel matrix alone is zero."""
+    t, rows = code.t, []
+    for _ in range(4):
+        sing = np.sort(rng.uniform(0.0, 1.0, t))[::-1]
+        sing[0] = 1.0
+        sing[rng.integers(1, t)] = rel_tol * (1.0 + rng.choice([-1, 1]) * 10.0 ** -rng.uniform(6, 16))
+        rows.append(_hankel_syndrome(np.sort(sing)[::-1], rng))
+    for gap in 10.0 ** -rng.uniform(2.0, 16.0, 4):
+        for sing in ([1.0, 1.0 - gap, rng.uniform(0.0, 0.5)], [1.0, 0.5, 0.5 * (1.0 - gap)],
+                     [1.0, 1.0 - gap, 1.0 - 2.0 * gap]):
+            rows.append(_hankel_syndrome(np.array(sing[:t]), rng))
+    for nu in range(t + 1):
+        e = np.zeros((3, code.n))
+        for row in e:
+            row[rng.choice(code.n, size=nu, replace=False)] = rng.uniform(0.5, 2.0, nu)
+        rows.extend(e @ code.H.T)
+        rows.extend(e @ code.H.T + 10.0 ** -rng.uniform(3, 12) * _complex_normal(rng, (3, 2 * t)))
+    rows.extend(_complex_normal(rng, (4, 2 * t)))
+    rows = np.array(rows)
+    zero_hankel = np.zeros(2 * t, dtype=complex)
+    zero_hankel[-1] = 1.0
+    extremes = [rows[rng.integers(len(rows))] * scale for scale in (1e300, 1e-300, 1e-310)]
+    return np.concatenate([rows, extremes, [np.zeros(2 * t), zero_hankel]])
+
+
+@given(
+    code=st.sampled_from([C117, C159, C3125]),
+    rel_tol=st.sampled_from([0.0, 1e-10, 1e-2, 0.999]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_is_the_svds_on_rows_near_its_edges(code, rel_tol, seed):
+    # The count step decode_block runs must give the count LAPACK's
+    # singular values give, int(sum(sigma >= rel_tol sigma_0)) if
+    # sigma_0 > 0 else 0, on rows near every edge of the closed form's
+    # band, in a block and row by row, with small blocks let into the
+    # closed form too; it must decide some rows itself.
+    rng = np.random.default_rng(seed)
+    rows = _count_cases(code, rel_tol, rng)
+    sing = np.linalg.svd(rows[:, np.add.outer(np.arange(code.t), np.arange(code.t))],
+                         compute_uv=False)
+    want = np.where(sing[:, 0] > 0.0, np.sum(sing >= rel_tol * sing[:, :1], axis=1), 0)
+    seen, real_svd = [], np.linalg.svd
+
+    def svd(*args, **kwargs):
+        seen.append(len(args[0]))
+        return real_svd(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pgz, "_CLOSED_FORM_ROWS", 1)
+        patch.setattr(np.linalg, "svd", svd)
+        gated, count, _ = pgz._count(rows, code.t, rel_tol, 0.0)
+        assert sum(seen) < np.count_nonzero(~gated)
+        np.testing.assert_array_equal(count, want)
+        for f in rng.choice(len(rows), size=8, replace=False):
+            assert pgz._count(rows[f : f + 1], code.t, rel_tol, 0.0)[1][0] == want[f]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_syndrome_rejected(bad):
     s = unit_error_syndrome(C75, 3)
@@ -360,16 +447,21 @@ def _one_error_block(code, frames, rng):
 
 @pytest.mark.parametrize("code", [C75, C159], ids=["7-5", "15-9"])
 def test_one_unknown_solves_match_lapack(code, rng):
-    # t = 1 counts with |s_0| and a one-unknown locator solves
-    # a^H b / a^H a; both must agree with the SVD and least squares they
-    # replace, and pick the same support.
+    # t = 1 counts with |s_0|, t = 3 in closed form, and a one-unknown
+    # locator solves a^H b / a^H a; all must agree with the SVD and least
+    # squares they replace, and pick the same support.
     syndromes = np.concatenate(
         [_one_error_block(code, 256, rng), _complex_normal(rng, (256, code.n - code.k))]
     )
     block = decode_block(code, syndromes)
     hankel = syndromes[:, np.add.outer(np.arange(code.t), np.arange(code.t))]
-    np.testing.assert_allclose(
-        block.singular_values, np.linalg.svd(hankel, compute_uv=False), rtol=1e-12, atol=0)
+    sing = np.linalg.svd(hankel, compute_uv=False)
+    np.testing.assert_array_equal(
+        block.count + block.retries, np.sum(sing >= 1e-2 * sing[:, :1], axis=1))
+    if code.t == 1:
+        np.testing.assert_allclose(
+            [pgz_decode(code, s).diagnostics.singular_values for s in syndromes], sing,
+            rtol=1e-12, atol=0)
     rows = (block.count == 1).nonzero()[0]
     assert rows.size >= 200
     a, b = _locator_system(syndromes[rows], 1)
@@ -418,9 +510,9 @@ def test_full_count_solves_match_lapack(code, rng):
         block.support[rows], _grid(ref, block.count[rows], np.arange(code.n), code.n))
 
 
-def test_full_count_block_runs_one_svd(rng, monkeypatch):
-    # The count's Hankel SVD is the only one when every live frame counts
-    # t: the locators reuse its singular values.
+def test_full_count_block_runs_no_svd(rng, monkeypatch):
+    # A block whose live frames the closed form counts t each runs no SVD:
+    # the locators take its rank test.
     syndromes = _complex_normal(rng, (64, 6))
     syndromes[:4] = 0.0  # gated
     calls, real_svd = [], np.linalg.svd
@@ -433,7 +525,7 @@ def test_full_count_block_runs_one_svd(rng, monkeypatch):
     block = decode_block(C159, syndromes)
     assert block.gated.sum() == 4
     assert np.all(block.count[~block.gated] == C159.t)
-    assert calls == [(60, 3, 3)]
+    assert calls == []
 
 
 def _partial_count_block(code, frames, rng):
@@ -482,24 +574,30 @@ def test_partial_count_solves_match_lapack(code, rng):
 
 
 def test_partial_count_block_runs_one_svd(rng, monkeypatch):
-    # The count's Hankel SVD is the only one when every live frame counts
-    # 2 < t: the locators run QR.
+    # Frames that count 2 < t run QR locators, and no SVD. The last four
+    # frames are noiseless single errors: their Hankel matrices' two zero
+    # eigenvalues are a double root, which the closed form leaves to the
+    # one SVD, run on exactly those frames.
     e = np.zeros((64, 15))
-    for row in e:
+    for row in e[:60]:
         row[rng.choice(15, size=2, replace=False)] = rng.uniform(0.5, 2.0, 2)
-    syndromes = e @ C159.H.T + 1e-6 * _complex_normal(rng, (64, 6))
+    e[60:, [1, 4, 8, 13]] = np.diag(rng.uniform(0.5, 2.0, 4))
+    syndromes = e @ C159.H.T
+    syndromes[:60] += 1e-6 * _complex_normal(rng, (60, 6))
     syndromes[:4] = 0.0  # gated
     calls, real_svd = [], np.linalg.svd
 
     def svd(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(args[0])
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     block = decode_block(C159, syndromes)
     assert block.gated.sum() == 4
-    assert np.all(block.count[~block.gated] == 2) and not block.retries.any()
-    assert calls == [(60, 3, 3)]
+    np.testing.assert_array_equal(block.count[4:], [2] * 56 + [1] * 4)
+    assert not block.retries.any()
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], syndromes[60:, np.add.outer(np.arange(3), np.arange(3))])
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, -0.1, 1.0, 2.0])

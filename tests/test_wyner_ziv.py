@@ -519,7 +519,7 @@ def test_scalar_decoder_rejects_a_message_of_the_wrong_length(approach):
     length, sent = frame_length(C75, approach), tx_samples(C75, approach)
     msg = encode(C75, approach, np.zeros(length), Q[approach])
     short = dataclasses.replace(msg, values=msg.values[:1] + 0.3)
-    with pytest.raises(ValueError, match=rf"^message frames have shape \(1,\), expected \({sent},\)"):
+    with pytest.raises(ValueError, match=rf"^message frames have shape \(1, 1\), expected \(F, {sent}\)"):
         decode(C75, short, np.zeros(length))
 
 
@@ -533,10 +533,10 @@ def test_block_decoder_rejects_values_of_the_wrong_shape(approach, shape):
     y = np.zeros((3, frame_length(C75, approach)))
     sent = tx_samples(C75, approach)
     size, match = {
-        "one-column": ((3, 1), f"message frames have shape (1,), expected ({sent},)"),
-        "flat": ((sent,), f"message frames have shape (), expected ({sent},)"),
+        "one-column": ((3, 1), f"message frames have shape (3, 1), expected (F, {sent})"),
+        "flat": ((sent,), f"message frames have shape ({sent},), expected (F, {sent})"),
         "two-frames": ((2, sent), "message has 2 frames, side information 3"),
-        "three-columns": ((3, 3), f"message frames have shape (3,), expected ({sent},)"),
+        "three-columns": ((3, 3), f"message frames have shape (3, 3), expected (F, {sent})"),
     }[shape]
     with pytest.raises(ValueError, match="^" + re.escape(match)):
         decode_block(C75, approach, np.full(size, 0.5), Q[approach], y)
