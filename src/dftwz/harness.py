@@ -5,7 +5,9 @@ blocks of BLOCK_FRAMES, and a point's block draws its innovations,
 error-position keys and error magnitudes, in that order, from one
 default_rng((master_seed, ceqnr_index, approach_id, start)), approach_id
 being the approach's index in wyner_ziv.APPROACHES and start the index
-of the block's first frame (sources.draw_frames). Blocks start at
+of the block's first frame (sources.draw_frames); a block whose channel
+can put no error (sigma_e = 0, or no errors per frame) draws its
+innovations only, which changes none of its frames. Blocks start at
 multiples of BLOCK_FRAMES, so it is part of the contract. A task is one
 block of F frames of one approach at every CEQNR point. It draws the
 blocks of as many points as fit one call's byte budget (_CALL_BYTES),

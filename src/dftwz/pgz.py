@@ -14,16 +14,16 @@ floor, and least-squares fits over all 2t syndrome components.
 
 The solver follows the shape of the problem. A t = 1 code's Hankel
 matrix is 1x1, with singular value |s_0|, and a one-unknown locator
-(nu = 1, any t) is the scalar least-squares fit a^H b / a^H a, formed
-on a scaled copy so that its decisions do not depend on the syndrome's
-scale. A t = 2 or t = 3 count compares the closed-form eigenvalues of
-the Hankel matrix's Gram matrix with the threshold, and sends to the SVD
-only the rows whose eigenvalues lie too close to it or to each other to
-decide (``_closed_form_count``); t >= 4 and small blocks run the SVD on
-every live row. Either way the count is the one LAPACK's singular values
-give. A nu = t locator is solved by LU once the count's rank test
-passes, and a 1 < nu < t one by Householder QR, whose rank test the
-SVD's implies.
+(nu = 1, any t) is the scalar least-squares fit a^H b / a^H a. Every
+locator system is solved on a scaled copy, so that its decisions do not
+depend on the syndrome's scale. A t = 2 or t = 3 count compares the
+closed-form eigenvalues of the Hankel matrix's Gram matrix with the
+threshold, and sends to the SVD only the rows whose eigenvalues lie too
+close to it or to each other to decide (``_closed_form_count``); t >= 4
+and small blocks run the SVD on every live row. Either way the count is
+the one LAPACK's singular values give. A nu = t locator is solved by LU
+once the count's rank test passes, and a 1 < nu < t one by Householder
+QR, whose rank test the SVD's implies.
 
 ``decode_block`` runs the count, locator and location steps on a block
 of F syndromes at once and is the one way into the chain; ``pgz_decode``
@@ -58,6 +58,10 @@ DEFAULT_REL_TOL = 1e-2
 
 # Relative floor under which the locator system counts as singular.
 _LOCATOR_SINGULAR_RTOL = 1e-10
+
+# The least scale a nu = 1 locator system is divided by: its reciprocal,
+# 2^1022, is finite, where that of a subnormal scale can overflow.
+_SMALLEST_NORMAL = np.finfo(np.float64).smallest_normal
 
 # Live rows from which a t = 2 or t = 3 count takes the closed form: on
 # fewer, its few dozen numpy calls cost more than the SVD they save. Both
@@ -281,28 +285,42 @@ def _solve_locators(
     so the count's singular values serve its rank test, and LU solves the
     full-rank rows.
 
+    Each row's system is scaled first, so that no row under- or
+    overflows at any scale of the syndrome: it has full rank only when
+    max |a| > 0 and max |a| >= rtol max |b|, and is scaled by max |a|,
+    a rank-deficient one by max |b| (its solve then divides by 1). For
+    nu >= 2 the factor is the power of two 2^-e of that maximum m 2^e,
+    m in [1/2, 1), capped at 2^1022 so that it stays finite. It is
+    exact, so the rank tests and coefficients are those of the system as
+    it came wherever that neither under- nor overflows.
+
     One unknown (nu = 1) needs no QR: its one column a = s_0..s_{2t-2}
-    has full rank when max |a| > 0 and max |a| >= rtol max |b|, and
-    Lambda_1 = a^H b / a^H a. Both are formed from a and b divided by
-    max |a|, so that a^H a lies in [1, 2t - 1] and b within 1 / rtol;
-    a rank-deficient row is divided by max |b| and its solve by 1, so
-    that no row under- or overflows at any scale of the syndrome."""
-    a, b = _locator_system(values, nu)
+    gives Lambda_1 = a^H b / a^H a, formed from a and b times the
+    reciprocal of the maximum itself, so that a^H a lies in [1, 2t - 1]
+    and b within 1 / rtol; a subnormal maximum counts as the smallest
+    normal number, whose reciprocal is finite."""
+    mag = np.abs(values).T  # a holds s_0..s_{2t-2}, b s_nu..s_{2t-1}
+    top, b_top = (functools.reduce(np.maximum, m) for m in (mag[:-1], mag[nu:]))
+    fits = (top > 0.0) & (top >= _LOCATOR_SINGULAR_RTOL * b_top)
+    scale = np.where(fits, top, np.where(b_top > 0.0, b_top, 1.0))
     if nu == 1:
-        top, b_top = np.abs(a[:, :, 0]).max(axis=1), np.abs(b).max(axis=1)
-        full = (top > 0.0) & (top >= _LOCATOR_SINGULAR_RTOL * b_top)
-        scale = np.where(full, top, np.where(b_top > 0.0, b_top, 1.0))
-        a, b = a[:, :, 0] / scale[:, None], b / scale[:, None]
+        factor = 1.0 / np.maximum(scale, _SMALLEST_NORMAL)
+    else:
+        factor = np.ldexp(1.0, np.minimum(-np.frexp(scale)[1], 1022))
+    a, b = _locator_system((values.view(np.float64) * factor[:, None]).view(np.complex128), nu)
+    if nu == 1:
+        a = a[:, :, 0]
         aa = (a.real * a.real + a.imag * a.imag).sum(axis=1)
-        return ((a.conj() * b).sum(axis=1) / np.where(full, aa, 1.0))[:, None], full
+        return ((a.conj() * b).sum(axis=1) / np.where(fits, aa, 1.0))[:, None], fits
     if full is not None:
+        full = full & fits
         coeffs = np.zeros(b.shape, dtype=np.complex128)
         coeffs[full] = np.linalg.solve(a[full], b[full, :, None])[..., 0]
         return coeffs, full
     q, r = np.linalg.qr(a)  # reduced: q (F, 2t - nu, nu), r (F, nu, nu)
     size = np.abs(np.diagonal(r, axis1=1, axis2=2))
     top = size.max(axis=1)
-    full = (top > 0.0) & (size.min(axis=1) >= _LOCATOR_SINGULAR_RTOL * top)
+    full = fits & (top > 0.0) & (size.min(axis=1) >= _LOCATOR_SINGULAR_RTOL * top)
     rhs = (b[:, None, :] @ q.conj())[:, 0]  # q^H b, one product per row
     coeffs = np.zeros(rhs.shape, dtype=np.complex128)
     for j in range(nu - 1, -1, -1):  # back-substitution; rank-deficient rows divide by 1

@@ -70,12 +70,17 @@ def draw_frames(
     ``standard_normal((F_p, length))`` innovations, then
     ``random((F_p, length))`` keys whose rows' first E stable-argsort
     entries are the error positions, then ``normal(0, sigma_e, (F_p, E))``
-    magnitudes. The recursion, positions and scatter then run once over
-    the stack, elementwise or per row, so a frame's values do not depend
-    on the frames drawn beside it. The positions take E argmin passes,
-    each masking its pick to +inf: the first minimum, then the next, ties
-    in index order as a stable sort. No parts, like parts of no frames,
-    give (0, length) arrays.
+    magnitudes. A part whose channel can put no error (sigma_e = 0 or
+    E = 0) draws its innovations only: its magnitudes would all be +0.0,
+    which change no sample and enter no mask wherever they land, so its
+    frames are the same and only its generator ends at another state. The
+    recursion, positions and scatter then run once over the stack,
+    elementwise or per row, so a frame's values do not depend on the
+    frames drawn beside it; a stack with no part that can err skips the
+    positions and scatter, and y is a copy of x. The positions take E
+    argmin passes, each masking its pick to +inf: the first minimum, then
+    the next, ties in index order as a stable sort. No parts, like parts
+    of no frames, give (0, length) arrays.
     """
     errors = {ch.errors_per_frame for _rng, ch, _frames in parts}
     if len(errors) > 1:
@@ -87,14 +92,21 @@ def draw_frames(
         raise ValueError(f"errors_per_frame = {e} exceeds frame length {length}")
     at = np.cumsum([0] + [frames for _rng, _ch, frames in parts])
     x, keys, values = (np.empty((at[-1], d)) for d in (length, length, e))
+    noisy = False
     for (rng, ch, frames), lo, hi in zip(parts, at, at[1:]):
         rng.standard_normal(out=x[lo:hi])
-        rng.random(out=keys[lo:hi])
-        values[lo:hi] = rng.normal(0.0, ch.sigma_e, (frames, e))
+        if e and ch.sigma_e > 0:
+            noisy = True
+            rng.random(out=keys[lo:hi])
+            values[lo:hi] = rng.normal(0.0, ch.sigma_e, (frames, e))
+        else:  # every magnitude would be +0.0, so any positions will do
+            keys[lo:hi], values[lo:hi] = 0.0, 0.0
     columns = x.T  # x_i = rho x_{i-1} + scale w_i, in place down the columns
     columns[1:] *= np.sqrt(1.0 - spec.rho**2)
     for prev, col in zip(columns, columns[1:]):
         col += spec.rho * prev
+    if not noisy:
+        return x, x.copy(), np.zeros(x.shape, dtype=bool)
     # E masked argmin passes pick each row's positions, as flat indices
     flat = np.empty((len(x), e), dtype=np.intp)
     row_start = np.arange(0, x.size, length)

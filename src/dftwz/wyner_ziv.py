@@ -324,7 +324,9 @@ def encode_block(
     those outside [lo, hi]."""
     rec = _approach(code.n, code.k, approach)
     parts = _mv(rec.sends, _frames(x, rec.length, approach, "source"))
-    overloads = np.count_nonzero((parts < quantizer.lo) | (parts > quantizer.hi), axis=1)
+    clipped = (parts < quantizer.lo) | (parts > quantizer.hi)
+    # Integer columns added are fast on short rows; bool columns would OR.
+    overloads = functools.reduce(np.add, clipped.T.astype(np.intp))
     return quantize(quantizer, parts), overloads
 
 

@@ -419,16 +419,21 @@ def test_non_finite_syndrome_rejected(bad):
         decode_block(C75, s[None])
 
 
-@pytest.mark.parametrize("exponent", [-300, -160, 0, 160, 300])
+@pytest.mark.parametrize("exponent", [-310, -300, -160, 0, 160, 300])
 @pytest.mark.parametrize(
-    "code, errors", [(C75, {3: 1.3}), (C159, {5: -0.8}), (C159, {2: 1.0, 9: -0.7})],
-    ids=["7-5-one", "15-9-one", "15-9-two"],
+    "code, errors",
+    [(C75, {3: 1.3}), (C159, {5: -0.8}), (C159, {2: 1.0, 9: -0.7}), (C117, {2: 1.0, 7: -0.7})],
+    ids=["7-5-one", "15-9-one", "15-9-two", "11-7-two"],
 )
 def test_pgz_decisions_do_not_depend_on_the_syndromes_scale(code, errors, exponent):
+    # Subnormal syndromes (1e-310) and huge ones (1e300) included: the
+    # locator systems are scaled, so no step under- or overflows and warns.
     e = np.zeros(code.n)
     e[list(errors)] = list(errors.values())
     s = code.H @ e
-    est = pgz_decode(code, s * 10.0**exponent, rel_tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = pgz_decode(code, s * 10.0**exponent, rel_tol=1e-10)
     assert (est.count, est.locations, est.diagnostics.retries) == (len(errors), tuple(errors), 0)
 
 

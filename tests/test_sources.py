@@ -152,6 +152,35 @@ class _TiedKeys:
         return self._rng.normal(loc, scale, shape)
 
 
+class _Spy:
+    """A generator that records the name of each draw made from it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return draw(*args, **kwargs)
+
+        return recorded
+
+
+def test_a_part_whose_channel_can_put_no_error_draws_only_its_innovations():
+    # sigma_e = 0 would draw magnitudes of +0.0 and E = 0 none at all, so
+    # neither part draws keys or magnitudes; a noisy part beside the
+    # sigma_e = 0 one still draws all three, in order.
+    clean, noisy, no_errors = _Spy(1), _Spy(2), _Spy(3)
+    draw_frames(SourceSpec(0.9), 7, [(clean, ChannelSpec(1, 0.0), 4),
+                                     (noisy, ChannelSpec(1, 0.5), 4)])
+    draw_frames(SourceSpec(0.9), 7, [(no_errors, ChannelSpec(0, 0.5), 4)])
+    assert clean.calls == no_errors.calls == ["standard_normal"]
+    assert noisy.calls == ["standard_normal", "random", "normal"]
+
+
 def test_single_error_position_is_the_first_stable_argsort_entry():
     # The j-th of E errors lands where the j-th stable-argsort entry of its
     # frame's keys points, with ties at the minimum and past it.
@@ -183,8 +212,14 @@ def test_no_parts_draw_no_frames(rng):
         assert hit.dtype == bool
 
 
-# sha256 of x, y and hit bytes, concatenated, of the three-part draw below,
-# recorded when the recursion still ran on a transposed copy of the stack.
+def _digest(length, parts):
+    """sha256 of the x, y and hit bytes of the draw, concatenated."""
+    x, y, hit = draw_frames(SourceSpec(0.9), length, parts)
+    return hashlib.sha256(x.tobytes() + y.tobytes() + hit.tobytes()).hexdigest(), hit
+
+
+# Digests of the three-part draw below, recorded when the recursion still
+# ran on a transposed copy of the stack.
 DRAW_DIGESTS = {
     (1, 5): "7bbd02b0a9bff9734b6e33d52cf36d391be262556f5323e59f85545ec89e8748",
     (1, 7): "3586a96ee6bc9d8b144003e82b6a064551679ab0691152306ecb9e003568f08b",
@@ -202,7 +237,30 @@ def test_draw_is_bit_for_bit_the_recorded_one(errors, length):
     # moves one bit of x, y or the mask changes the digest.
     parts = [(np.random.default_rng((23, errors, length, i)), ChannelSpec(errors, sigma), frames)
              for i, (sigma, frames) in enumerate(((0.0, 3), (0.7, 5), (2.0, 1)))]
-    x, y, hit = draw_frames(SourceSpec(0.9), length, parts)
-    digest = hashlib.sha256(x.tobytes() + y.tobytes() + hit.tobytes()).hexdigest()
+    digest, hit = _digest(length, parts)
     assert digest == DRAW_DIGESTS[errors, length]
     assert hit[:3].sum() == 0 and hit[3:].sum(axis=1).tolist() == [errors] * 6
+
+
+# Digests of a stack of parts of 3, 5 and 1 frames that all have
+# sigma_e = 0, recorded when every part still drew its keys and
+# magnitudes and the stack still ran the positions and the scatter.
+CLEAN_DRAW_DIGESTS = {
+    (1, 5): "a8492c0f1603127817161bd978856d4df90facfa88994ba92bf2ca3e7387a6f2",
+    (1, 7): "e59b360d0bf860c04140ec7e00d9d41950b3e48671120ea02c457ce4e904f494",
+    (1, 15): "d06a6e0477b5ef2a74bcae40c4248ba3bd6ba747309d6177e73193b7cf9341ba",
+    (2, 5): "3b49cc30adb6f1a7e89604e66468eeabd3b9e88f1ba177e42d31c36d120631ee",
+    (2, 7): "0158bd121ce62d13bd035d8138885ad2ae615890b0622d7732c68905deae7a77",
+    (2, 15): "d6f9d6f176d4d0b93ddafea85794c8378ad7ad8458700f2393a8979a923bb04b",
+}
+
+
+@pytest.mark.parametrize("errors, length", sorted(CLEAN_DRAW_DIGESTS))
+def test_clean_draw_is_bit_for_bit_the_recorded_one(errors, length):
+    # No part can err, so the stack draws innovations only: skipping the
+    # keys, magnitudes, positions and scatter must move no bit.
+    parts = [(np.random.default_rng((29, errors, length, i)), ChannelSpec(errors, 0.0), frames)
+             for i, frames in enumerate((3, 5, 1))]
+    digest, hit = _digest(length, parts)
+    assert digest == CLEAN_DRAW_DIGESTS[errors, length]
+    assert not hit.any()
