@@ -47,6 +47,7 @@ from .wyner_ziv import (
     decode_block,
     encode_block,
     frame_length,
+    row_sums,
     tx_samples,
 )
 
@@ -159,7 +160,7 @@ class SweepConfig:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name} = {lo_hi}: {exc}") from None
 
-    @property
+    @functools.cached_property  # built once, in __post_init__
     def reference_quantizer(self) -> QuantizerSpec:
         return self._quantizer("ref_range")
 
@@ -201,7 +202,7 @@ def _trials(
     diff = decoded.x_hat - x
     localized = functools.reduce(np.logical_and, (decoded.support == hit).T)
     zero_error = functools.reduce(np.logical_and, (decoded.x_hat == x).T)
-    return np.mean(diff * diff, axis=1), localized, zero_error, overloads
+    return row_sums(diff * diff) / x.shape[1], localized, zero_error, overloads  # np.mean's bits
 
 
 def _frame_bytes(code: DftCode, approach: str) -> int:

@@ -23,7 +23,11 @@ close to it or to each other to decide (``_closed_form_count``); t >= 4
 and small blocks run the SVD on every live row. Either way the count is
 the one LAPACK's singular values give. A nu = t locator is solved by LU
 once the count's rank test passes, and a 1 < nu < t one by Householder
-QR, whose rank test the SVD's implies.
+QR, whose rank test the SVD's implies. A one-error row is located by
+its locator's angle, through a table of half-bins, and only the rows
+whose angle lies too close to a boundary between candidates
+(``_nearest``) and the rows of nu >= 2 scan the grid; either way the
+pick is the grid's.
 
 ``decode_block`` runs the count, locator and location steps on a block
 of F syndromes at once and is the one way into the chain; ``pgz_decode``
@@ -71,6 +75,10 @@ _CLOSED_FORM_ROWS = 24
 # The closed form's error allowance per unit e_1^t (4096 eps); see
 # _closed_form_count.
 _BAND = 2.0**-40
+
+# The one-error location's band per unit n^2 (1 + r)^2 / r, in half-bins
+# (16 eps); see _nearest.
+_LOCATION_BAND = 2.0**-48
 
 # Angles of the trigonometric cubic formula's roots, largest root first.
 _CUBIC_TURNS = np.array([[2.0], [4.0], [0.0]]) * np.pi / 3.0
@@ -348,6 +356,58 @@ def _candidates(candidate_set, n: int) -> np.ndarray:
     return cands
 
 
+@functools.lru_cache(maxsize=16)  # both candidate sets of build_code's 8 codes
+def _half_bins(n: int, cands: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """For the int64 candidates ``cands`` of the n-point grid, as
+    ``_nearest`` reads them: the candidate nearest the half-bin [h, h + 1)
+    of u, h = 0..2n, and 0 at each integer u that is a Voronoi boundary,
+    1 at the others. Candidate i sits at u = n + 2i (mod 2n), so every
+    boundary is an integer and no half-bin's midpoint is a tie."""
+    c = np.frombuffer(cands, dtype=np.int64)
+    ahead = (np.arange(-1, 2 * n + 1)[:, None] + 0.5 - (n + 2 * c)) % (2 * n)
+    nearest = c[np.minimum(ahead, 2 * n - ahead).argmin(axis=1)]  # bins -1..2n
+    return _frozen(nearest[1:]), _frozen((nearest[:-1] == nearest[1:]).astype(float))
+
+
+def _nearest(lam: np.ndarray, cands: np.ndarray, n: int) -> np.ndarray:
+    """The candidate ``_grid`` picks for a locator 1 - lam x of degree 1,
+    for each entry of ``lam`` (L,), or -1 where the angle does not decide
+    it: ``lam`` is 0, non-finite or too large, or its angle lies within
+    the band of a boundary.
+
+    As |alpha^{-i}| = 1, |1 - lam alpha^{-i}| = |lam - z_i|, z_i =
+    alpha^i: the grid picks the candidate nearest lam in the plane. With
+    r = |lam|, theta = arg lam, that is the z_i nearest the angle theta,
+    which u = (pi - theta) n / pi, in half-bins of pi / n, places in one
+    of ``_half_bins``' bins.
+
+    The band. alpha^{-i} is rounded within 18 eps of the unit circle's
+    point, in the angle 2 pi i / n and in exp; with one complex product,
+    a sum and np.abs on top, the grid's |Lambda| at z_i is within
+    E = 24 eps (1 + r) of |lam - z_i|. So it picks the nearest z_c when
+    |lam - z_j| - |lam - z_c| > 2 E for every other candidate j. Their
+    bisector is a line through 0, at an angle from lam of at least delta,
+    lam's angle to the nearest boundary (at most pi / 2); so
+    |lam - z_j|^2 - |lam - z_c|^2 = 2 |z_j - z_c| dist(lam, bisector)
+    >= 4 sin(pi / n) r sin(delta), and |lam - z_j| + |lam - z_c| <=
+    2 (1 + r). As sin(pi / n) >= 2 / n and sin(delta) >= 2 delta / pi,
+    delta > 6 eps n^2 (1 + r)^2 / r half-bins (of pi / n) suffices; u's
+    own rounding, at most 10 eps n half-bins, adds less than a sixth of
+    that, as (1 + r)^2 / r >= 4 and n >= 3. The band,
+    _LOCATION_BAND n^2 (1 + r)^2 / r, is over twice the sum. Once r or
+    1 / r passes about 1.4e14 / n^2, the band passes half a half-bin and
+    every row goes to the grid, long before its values overflow; so does
+    a row of r = 0, inf or NaN, where no distance times r exceeds the
+    band times r."""
+    table, off = _half_bins(n, np.asarray(cands, dtype=np.int64).tobytes())
+    u = np.fmax((np.pi - np.arctan2(lam.imag, lam.real)) * (n / np.pi), 0.0)  # [0, 2n]; NaN: 0
+    edge = np.rint(u)
+    apart = np.abs(off[edge.astype(np.intp)] - np.abs(u - edge))  # 1 - |u - edge| off a boundary
+    r = np.minimum(np.abs(lam), 1e100)  # (1 + r)^2 stays finite; NaN stays NaN
+    decided = apart * r > (_LOCATION_BAND * n * n) * ((1.0 + r) * (1.0 + r))
+    return np.where(decided, table[u.astype(np.intp)], -1)
+
+
 def _grid(coeffs: np.ndarray, count: np.ndarray, cands: np.ndarray, n: int) -> np.ndarray:
     """(F, |cands|) mask of the count[f] candidates minimizing
     |Lambda(alpha^{-i})| for each row of ``coeffs`` (F, d), ties toward the
@@ -420,7 +480,14 @@ def decode_block(
             count[failed] -= 1
             retries[failed] += 1
     support = np.zeros((len(values), n), dtype=bool)
-    live = count.nonzero()[0]
+    grid = count > 0
+    one = (count == 1).nonzero()[0]
+    if one.size:  # zero past Lambda_1: a failed row's locator was cleared
+        pos = _nearest(locator[one, 0], cands, n)
+        hit = pos >= 0
+        support.reshape(-1)[one[hit] * n + pos[hit]] = True
+        grid[one[hit]] = False
+    live = grid.nonzero()[0]
     if live.size:
         support[live[:, None], cands] = _grid(locator[live], count[live], cands, n)
     return PgzBlock(gated, count, retries, locator, support)

@@ -163,12 +163,24 @@ def _vm(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ matrix)[..., 0, :]
 
 
+# numpy's pairwise sum adds a row of fewer than 8 terms left to right, as
+# adding its columns one at a time does, which is faster on such rows.
+_PAIRWISE_TERMS = 8
+
+
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=1) of a C-contiguous 2-D ``a``, bit for bit."""
+    if a.shape[1] < _PAIRWISE_TERMS:
+        return functools.reduce(np.add, a.T)
+    return a.sum(axis=1)
+
+
 def _normalized(logw: np.ndarray) -> np.ndarray:
     """Rows of exp(logw) over their sums, shifting ``logw`` in place; a weight
     under e^-708 of its row's largest is 0, sparing exp its slow subnormal path."""
     logw -= functools.reduce(np.maximum, logw.T)[:, None]  # exact, fast on short rows
     w = np.exp(logw, out=np.zeros_like(logw), where=logw > -708.0)
-    w /= w.sum(axis=1, keepdims=True)
+    w /= row_sums(w)[:, None]
     return w
 
 

@@ -151,6 +151,10 @@ GOLDEN_CONFIGS = {
     "golden_15_9.csv": dict(
         n=15, k=9, errors_per_frame=2, ceqnr_db=(20.0, 30.0, 40.0), frames=512
     ),
+    # nu = 1 rows of a t = 3 code, located over 15 and 9 candidates
+    "golden_15_9_e1.csv": dict(
+        n=15, k=9, errors_per_frame=1, ceqnr_db=(0.0, 20.0, 40.0), frames=512
+    ),
     # t = 4: 4x4 locator solves and three-position cores
     "golden_21_13.csv": dict(
         n=21, k=13, errors_per_frame=4, ceqnr_db=(20.0, 40.0), frames=256

@@ -557,6 +557,14 @@ def test_sweep_result_pickles_equal_to_itself():
     assert pickle.loads(pickle.dumps(res)) == res
 
 
+def test_reference_quantizer_is_built_once_and_pickled_with_its_config():
+    cfg = SweepConfig(frames=64)
+    assert cfg.reference_quantizer is cfg.reference_quantizer
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and copy.reference_quantizer == cfg.reference_quantizer
+    assert replace(cfg, bits=8).reference_quantizer.bits == 8
+
+
 def test_csv_read_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("alpha,beta\n1,2\n")

@@ -171,6 +171,78 @@ def test_grid_ranks_as_a_stable_argsort(code, parity, rng):
     assert np.isnan(value[400:500]).any() == (t > 1)
 
 
+def _near_boundaries(n, cands, rows, rng):
+    """Degree-1 locators Lambda_1 of |Lambda_1| log-uniform in 1e-12..1e12
+    whose angles lie 1e-14..1e-1 half-bins (pi / n) to either side of a
+    boundary between circularly adjacent candidates, at the angle
+    -pi (c_a + c_b) / n; then Lambda_1 = 0, infinite, huge and NaN."""
+    pairs = np.c_[cands, np.r_[cands[1:], cands[0] + n]]
+    mid = pairs[rng.integers(len(pairs), size=rows)].sum(axis=1)
+    off = 10.0 ** rng.uniform(-14, -1, rows) * rng.choice([-1.0, 1.0], rows)
+    size = 10.0 ** rng.uniform(-12, 12, rows)
+    lam = size * np.exp(-1j * np.pi * (mid + off) / n)
+    return np.r_[lam, 0.0, np.inf, complex(np.inf, np.inf), 1.5e308, -1.5e308j, np.nan]
+
+
+def _misplaced(n, rng):
+    """Decided one-error locations that differ from the grid's pick, and
+    rows decided and left to the grid, over full and systematic candidate
+    sets of n points."""
+    wrong = decided = undecided = 0
+    for cands in (np.arange(n), np.delete(np.arange(n), np.arange(4) * n // 4)):
+        lam = _near_boundaries(n, cands, 4096 if n < 1000 else 2048, rng)
+        pos = pgz._nearest(lam, cands, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = cands[_grid(lam[:, None], np.ones(len(lam), int), cands, n).argmax(axis=1)]
+        assert np.all(pos[-6:] == -1)  # 0, inf, 1.5e308, NaN: the grid's rule
+        hit = pos >= 0
+        wrong += np.count_nonzero(pos[hit] != want[hit])
+        decided, undecided = decided + hit.sum(), undecided + (~hit).sum()
+    return wrong, decided, undecided
+
+
+def test_one_error_location_is_the_grids_outside_its_band(monkeypatch):
+    # The angle rule decides a degree-1 locator only outside its band
+    # around each boundary, where the grid's rounding cannot move the
+    # pick. With a band 2^8 narrower the same locators are misplaced, so
+    # they reach the band's edge.
+    rng = np.random.default_rng(35)
+    sizes = (7, 15, 31, 63, 127, 255, 1023)
+    for n in sizes:
+        wrong, decided, undecided = _misplaced(n, rng)
+        assert wrong == 0 and decided > 500 and undecided > 500, n
+    monkeypatch.setattr(pgz, "_LOCATION_BAND", pgz._LOCATION_BAND / 2**8)
+    rng = np.random.default_rng(35)
+    assert sum(_misplaced(n, rng)[0] for n in sizes) > 0
+
+
+@pytest.mark.parametrize("code", [C75, C159], ids=["7-5", "15-9"])
+def test_one_error_rows_reach_the_grid_only_inside_the_band(code, monkeypatch):
+    # Geometric syndromes s_m = c beta^m count 1 error with Lambda_1 =
+    # beta. At -arg beta = 2 pi i / n, on candidate i, and at 2 pi (i +
+    # 1/4) / n, halfway to a boundary, the angle decides each row; the
+    # rows at a boundary, pi (2i + 1) / n, and only they, go to the grid.
+    n, m = code.n, np.arange(2 * code.t)
+    rng = np.random.default_rng(n)
+    turns = np.r_[np.arange(n) + 0.25, np.arange(n) + 0.5, np.arange(n)]
+    scale = 10.0 ** rng.uniform(-3, 3, (3 * n, 1)) * np.exp(2j * np.pi * rng.random((3 * n, 1)))
+    syndromes = scale * np.exp(-2j * np.pi * turns[:, None] * m / n)
+    rows, real_grid = [], pgz._grid
+
+    def grid(coeffs, count, cands, n):
+        rows.append(coeffs.copy())
+        return real_grid(coeffs, count, cands, n)
+
+    monkeypatch.setattr(pgz, "_grid", grid)
+    block = decode_block(code, syndromes[np.r_[:n, 2 * n:3 * n]])
+    assert rows == [] and np.all(block.count == 1)
+    np.testing.assert_array_equal(block.support.nonzero()[1], np.r_[np.arange(n), np.arange(n)])
+    block = decode_block(code, syndromes)
+    assert np.all(block.count == 1) and len(rows) == 1
+    np.testing.assert_array_equal(rows[0], block.locator[n:2 * n])
+    assert np.all(block.support.sum(axis=1) == 1)
+
+
 def test_locate_validates_candidates():
     with pytest.raises(ValueError):
         pgz_decode(C75, unit_error_syndrome(C75, 1), candidate_set=[7])

@@ -27,6 +27,7 @@ from dftwz.wyner_ziv import (
     encode,
     encode_block,
     frame_length,
+    row_sums,
     tx_samples,
 )
 
@@ -389,6 +390,15 @@ def test_deep_cores_weighted_as_the_rule_written_out(approach, n, k, supports, s
     # (21,13) with supports of 3 and 4 positions and (31,21) with 4 and 5,
     # some of them runs of adjacent positions.
     _weigh_each_row((n, k, approach), supports, seed)
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 7, 8, 15, 45])
+def test_row_sums_are_np_sums_bit_for_bit(rng, length):
+    # Column sums below 8 terms, numpy's pairwise sum from 8 on: the
+    # same bits either way, on rows of signed values of mixed size.
+    a = rng.standard_normal((4096, length)) * 10.0 ** rng.integers(-8, 9, (4096, length))
+    np.testing.assert_array_equal(row_sums(a), np.sum(a, axis=1))
+    np.testing.assert_array_equal(row_sums(a * a) / length, np.mean(a * a, axis=1))
 
 
 def test_weights_spanning_more_than_the_exponent_range(rng):
