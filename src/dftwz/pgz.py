@@ -31,9 +31,9 @@ pick is the grid's.
 
 ``decode_block`` runs the count, locator and location steps on a block
 of F syndromes at once and is the one way into the chain; ``pgz_decode``
-is the same code on a block of one, plus the magnitudes. Magnitudes only
-enter the reported estimate of a single frame (``frame_estimate``), never
-a reconstruction.
+is the same code on a block of one, whose one SVD is the count's, plus
+the magnitudes. Magnitudes only enter the reported estimate of a single
+frame (``frame_estimate``), never a reconstruction.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "PgzBlock",
     "pgz_decode",
     "decode_block",
-    "frame_estimate",
 ]
 
 # Relative rank tolerance used when the syndrome carries quantization
@@ -86,14 +85,11 @@ _CUBIC_TURNS = np.array([[2.0], [4.0], [0.0]]) * np.pi / 3.0
 
 @dataclass(frozen=True)
 class PgzDiagnostics:
-    """Per-decode numerical health record. ``singular_values`` are the
-    Hankel singular values of the frame's count step, from an SVD of its
-    own (|s_0| for t = 1), empty for a frame the clean gate passed;
-    ``magnitude_residual`` is the norm of the syndrome left over by the
-    least-squares magnitudes, 0 for nu = 0; ``retries`` counts the steps
-    down the retry ladder."""
+    """Per-decode numerical health record. ``magnitude_residual`` is the
+    norm of the syndrome left over by the least-squares magnitudes, 0 for
+    nu = 0; ``retries`` counts the steps down the retry ladder, so the
+    count step's Hankel rank is ``count + retries``."""
 
-    singular_values: np.ndarray
     magnitude_residual: float
     retries: int
 
@@ -125,6 +121,13 @@ class PgzBlock(NamedTuple):
     support: np.ndarray
 
 
+def one_frame(a, length: int, what: str) -> np.ndarray:
+    """The one frame ``a`` as a block of one; any shape but (length,) raises ValueError."""
+    if (a := np.asarray(a)).shape != (length,):
+        raise ValueError(f"{what} has shape {a.shape}, expected ({length},)")
+    return a[None]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -141,10 +144,6 @@ def _hankel_index(t: int) -> np.ndarray:
 def _grid_points(n: int) -> np.ndarray:
     """alpha^{-i} for i = 0..n-1, alpha = e^{-j 2 pi / n}."""
     return _frozen(np.exp(2j * np.pi * np.arange(n) / n))
-
-
-def _norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.vdot(v, v).real))
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -164,11 +163,12 @@ def _gram_tables(t: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _closed_form_count(
-    values: np.ndarray, mag: np.ndarray, t: int, rel_tol: float
+    values: np.ndarray, top: np.ndarray, t: int, rel_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hankel rank of each row of ``values`` (L, 2t), t = 2 or 3, and
     whether the closed form decided it: (count, decided), both (L,), with
-    ``mag`` = |values|. A row it does not decide goes to the SVD.
+    ``top`` each row's largest |s_m|, m < 2t - 1. A row it does not decide
+    goes to the SVD.
 
     The rank counts the singular values sigma_i >= rel_tol sigma_0 of the
     Hankel matrix S, so the eigenvalues lambda_i = sigma_i^2 of S^H S at
@@ -202,7 +202,6 @@ def _closed_form_count(
     test decides these rows as the exact one does. lambda_0 always counts
     (rel_tol < 1). A decided count of t has lambda_(t-1) >= _BAND e_1, so
     sigma_(t-1) >= 2^-20 sigma_0 also passes the nu = t locator's test."""
-    top = functools.reduce(np.maximum, mag[:, : 2 * t - 1].T)
     scaled = np.ldexp(values.view(np.float64), -np.frexp(top)[1][:, None])
     s = scaled.view(np.complex128).T
     minors, weights = _gram_tables(t)
@@ -236,24 +235,26 @@ def _closed_form_count(
 
 def _count(
     values: np.ndarray, t: int, rel_tol: float, noise_floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clean gate, Hankel rank and the nu = t locator's rank test of each
-    row of ``values`` (F, 2t): (gated, count, full). The rank counts the
-    Hankel singular values sigma_i >= rel_tol sigma_0, 0 when sigma_0 = 0;
-    ``full`` is sigma_(t-1) >= _LOCATOR_SINGULAR_RTOL sigma_0, read only
-    where the count is t. Gated rows count 0, and t = 1, whose 1x1 Hankel
-    matrix [s_0] has singular value |s_0|, runs no SVD. A t = 2 or t = 3
-    block of at least _CLOSED_FORM_ROWS live rows counts them in closed
-    form; one SVD counts the rows it leaves undecided, or every live row."""
-    mag = np.abs(values)
-    gated = functools.reduce(np.maximum, mag.T) <= noise_floor  # exact, fast on short rows
+    row of ``values`` (F, 2t), and its largest |s_m|, m < 2t - 1, and of
+    all: (gated, count, full, top, peak). The rank counts the Hankel
+    singular values sigma_i >= rel_tol sigma_0, 0 when sigma_0 = 0; ``full``
+    is sigma_(t-1) >= _LOCATOR_SINGULAR_RTOL sigma_0, read only where the
+    count is t. Gated rows count 0, and t = 1 ([s_0], singular value |s_0|)
+    runs no SVD. A t = 2 or 3 block of _CLOSED_FORM_ROWS or more live rows
+    counts them in closed form; one SVD counts those it leaves, or all."""
+    mag = np.abs(values).T
+    top = functools.reduce(np.maximum, mag[:-1])  # exact, fast on short rows
+    peak = np.maximum(top, mag[-1])
+    gated = peak <= noise_floor
     live = (~gated).nonzero()[0]
     count, full = np.zeros(len(values), dtype=int), np.zeros(len(values), dtype=bool)
     if t == 1:
-        count[live] = mag[live, 0] > 0.0
-        return gated, count, full
+        count[live] = top[live] > 0.0
+        return gated, count, full, top, peak
     if t <= 3 and live.size >= _CLOSED_FORM_ROWS:
-        count[live], decided = _closed_form_count(values[live], mag[live], t, rel_tol)
+        count[live], decided = _closed_form_count(values[live], top[live], t, rel_tol)
         full[live] = True
         live = live[~decided]
     if live.size:
@@ -263,7 +264,7 @@ def _count(
         above = (sing >= rel_tol * sing[:, :1]).T.astype(int)
         count[live] = functools.reduce(np.add, above) * (sing[:, 0] > 0.0)
         full[live] = sing[:, -1] >= _LOCATOR_SINGULAR_RTOL * sing[:, 0]
-    return gated, count, full
+    return gated, count, full, top, peak
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,13 +281,15 @@ def _locator_system(values: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _solve_locators(
-    values: np.ndarray, nu: int, full: np.ndarray | None = None
+    values: np.ndarray, nu: int, top: np.ndarray, peak: np.ndarray,
+    full: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares locator coefficients (F, nu) of each row of
-    ``values``, and whether its system has full rank. One Householder QR
-    per row, A = QR, serves both the rank test min |R_jj| >= rtol max |R_jj|
-    (implied by the SVD's, as sing_min <= |R_jj| <= sing_max) and the
-    solve R x = Q^H b; a rank-deficient row's coefficients are meaningless.
+    ``values``, and whether its system has full rank, given ``_count``'s
+    ``top`` and ``peak`` of the rows. One Householder QR per row, A = QR,
+    serves both the rank test min |R_jj| >= rtol max |R_jj| (implied by
+    the SVD's, as sing_min <= |R_jj| <= sing_max) and the solve
+    R x = Q^H b; a rank-deficient row's coefficients are meaningless.
 
     For nu = t the caller passes the count's rank test ``full``:
     A[m, c] = S[m, t-1-c] is the Hankel matrix with its columns reversed,
@@ -296,7 +299,11 @@ def _solve_locators(
     Each row's system is scaled first, so that no row under- or
     overflows at any scale of the syndrome: it has full rank only when
     max |a| > 0 and max |a| >= rtol max |b|, and is scaled by max |a|,
-    a rank-deficient one by max |b| (its solve then divides by 1). For
+    a rank-deficient one by max |b| (its solve then divides by 1). As a
+    holds s_0..s_{2t-2} and b s_nu..s_{2t-1}, max |a| is ``top``, and
+    ``peak`` = max(top, |s_{2t-1}|) serves for max |b|: where peak > top,
+    peak = |s_{2t-1}| = max |b|, and elsewhere both tests pass, or both
+    fail on an all-zero row. For
     nu >= 2 the factor is the power of two 2^-e of that maximum m 2^e,
     m in [1/2, 1), capped at 2^1022 so that it stays finite. It is
     exact, so the rank tests and coefficients are those of the system as
@@ -307,10 +314,8 @@ def _solve_locators(
     reciprocal of the maximum itself, so that a^H a lies in [1, 2t - 1]
     and b within 1 / rtol; a subnormal maximum counts as the smallest
     normal number, whose reciprocal is finite."""
-    mag = np.abs(values).T  # a holds s_0..s_{2t-2}, b s_nu..s_{2t-1}
-    top, b_top = (functools.reduce(np.maximum, m) for m in (mag[:-1], mag[nu:]))
-    fits = (top > 0.0) & (top >= _LOCATOR_SINGULAR_RTOL * b_top)
-    scale = np.where(fits, top, np.where(b_top > 0.0, b_top, 1.0))
+    fits = (top > 0.0) & (top >= _LOCATOR_SINGULAR_RTOL * peak)
+    scale = np.where(fits, top, peak)
     if nu == 1:
         factor = 1.0 / np.maximum(scale, _SMALLEST_NORMAL)
     else:
@@ -327,8 +332,8 @@ def _solve_locators(
         return coeffs, full
     q, r = np.linalg.qr(a)  # reduced: q (F, 2t - nu, nu), r (F, nu, nu)
     size = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    top = size.max(axis=1)
-    full = fits & (top > 0.0) & (size.min(axis=1) >= _LOCATOR_SINGULAR_RTOL * top)
+    diag_top = size.max(axis=1)
+    full = fits & (diag_top > 0.0) & (size.min(axis=1) >= _LOCATOR_SINGULAR_RTOL * diag_top)
     rhs = (b[:, None, :] @ q.conj())[:, 0]  # q^H b, one product per row
     coeffs = np.zeros(rhs.shape, dtype=np.complex128)
     for j in range(nu - 1, -1, -1):  # back-substitution; rank-deficient rows divide by 1
@@ -351,8 +356,8 @@ def _candidates(candidate_set, n: int) -> np.ndarray:
     if not all(isinstance(i, (int, np.integer)) and type(i) is not bool for i in items):
         raise ValueError(f"candidate_set must hold integers, got {candidate_set!r}")
     cands = np.array(sorted(set(int(i) for i in items)), dtype=np.int64)
-    if np.any(cands < 0) or np.any(cands >= n):
-        raise ValueError("candidate indices must lie in 0..n-1")
+    if not cands.size or np.any(cands < 0) or np.any(cands >= n):
+        raise ValueError(f"candidate_set must hold one or more indices in 0..{n - 1}")
     return cands
 
 
@@ -426,15 +431,6 @@ def _grid(coeffs: np.ndarray, count: np.ndarray, cands: np.ndarray, n: int) -> n
     return keys == taken
 
 
-def _magnitudes(code: DftCode, values: np.ndarray, locs: np.ndarray) -> np.ndarray:
-    """Real magnitudes at ``locs`` solving s_m = sum_l e_l H[m, l]: real and
-    imaginary parts of all 2t equations in one least-squares fit."""
-    a = code.H[:, locs]
-    a_real = np.concatenate([a.real, a.imag])
-    b_real = np.concatenate([values.real, values.imag])
-    return np.linalg.lstsq(a_real, b_real, rcond=None)[0]
-
-
 def decode_block(
     code: DftCode,
     syndromes: np.ndarray,
@@ -450,10 +446,10 @@ def decode_block(
     nu = 0 is the empty estimate; grid location over ``candidate_set``.
     The ladder starts at most at the number of candidates, and the steps
     that cap takes count as retries.
-    Raises ValueError for non-finite syndromes, a ``rel_tol`` outside
-    [0, 1) or a negative or NaN ``noise_floor``, never for numerical
-    reasons: worst cases surface as poor estimates, which the Monte-Carlo
-    metrics then record.
+    Raises ValueError for non-finite syndromes, an empty ``candidate_set``,
+    a ``rel_tol`` outside [0, 1) or a negative or NaN ``noise_floor``,
+    never for numerical reasons: worst cases surface as poor estimates,
+    which the Monte-Carlo metrics then record.
     """
     if not 0.0 <= rel_tol < 1.0:  # NaN fails every comparison
         raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol}")
@@ -466,19 +462,21 @@ def decode_block(
     if not np.isfinite(values).all():
         raise ValueError("syndrome has non-finite components")
     cands = _candidates(candidate_set, n)
-    gated, count, full_t = _count(values, t, rel_tol, noise_floor)
+    gated, count, full_t, top, peak = _count(values, t, rel_tol, noise_floor)
     retries = np.maximum(count - len(cands), 0)  # no more errors than candidates
     count -= retries
     locator = np.zeros((len(values), t), dtype=np.complex128)
     for nu in range(count.max(initial=0), 0, -1):  # a frame failing at nu retries at nu - 1
         rows = (count == nu).nonzero()[0]
         if rows.size:
-            coeffs, full = _solve_locators(values[rows], nu, full_t[rows] if nu == t else None)
+            coeffs, full = _solve_locators(
+                values[rows], nu, top[rows], peak[rows], full_t[rows] if nu == t else None)
             locator[rows, :nu] = coeffs
             failed = rows[~full]
-            locator[failed] = 0.0
-            count[failed] -= 1
-            retries[failed] += 1
+            if failed.size:
+                locator[failed] = 0.0
+                count[failed] -= 1
+                retries[failed] += 1
     support = np.zeros((len(values), n), dtype=bool)
     grid = count > 0
     one = (count == 1).nonzero()[0]
@@ -495,26 +493,23 @@ def decode_block(
 
 def frame_estimate(code: DftCode, syndromes: np.ndarray, block: PgzBlock) -> ErrorEstimate:
     """The ErrorEstimate of a one-frame block: ``block``'s decisions plus
-    least-squares magnitudes and their residual, and the singular values
-    of its count step."""
+    the real magnitudes at its locations that solve s_m = sum_l e_l H[m, l]
+    in one least-squares fit of the real and imaginary parts of all 2t
+    equations, and the norm of the syndrome they leave over."""
     nu, locs, values = int(block.count[0]), block.support[0].nonzero()[0], syndromes[0]
-    mags = _magnitudes(code, values, locs)
-    if block.gated[0]:
-        sing = np.zeros(0)
-    elif code.t == 1:
-        sing = np.abs(values[:1])
-    else:
-        sing = np.linalg.svd(values[_hankel_index(code.t)], compute_uv=False)
+    mags, residual = np.zeros(0), 0.0
+    if nu:
+        a = code.H[:, locs]
+        mags = np.linalg.lstsq(np.concatenate([a.real, a.imag]),
+                               np.concatenate([values.real, values.imag]), rcond=None)[0]
+        left = a @ mags - values
+        residual = float(np.sqrt(np.vdot(left, left).real))
     return ErrorEstimate(
         count=nu,
         locations=tuple(locs.tolist()),
         magnitudes=mags,
         locator_coeffs=block.locator[0, :nu],
-        diagnostics=PgzDiagnostics(
-            singular_values=sing,
-            magnitude_residual=_norm(code.H[:, locs] @ mags - values) if nu else 0.0,
-            retries=int(block.retries[0]),
-        ),
+        diagnostics=PgzDiagnostics(magnitude_residual=residual, retries=int(block.retries[0])),
     )
 
 
@@ -527,9 +522,9 @@ def pgz_decode(
     noise_floor: float = 0.0,
 ) -> ErrorEstimate:
     """Full PGZ chain with a retry ladder: ``decode_block`` on a block of
-    one, then least-squares magnitudes. Raises ValueError for a non-finite
-    syndrome or a bad ``rel_tol`` or ``noise_floor``, as ``decode_block``
-    does; never raises for numerical reasons."""
-    values = np.asarray(s, dtype=np.complex128)[None]  # decode_block checks it
+    one, then least-squares magnitudes. Raises ValueError for a syndrome
+    not of shape (n - k,), and as ``decode_block`` does; never raises for
+    numerical reasons."""
+    values = one_frame(np.asarray(s, dtype=np.complex128), 2 * code.t, "syndrome")
     block = decode_block(code, values, candidate_set, rel_tol=rel_tol, noise_floor=noise_floor)
     return frame_estimate(code, values, block)

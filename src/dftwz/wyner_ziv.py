@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import DftCode, build_code
-from .pgz import ErrorEstimate, PgzBlock, frame_estimate
+from .pgz import ErrorEstimate, PgzBlock, frame_estimate, one_frame
 from .pgz import decode_block as _pgz_decode_block
 from .quantize import QuantizerSpec, quantize
 
@@ -382,7 +382,8 @@ def encode(code: DftCode, approach: str, x: np.ndarray, quantizer: QuantizerSpec
     """Quantize what ``approach`` sends of the frame x: the syndrome Hx,
     real and imaginary parts apart, of a length-n frame, or the parity
     P_gen x of a length-k one."""
-    values, overloads = encode_block(code, approach, np.asarray(x)[None], quantizer)
+    x = one_frame(x, frame_length(code, approach), "source frame")
+    values, overloads = encode_block(code, approach, x, quantizer)
     bits_used = tx_samples(code, approach) * quantizer.bits
     return Message(approach, values[0], quantizer, bits_used, int(overloads[0]))
 
@@ -400,10 +401,13 @@ def decode(code: DftCode, msg: Message, y: np.ndarray) -> ReconstructionResult:
     PGZ's support and its single swaps described in the module docstring.
     A frame whose syndrome sits entirely below the quantization-noise
     floor is declared clean and returned as y unchanged, preserving exact
-    recovery when source and side information coincide. Non-finite side
-    information or message values raise ValueError.
+    recovery when source and side information coincide. Side information
+    or message values of a wrong shape or non-finite raise ValueError.
     """
-    decoded = decode_block(code, msg.approach, msg.values[None], msg.quantizer, np.asarray(y)[None])
+    rec = _approach(code.n, code.k, msg.approach)
+    y = one_frame(y, rec.length, "side information")
+    values = one_frame(msg.values, len(rec.sends), "message")
+    decoded = decode_block(code, msg.approach, values, msg.quantizer, y)
     estimate = frame_estimate(code, decoded.syndromes, decoded.pgz)
     locations = tuple(np.flatnonzero(decoded.support[0]).tolist())
     return ReconstructionResult(

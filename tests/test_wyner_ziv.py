@@ -529,8 +529,25 @@ def test_scalar_decoder_rejects_a_message_of_the_wrong_length(approach):
     length, sent = frame_length(C75, approach), tx_samples(C75, approach)
     msg = encode(C75, approach, np.zeros(length), Q[approach])
     short = dataclasses.replace(msg, values=msg.values[:1] + 0.3)
-    with pytest.raises(ValueError, match=rf"^message frames have shape \(1, 1\), expected \(F, {sent}\)"):
+    with pytest.raises(ValueError, match=rf"^message has shape \(1,\), expected \({sent},\)"):
         decode(C75, short, np.zeros(length))
+
+
+@pytest.mark.parametrize("entry", ["pgz_decode", "decode", "encode"])
+def test_scalar_entry_points_name_the_callers_shape(entry):
+    # A scalar call takes one frame, 1-D; its shape error names the shape
+    # it was given, not the block of one it wraps the frame in.
+    msg = encode(C159, "syndrome", np.zeros(15), Q_SY)
+    call, match = {
+        "pgz_decode": (lambda: pgz_decode(C159, np.zeros(5)),
+                       "syndrome has shape (5,), expected (6,)"),
+        "decode": (lambda: decode(C159, msg, np.zeros(14)),
+                   "side information has shape (14,), expected (15,)"),
+        "encode": (lambda: encode(C159, "syndrome", np.zeros((2, 15)), Q_SY),
+                   "source frame has shape (2, 15), expected (15,)"),
+    }[entry]
+    with pytest.raises(ValueError, match="^" + re.escape(match)):
+        call()
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
